@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .config import (
 from .errors import CamSchedError
 from .fileio import emit_metrics, load_cam
 from .sim import generate_synthetic
-from .sysmodel import SlotInput, check_feasibility
+from .sysmodel import SlotInput
 
 __all__ = [
     "main",
@@ -108,24 +109,24 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _slot_input(trace: sim.Trace, config: RunConfig, index: int) -> SlotInput:
-    """Assess quality up to and including the requested slot.
+def _replay_to(trace: sim.Trace, config: RunConfig, index: int):
+    """(state, rest of the replay) once the slots before `index` are replayed.
 
     Earlier slots are replayed so the quality windows are warm; the replay
     commits CAM windows only, since no algorithm actually ran.
     """
-    state = build_quality_state(config)
     if not 0 <= index < trace.horizon:
         raise CamSchedError(f"slot {index} outside trace horizon {trace.horizon}")
-    for t in range(index):
-        slot = trace.slots[t]
-        sim._commit_windows(trace, slot, state, None, frozenset(), config.cam_threshold)
-    slot = trace.slots[index]
-    quality = sim._assess_quality(trace, slot, state, config.cam_threshold)
-    return SlotInput(slot.datasize_bits, slot.bandwidth_bps, quality)
+    state = build_quality_state(config)
+    stream = sim.replay(trace, state, config.cam_threshold)
+    for _ in itertools.islice(stream, index):
+        pass
+    return state, stream
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_records(records, out: str | None) -> None:
+    """Compact JSON lines to `out`, or to stdout when no path is given."""
+    text = "\n".join(json.dumps(r, separators=(",", ":")) for r in records) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -165,38 +166,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _decision_record(decision, slot: SlotInput, model) -> dict:
-    total = sched.objective(decision, slot, model)
-    report = check_feasibility(decision, slot, model)
-    return {
-        "decisions": [list(g) for g in decision.genes()],
-        "total_utility": fileio.round9(total),
-        "feasible": report.feasible,
-        "latency_s": [fileio.round9(v) for v in report.latencies.tolist()],
-    }
-
-
 def _cmd_schedule(args) -> int:
     config = _load_config(args)
     trace = fileio.load_trace(args.trace)
     model = build_model(config)
-    slot = _slot_input(trace, config, args.slot)
-    if config.scheduler == "ga":
-        best, _ = sched.evolve(slot, model, config.ga)
-        decision = best.decision
-    elif config.scheduler == "oracle":
-        result = sched.brute_force(slot, model, config.oracle_limit)
-        if result.decision is None:
-            raise CamSchedError("no feasible decision exists for this slot")
-        decision = result.decision
-    elif config.scheduler == "capacity":
-        decision = sched.baseline_capacity(slot, model).decision
-    else:
-        decision = sched.baseline_no_enhancement(slot, model)
-    record = _decision_record(decision, slot, model)
-    record["slot"] = args.slot
-    record["scheduler"] = config.scheduler
-    _write_or_print(json.dumps(record, separators=(",", ":")) + "\n", args.out)
+    state, _ = _replay_to(trace, config, args.slot)
+    metrics = sim.run_slot(
+        args.slot, trace, state, model, config.scheduler, config.ga,
+        config.cam_threshold, config.oracle_limit,
+    )
+    record = dict(fileio.metrics_record(metrics), scheduler=config.scheduler)
+    _write_records([record], args.out)
     return 0
 
 
@@ -204,20 +184,19 @@ def _cmd_oracle(args) -> int:
     config = _load_config(args)
     trace = fileio.load_trace(args.trace)
     model = build_model(config)
-    slot = _slot_input(trace, config, args.slot)
+    _, stream = _replay_to(trace, config, args.slot)
+    data = trace.slots[args.slot]
+    slot = SlotInput(data.datasize_bits, data.bandwidth_bps, next(stream))
     result = sched.brute_force(slot, model, config.oracle_limit)
+    found = result.decision is not None
     record = {
         "slot": args.slot,
         "enumerated": result.enumerated,
         "feasible_count": result.feasible_count,
+        "decisions": [list(g) for g in result.decision.genes()] if found else None,
+        "total_utility": fileio.round9(result.objective) if found else None,
     }
-    if result.decision is None:
-        record["decisions"] = None
-        record["total_utility"] = None
-    else:
-        record["decisions"] = [list(g) for g in result.decision.genes()]
-        record["total_utility"] = fileio.round9(result.objective)
-    _write_or_print(json.dumps(record, separators=(",", ":")) + "\n", args.out)
+    _write_records([record], args.out)
     return 0
 
 
@@ -234,20 +213,14 @@ def _cmd_gen_trace(args) -> int:
 def _cmd_assess(args) -> int:
     config = _load_config(args)
     trace = fileio.load_trace(args.trace)
-    state = build_quality_state(config)
-    lines = []
-    for t in range(trace.horizon):
-        slot = trace.slots[t]
-        quality = sim._assess_quality(trace, slot, state, config.cam_threshold)
-        record = {
-            "slot": t,
-            "quality": [
-                [fileio.round9(v) for v in row] for row in quality.tolist()
-            ],
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-        sim._commit_windows(trace, slot, state, None, frozenset(), config.cam_threshold)
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    replay = sim.replay(trace, build_quality_state(config), config.cam_threshold)
+    _write_records(
+        (
+            {"slot": t, "quality": [[fileio.round9(v) for v in row] for row in q.tolist()]}
+            for t, q in enumerate(replay)
+        ),
+        args.out,
+    )
     return 0
 
 

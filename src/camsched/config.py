@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import camq, sched, sysmodel
 from .camq import QualityState
 from .errors import ConfigError
 from .sched import GaConfig
-from .sim import SynthSpec
+from .sim import SCHEDULER_CHOICES, SynthSpec
 from .sysmodel import (
     KIND_CPU,
     KIND_GPU,
@@ -28,9 +29,7 @@ from .sysmodel import (
 )
 
 DEFAULT_DEVICES = 10
-DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "ga"
-DEFAULT_ORACLE_LIMIT = 10_000_000
 
 # roster: [gpu_capacity, cpu_capacity] per server (units/s)
 DEFAULT_SERVERS = (
@@ -244,30 +243,30 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
 
     num_devices = _integer(doc, "devices", DEFAULT_DEVICES, low=1)
-    seed = _integer(doc, "seed", DEFAULT_SEED)
+    seed = _integer(doc, "seed", sched.DEFAULT_SEED)
     scheduler = doc.get("scheduler", DEFAULT_SCHEDULER)
-    if scheduler not in ("ga", "oracle", "capacity", "none"):
+    if scheduler not in SCHEDULER_CHOICES:
         raise ConfigError(
-            f"config key 'scheduler' must be one of ga|oracle|capacity|none, "
+            f"config key 'scheduler' must be one of {'|'.join(SCHEDULER_CHOICES)}, "
             f"got {scheduler!r}"
         )
-    oracle_limit = _integer(doc, "oracle_limit", DEFAULT_ORACLE_LIMIT, low=1)
-    latency_weight = _number(doc, "latency_weight", 0.5, low=0.0)
-    max_latency_s = _number(doc, "max_latency_s", 4.0)
+    oracle_limit = _integer(doc, "oracle_limit", sched.DEFAULT_ORACLE_LIMIT, low=1)
+    latency_weight = _number(doc, "latency_weight", sysmodel.DEFAULT_LATENCY_WEIGHT, low=0.0)
+    max_latency_s = _number(doc, "max_latency_s", sysmodel.DEFAULT_MAX_LATENCY_S)
     if max_latency_s <= 0:
         raise ConfigError(f"config key 'max_latency_s' must be > 0, got {max_latency_s}")
-    overhead = _number(doc, "overhead_latency_s", 0.05, low=0.0)
-    window_depth = _integer(doc, "window_depth", 5, low=1)
-    cam_threshold = _number(doc, "cam_threshold", 0.4)
-    denom_floor = _number(doc, "denominator_floor", 1e-6)
+    overhead = _number(doc, "overhead_latency_s", sysmodel.DEFAULT_OVERHEAD_S, low=0.0)
+    window_depth = _integer(doc, "window_depth", camq.DEFAULT_WINDOW_DEPTH, low=1)
+    cam_threshold = _number(doc, "cam_threshold", camq.DEFAULT_THRESHOLD)
+    denom_floor = _number(doc, "denominator_floor", camq.DEFAULT_DENOM_FLOOR)
     if denom_floor <= 0:
         raise ConfigError(
             f"config key 'denominator_floor' must be > 0, got {denom_floor}"
         )
-    quality_cap = _number(doc, "quality_cap", 10.0)
+    quality_cap = _number(doc, "quality_cap", camq.DEFAULT_QUALITY_CAP)
     if quality_cap <= 0:
         raise ConfigError(f"config key 'quality_cap' must be > 0, got {quality_cap}")
-    default_accuracy = _number(doc, "default_accuracy", 1.0, low=0.0, high=1.0)
+    default_accuracy = _number(doc, "default_accuracy", camq.DEFAULT_ACCURACY, 0.0, 1.0)
 
     servers = _parse_servers(
         doc.get(
@@ -292,12 +291,24 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown(ga_doc, _GA_KEYS, "ga")
     try:
         ga = GaConfig(
-            population_size=_integer(ga_doc, "population_size", 50, low=1, where="ga"),
-            generations=_integer(ga_doc, "generations", 100, low=1, where="ga"),
-            crossover_prob=_number(ga_doc, "crossover_prob", 0.8, 0.0, 1.0, where="ga"),
-            mutation_prob=_number(ga_doc, "mutation_prob", 0.1, 0.0, 1.0, where="ga"),
-            penalty_capacity=_number(ga_doc, "penalty_capacity", 100.0, 0.0, where="ga"),
-            penalty_latency=_number(ga_doc, "penalty_latency", 100.0, 0.0, where="ga"),
+            population_size=_integer(
+                ga_doc, "population_size", sched.DEFAULT_POPULATION, low=1, where="ga"
+            ),
+            generations=_integer(
+                ga_doc, "generations", sched.DEFAULT_GENERATIONS, low=1, where="ga"
+            ),
+            crossover_prob=_number(
+                ga_doc, "crossover_prob", sched.DEFAULT_CROSSOVER_PROB, 0.0, 1.0, where="ga"
+            ),
+            mutation_prob=_number(
+                ga_doc, "mutation_prob", sched.DEFAULT_MUTATION_PROB, 0.0, 1.0, where="ga"
+            ),
+            penalty_capacity=_number(
+                ga_doc, "penalty_capacity", sched.DEFAULT_PENALTY, 0.0, where="ga"
+            ),
+            penalty_latency=_number(
+                ga_doc, "penalty_latency", sched.DEFAULT_PENALTY, 0.0, where="ga"
+            ),
             rng_seed=_integer(ga_doc, "seed", seed, where="ga"),
         )
     except ConfigError:

@@ -128,6 +128,19 @@ def save_trace(trace: Trace, out_dir: str) -> str:
     return path
 
 
+def _field(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise TraceError(f"{where} missing key {key!r}")
+    return doc[key]
+
+
+def _floats(doc, key: str, where: str) -> np.ndarray:
+    try:
+        return np.asarray(_field(doc, key, where), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"{where} key {key!r} is not a numeric array") from exc
+
+
 def load_trace(path: str) -> Trace:
     """Read a trace manifest; CAM references resolve relative to the manifest."""
     with open(path, "r", encoding="ascii") as fh:
@@ -137,38 +150,42 @@ def load_trace(path: str) -> Trace:
             raise TraceError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TraceError(f"{path}: manifest must be a JSON object")
-    for key in ("devices", "servers", "algorithms", "slots"):
-        if key not in doc:
-            raise TraceError(f"{path}: manifest missing key {key!r}")
+    top = f"{path}: manifest"
+    sizes = [_field(doc, key, top) for key in ("devices", "servers", "algorithms")]
+    try:
+        m, n, k = (int(v) for v in sizes)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"{path}: devices, servers and algorithms must be integers") from exc
     base = os.path.dirname(os.path.abspath(path))
-    m, n, k = int(doc["devices"]), int(doc["servers"]), int(doc["algorithms"])
     slots = []
-    for t, entry in enumerate(doc["slots"]):
+    for t, entry in enumerate(_field(doc, "slots", top)):
+        where = f"{path}: slot {t}"
         if "quality" in entry and "cams" in entry:
-            raise TraceError(f"{path}: slot {t} carries both quality and CAMs")
+            raise TraceError(f"{where} carries both quality and CAMs")
         quality = None
         lowlight = None
         enhanced = None
         if "quality" in entry:
-            quality = np.asarray(entry["quality"], dtype=np.float64)
+            quality = _floats(entry, "quality", where)
         elif "cams" in entry:
             refs = entry["cams"]
             lowlight = tuple(
-                load_cam(os.path.join(base, ref)) for ref in refs["lowlight"]
+                load_cam(os.path.join(base, ref))
+                for ref in _field(refs, "lowlight", f"{where} cams")
             )
             enhanced = tuple(
                 tuple(load_cam(os.path.join(base, ref)) for ref in per_dev)
-                for per_dev in refs["enhanced"]
+                for per_dev in _field(refs, "enhanced", f"{where} cams")
             )
         else:
-            raise TraceError(f"{path}: slot {t} carries neither quality nor CAMs")
+            raise TraceError(f"{where} carries neither quality nor CAMs")
         accuracy = None
         if "accuracy" in entry:
-            accuracy = np.asarray(entry["accuracy"], dtype=np.float64)
+            accuracy = _floats(entry, "accuracy", where)
         slots.append(
             SlotData(
-                datasize_bits=np.asarray(entry["datasize_bits"], dtype=np.float64),
-                bandwidth_bps=np.asarray(entry["bandwidth_bps"], dtype=np.float64),
+                datasize_bits=_floats(entry, "datasize_bits", where),
+                bandwidth_bps=_floats(entry, "bandwidth_bps", where),
                 quality=quality,
                 lowlight=lowlight,
                 enhanced=enhanced,
@@ -178,7 +195,8 @@ def load_trace(path: str) -> Trace:
     return Trace(m, n, k, tuple(slots))
 
 
-def _metrics_record(metrics: SlotMetrics) -> dict:
+def metrics_record(metrics: SlotMetrics) -> dict:
+    """One slot's record in the metrics stream."""
     return {
         "slot": metrics.slot,
         "decisions": [list(gene) for gene in metrics.decision.genes()],
@@ -213,7 +231,7 @@ def format_metrics(
     Scheduler wall-times are deliberately not part of the stream so reruns of
     the same seed produce identical bytes; they are reported on stdout instead.
     """
-    lines = [json.dumps(_metrics_record(m), separators=(",", ":")) for m in metrics]
+    lines = [json.dumps(metrics_record(m), separators=(",", ":")) for m in metrics]
     lines.append(json.dumps(_summary_record(summary), separators=(",", ":")))
     return "\n".join(lines) + "\n"
 

@@ -93,7 +93,6 @@ class BaselineResult:
 
 def objective(decision: Decision, slot: SlotInput, model: SystemModel) -> float:
     """Total utility of the decision; -inf as soon as any device is unreachable."""
-    _check_slot_dims(slot, model)
     decision.validate_against(model)
     util = utility_table(slot, model)
     rows = np.arange(decision.num_devices)
@@ -219,7 +218,6 @@ class _SlotTables:
     __slots__ = (
         "num_devices",
         "num_codes",
-        "algs_per",
         "base",
         "load_slot",
         "service_flat",
@@ -229,12 +227,9 @@ class _SlotTables:
     )
 
     def __init__(self, slot: SlotInput, model: SystemModel, ga: GaConfig):
-        m = model.num_devices
-        n = model.num_servers
-        ka = model.num_algorithms + 1
-        self.num_devices = m
-        self.num_codes = n * ka
-        self.algs_per = ka
+        load_slot, service = model.code_loads
+        self.num_devices = model.num_devices
+        self.num_codes = len(load_slot)
 
         lat = latency_table(slot, model)
         util = utility_table(slot, model)
@@ -244,19 +239,9 @@ class _SlotTables:
             base = np.where(excess > 0.0, util - ga.penalty_latency * excess, util)
         else:
             base = util
-        self.base = base.reshape(m, self.num_codes).tolist()
-
-        service = model.service_matrix
-        pools = model.pool_index
-        load_slot = [-1] * self.num_codes
-        service_flat = [0.0] * self.num_codes
-        for srv in range(n):
-            for k in range(1, ka):
-                c = srv * ka + k
-                load_slot[c] = 2 * srv + int(pools[k])
-                service_flat[c] = float(service[srv, k])
-        self.load_slot = load_slot
-        self.service_flat = service_flat
+        self.base = base.reshape(self.num_devices, self.num_codes).tolist()
+        self.load_slot = load_slot.tolist()
+        self.service_flat = service.tolist()
         self.caps = model.capacity_matrix.reshape(-1).tolist()
         self.inv_caps = [1.0 / max(c, CAPACITY_EPS) for c in self.caps]
         self.lam_cap = ga.penalty_capacity
@@ -284,12 +269,6 @@ class _SlotTables:
                 total -= self.lam_cap * pen
         return total
 
-    def decode(self, genome: list[int]) -> Decision:
-        ka = self.algs_per
-        return Decision(
-            tuple(c // ka for c in genome), tuple(c % ka for c in genome)
-        )
-
 
 def evolve(
     slot: SlotInput, model: SystemModel, ga: GaConfig | None = None
@@ -302,7 +281,6 @@ def evolve(
     """
     if ga is None:
         ga = GaConfig()
-    _check_slot_dims(slot, model)
     rng = random.Random(ga.rng_seed)
     tables = _SlotTables(slot, model, ga)
     m_devices = tables.num_devices
@@ -351,7 +329,7 @@ def evolve(
         pop, fits = next_pop, next_fits
 
     best_idx = max(range(len(fits)), key=fits.__getitem__)
-    decision = tables.decode(pop[best_idx])
+    decision = model.decode(pop[best_idx])
     # keep the table-path fitness: the scalar re-evaluation can differ in the
     # last ulp on penalized individuals, which would break final == history[-1]
     _, raw, feasible = penalized_fitness(decision, slot, model, ga)
@@ -372,8 +350,8 @@ def brute_force(
     if limit < 1:
         raise ValidationError("enumeration limit must be positive")
     m_devices = model.num_devices
-    ka = model.num_algorithms + 1
-    num_codes = model.num_servers * ka
+    slot_of, svc_of = model.code_loads
+    num_codes = len(slot_of)
     total = num_codes**m_devices
     if total > limit:
         raise SearchSpaceError(
@@ -383,15 +361,6 @@ def brute_force(
     util = utility_table(slot, model).reshape(m_devices, num_codes)
     lat = latency_table(slot, model).reshape(m_devices, num_codes)
     lat_ok = lat <= model.constants.max_latency_s
-    service = model.service_matrix
-    pools = model.pool_index
-    slot_of = np.full(num_codes, -1, dtype=np.int64)
-    svc_of = np.zeros(num_codes)
-    for n in range(model.num_servers):
-        for k in range(1, ka):
-            c = n * ka + k
-            slot_of[c] = 2 * n + int(pools[k])
-            svc_of[c] = service[n, k]
     caps = model.capacity_matrix.reshape(-1)
 
     # device 0 is the most significant digit, so enumeration order is
@@ -427,10 +396,7 @@ def brute_force(
 
     if best_codes is None:
         return OracleResult(None, None, total, feasible_count)
-    decision = Decision(
-        tuple(int(c) // ka for c in best_codes),
-        tuple(int(c) % ka for c in best_codes),
-    )
+    decision = model.decode(best_codes)
     # canonical re-evaluation so the stored optimum matches objective() exactly
     return OracleResult(decision, objective(decision, slot, model), total, feasible_count)
 

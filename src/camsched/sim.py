@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from . import camq, sched
 from .camq import CamMap, QualityState
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
+# device_latency is not called here, but perfbench/tracing.py wraps it through
+# this module's attribute, so the name stays bound
 from .sysmodel import Decision, SlotInput, SystemModel, check_feasibility, device_latency, device_utility
 
 SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
@@ -77,7 +79,8 @@ class Trace:
             if slot.accuracy is not None:
                 if slot.accuracy.shape != (m, k + 1):
                     raise TraceError(f"slot {t}: accuracy must have shape ({m}, {k + 1})")
-                if ((slot.accuracy < 0) | (slot.accuracy > 1)).any():
+                # phrased so that NaN fails the range check as well
+                if not ((slot.accuracy >= 0) & (slot.accuracy <= 1)).all():
                     raise TraceError(f"slot {t}: accuracy outside [0, 1]")
 
     @property
@@ -109,9 +112,10 @@ class RunSummary:
     mean_scheduler_seconds: float | None
 
 
-def _assess_quality(
+def assess_quality(
     trace: Trace, slot: SlotData, state: QualityState, threshold: float
 ) -> np.ndarray:
+    """Assessment stage: the slot's (M, K+1) quality against the current windows."""
     if slot.quality is not None:
         return slot.quality
     k = trace.num_algorithms
@@ -124,7 +128,7 @@ def _assess_quality(
     return q
 
 
-def _commit_windows(
+def commit_windows(
     trace: Trace,
     slot: SlotData,
     state: QualityState,
@@ -132,9 +136,12 @@ def _commit_windows(
     rejected: frozenset[int],
     threshold: float,
 ) -> None:
-    # windows advance for every algorithm each slot, not just the chosen one;
-    # accuracy feedback lands only for what actually ran (decision None means
-    # a pure assessment replay where nothing ran)
+    """Commit stage: advance the windows past the slot.
+
+    Windows advance for every algorithm each slot, not just the chosen one;
+    accuracy feedback lands only for what actually ran (decision None means
+    a pure assessment replay where nothing ran).
+    """
     if slot.lowlight is not None:
         for m in range(trace.num_devices):
             for alg in range(1, trace.num_algorithms + 1):
@@ -145,6 +152,18 @@ def _commit_windows(
             if m in rejected:
                 continue
             camq.record_accuracy(state, m, float(slot.accuracy[m, decision.algorithms[m]]))
+
+
+def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[np.ndarray]:
+    """Walk the trace as if no algorithm ran: assess each slot, commit its
+    windows without accuracy feedback, then yield its quality matrix.
+
+    After n items the state holds exactly the windows of slots 0..n-1.
+    """
+    for slot in trace.slots:
+        quality = assess_quality(trace, slot, state, threshold)
+        commit_windows(trace, slot, state, None, frozenset(), threshold)
+        yield quality
 
 
 def run_slot(
@@ -159,15 +178,16 @@ def run_slot(
 ) -> SlotMetrics:
     """Advance the simulation by one slot and return its accounting.
 
-    Assessment happens before scheduling, so the scheduler only ever sees this
-    slot's quality matrix; window commits happen last.
+    The one slot pipeline: assess, schedule, account, commit. Assessment
+    happens before scheduling, so the scheduler only ever sees this slot's
+    quality matrix; window commits happen last.
     """
     if scheduler not in SCHEDULER_CHOICES:
         raise ValidationError(f"unknown scheduler {scheduler!r}")
     if not 0 <= t < trace.horizon:
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
-    quality = _assess_quality(trace, slot_data, state, threshold)
+    quality = assess_quality(trace, slot_data, state, threshold)
     slot = SlotInput(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
 
     rejected: frozenset[int] = frozenset()
@@ -190,26 +210,22 @@ def run_slot(
         decision = sched.baseline_no_enhancement(slot, model)
     elapsed = time.perf_counter() - started
 
-    weight = model.constants.latency_weight
-    qualities = []
-    latencies = []
-    utilities = []
-    for m in range(model.num_devices):
-        if m in rejected:
-            qualities.append(0.0)
-            latencies.append(math.inf)
-            utilities.append(-math.inf)
-            continue
-        q = float(quality[m, decision.algorithms[m]])
-        lat = device_latency(decision, m, slot, model)
-        qualities.append(q)
-        latencies.append(lat)
-        utilities.append(device_utility(q, lat, weight))
-    total = sum(utilities)
+    # a rejected device is not served: no quality, infinite latency, -inf utility
     report = check_feasibility(decision, slot, model)
+    qualities = [
+        0.0 if m in rejected else float(quality[m, k])
+        for m, k in enumerate(decision.algorithms)
+    ]
+    latencies = [
+        math.inf if m in rejected else lat
+        for m, lat in enumerate(report.latencies.tolist())
+    ]
+    weight = model.constants.latency_weight
+    utilities = [device_utility(q, lat, weight) for q, lat in zip(qualities, latencies)]
+    total = sum(utilities)
     feasible = report.feasible and not rejected
 
-    _commit_windows(trace, slot_data, state, decision, rejected, threshold)
+    commit_windows(trace, slot_data, state, decision, rejected, threshold)
     return SlotMetrics(
         slot=t,
         decision=decision,

@@ -177,6 +177,27 @@ class SystemModel:
         idx.setflags(write=False)
         return idx
 
+    @cached_property
+    def code_loads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per gene code c = n*(K+1) + k: (load slot, service) it reserves.
+
+        The load slot 2n + pool indexes the flattened (N, 2) load matrix; -1
+        marks algorithm 0, which reserves nothing.
+        """
+        servers = np.arange(self.num_servers)[:, None]
+        pools = self.pool_index[None, :]
+        load_slot = np.where(pools >= 0, 2 * servers + pools, -1).reshape(-1)
+        service = self.service_matrix.reshape(-1)
+        load_slot.setflags(write=False)
+        return load_slot, service
+
+    def decode(self, codes) -> Decision:
+        """The decision whose genes are the given codes, one per device."""
+        ka = self.num_algorithms + 1
+        return Decision(
+            tuple(int(c) // ka for c in codes), tuple(int(c) % ka for c in codes)
+        )
+
 
 @dataclass(frozen=True)
 class SlotInput:
@@ -335,16 +356,19 @@ def device_utility(quality: float, latency_s: float, latency_weight: float) -> f
 
 
 def server_loads(decision: Decision, model: SystemModel) -> np.ndarray:
-    """(N, 2) reserved service per server pool under the decision."""
+    """(N, 2) reserved service per server pool under the decision.
+
+    add.at adds the genes in device order, so each pool sums exactly as a
+    gene-by-gene loop would.
+    """
     decision.validate_against(model)
-    loads = np.zeros((model.num_servers, 2))
-    service = model.service_matrix
-    pools = model.pool_index
-    for n, k in decision.genes():
-        if k == 0:
-            continue
-        loads[n, pools[k]] += service[n, k]
-    return loads
+    load_slot, service = model.code_loads
+    ka = model.num_algorithms + 1
+    codes = np.asarray(decision.servers) * ka + np.asarray(decision.algorithms)
+    codes = codes[load_slot[codes] >= 0]
+    loads = np.zeros(2 * model.num_servers)
+    np.add.at(loads, load_slot[codes], service[codes])
+    return loads.reshape(model.num_servers, 2)
 
 
 @dataclass(frozen=True)
@@ -370,16 +394,11 @@ def check_feasibility(
     decision: Decision, slot: SlotInput, model: SystemModel
 ) -> FeasibilityReport:
     """Exact capacity-pool and deadline verdicts, no tolerance applied."""
-    decision.validate_against(model)
-    loads = server_loads(decision, model)
+    loads = server_loads(decision, model)  # validates the decision
     caps = model.capacity_matrix
     overloads = np.maximum(loads - caps, 0.0)
-    latencies = np.array(
-        [
-            device_latency(decision, m, slot, model)
-            for m in range(decision.num_devices)
-        ]
-    )
+    rows = np.arange(decision.num_devices)
+    latencies = latency_table(slot, model)[rows, decision.servers, decision.algorithms]
     excess = np.maximum(latencies - model.constants.max_latency_s, 0.0)
     capacity_ok = bool((loads <= caps).all())
     latency_ok = bool((latencies <= model.constants.max_latency_s).all())

@@ -24,7 +24,7 @@ from camsched.fileio import (
     save_cam,
     save_trace,
 )
-from camsched.sim import SynthSpec, generate_synthetic, run
+from camsched.sim import SCHEDULER_CHOICES, SynthSpec, generate_synthetic, run
 
 
 # -------------------------------------------------------------------- config
@@ -340,6 +340,69 @@ def test_cli_schedule_and_oracle_agree(tmp_path, capsys):
     got = json.loads(sched_out.strip().split("\n")[-1])
     want = json.loads(oracle_out.strip().split("\n")[-1])
     assert got["decisions"] == want["decisions"]
+
+
+ONE_GPU_SERVER = {
+    "synth": {"horizon": 2, "offsets": [0.25], "cam_rows": 4, "cam_cols": 4},
+    "servers": [{"gpu_capacity": 8.0, "cpu_capacity": 8.0}],
+    "algorithms": [{"kind": "gpu", "demand_per_bit": 1e-7, "service_rate": 4.0}],
+}
+
+
+@pytest.mark.parametrize("case", [
+    # the 0.05 s overhead alone misses the deadline: no decision is feasible
+    {"devices": 2, "max_latency_s": 0.01},
+    # the 8-unit gpu pool holds two 4-unit reservations: capacity rejects one
+    {"devices": 3},
+], ids=["nothing-feasible", "one-rejected"])
+def test_cli_schedule_prints_the_simulate_slot_record(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(ONE_GPU_SERVER, **case)))
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = str(tmp_path / "t" / "trace.json")
+    out = str(tmp_path / "m.jsonl")
+    records = {}
+    for name in SCHEDULER_CHOICES:
+        assert run_cli(["simulate", "--config", str(cfg), "--trace", manifest,
+                        "--out", out, "--scheduler", name]) == 0
+        capsys.readouterr()
+        assert run_cli(["schedule", "--config", str(cfg), "--trace", manifest,
+                        "--slot", "0", "--scheduler", name]) == 0
+        got = json.loads(capsys.readouterr().out)
+        records[name] = load_metrics(out)[0][0]
+        assert got == dict(records[name], scheduler=name)
+    if "max_latency_s" in case:
+        assert not records["oracle"]["feasible"]
+        assert all(k == 0 for _, k in records["oracle"]["decisions"])
+    else:
+        assert records["capacity"]["rejected"] == [2]
+
+
+TRACE_MUTATIONS = {
+    "missing-datasize": lambda doc: doc["slots"][0].pop("datasize_bits"),
+    "missing-lowlight": lambda doc: doc["slots"][0]["cams"].pop("lowlight"),
+    "ragged-bandwidth": lambda doc: doc["slots"][0]["bandwidth_bps"][0].append(1.0),
+    "devices-not-int": lambda doc: doc.update(devices="x"),
+    "nan-accuracy": lambda doc: doc["slots"][0]["accuracy"][0].__setitem__(1, math.nan),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TRACE_MUTATIONS))
+def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = tmp_path / "t" / "trace.json"
+    doc = json.loads(manifest.read_text())
+    TRACE_MUTATIONS[mutation](doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(TraceError):
+        load_trace(str(manifest))
+    capsys.readouterr()
+    code = run_cli(["simulate", "--config", str(cfg), "--trace", str(manifest),
+                    "--out", str(tmp_path / "m.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_assess_emits_quality_lines(tmp_path, capsys):

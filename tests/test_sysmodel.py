@@ -317,6 +317,7 @@ def test_decision_validation():
 
 def test_tables_match_scalar_paths_bit_for_bit():
     rng = np.random.default_rng(23)
+    picks = np.random.default_rng(29)
     for _ in range(20):
         model = make_model(rng, 3, 2, 2)
         slot = make_slot(rng, model)
@@ -339,6 +340,21 @@ def test_tables_match_scalar_paths_bit_for_bit():
                     assert util[m, n, k] == want_util or (
                         math.isinf(want_util) and math.isinf(util[m, n, k])
                     )
+        # the table-backed check_feasibility and server_loads against the
+        # scalar device_latency and the gene-by-gene reference sum
+        for _ in range(5):
+            decision = Decision(
+                tuple(int(v) for v in picks.integers(0, 2, 3)),
+                tuple(int(v) for v in picks.integers(0, 3, 3)),
+            )
+            report = check_feasibility(decision, slot, model)
+            for m in range(3):
+                assert report.latencies[m] == device_latency(decision, m, slot, model)
+            want_loads = np.zeros((2, 2))
+            for (n, pool), v in ref_server_loads(decision.genes(), model).items():
+                want_loads[n, pool] = v
+            assert np.array_equal(server_loads(decision, model), want_loads)
+            assert np.array_equal(report.loads, want_loads)
 
 
 # ------------------------------------------------------------- construction
