@@ -157,9 +157,14 @@ def load_trace(path: str) -> Trace:
     except (TypeError, ValueError) as exc:
         raise TraceError(f"{path}: devices, servers and algorithms must be integers") from exc
     base = os.path.dirname(os.path.abspath(path))
+    entries = _field(doc, "slots", top)
+    if not isinstance(entries, list):
+        raise TraceError(f"{path}: slots must be a list")
     slots = []
-    for t, entry in enumerate(_field(doc, "slots", top)):
+    for t, entry in enumerate(entries):
         where = f"{path}: slot {t}"
+        if not isinstance(entry, dict):
+            raise TraceError(f"{where} must be an object")
         if "quality" in entry and "cams" in entry:
             raise TraceError(f"{where} carries both quality and CAMs")
         quality = None

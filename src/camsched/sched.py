@@ -3,8 +3,9 @@
 The genetic scheduler searches the full assignment space with elitism,
 roulette selection, single-point crossover and single-gene mutation, scoring
 individuals by total utility minus normalised constraint penalties. The
-exhaustive oracle enumerates every decision for small instances, and two
-baselines bound it from below: capacity-driven greedy and no enhancement.
+exhaustive oracle enumerates every admissible decision for small instances,
+and two baselines bound it from below: capacity-driven greedy and no
+enhancement.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .sysmodel import (
     SlotInput,
     SystemModel,
     _check_slot_dims,
+    _utility_from_latency,
     check_feasibility,
     latency_table,
     utility_table,
@@ -232,7 +234,7 @@ class _SlotTables:
         self.num_codes = len(load_slot)
 
         lat = latency_table(slot, model)
-        util = utility_table(slot, model)
+        util = _utility_from_latency(lat, slot, model)
         lmax = model.constants.max_latency_s
         excess = np.maximum(lat - lmax, 0.0) / lmax
         if ga.penalty_latency > 0.0:
@@ -339,12 +341,16 @@ def evolve(
 def brute_force(
     slot: SlotInput, model: SystemModel, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> OracleResult:
-    """Enumerate every decision and return the best feasible one.
+    """Enumerate every admissible decision and return the best feasible one.
 
     Exact but exponential: the space holds (N * (K+1))**M decisions and the
-    call refuses to start past `limit`. Ties on the objective go to the
-    lexicographically smallest gene vector, which is simply the first optimum
-    in enumeration order.
+    call refuses to start past `limit`; `enumerated` reports that full space.
+    Only admissible codes are enumerated: a code that misses the deadline
+    (unreachable or unrunnable ones included) or alone overfills its pool is
+    in no feasible decision, so dropping it changes neither the optimum nor
+    `feasible_count`. Ties on the objective go to the lexicographically
+    smallest gene vector, which is simply the first optimum in enumeration
+    order.
     """
     _check_slot_dims(slot, model)
     if limit < 1:
@@ -358,41 +364,63 @@ def brute_force(
             f"{total} decisions exceed the enumeration limit of {limit}"
         )
 
-    util = utility_table(slot, model).reshape(m_devices, num_codes)
-    lat = latency_table(slot, model).reshape(m_devices, num_codes)
-    lat_ok = lat <= model.constants.max_latency_s
+    lat = latency_table(slot, model)
+    util = _utility_from_latency(lat, slot, model).reshape(m_devices, num_codes)
+    lat = lat.reshape(m_devices, num_codes)
     caps = model.capacity_matrix.reshape(-1)
+    # dense load row of each code: its service at its load slot, 0 elsewhere
+    code_load = np.zeros((num_codes, len(caps)))
+    used = slot_of >= 0
+    code_load[used, slot_of[used]] = svc_of[used]
+    fits_alone = (code_load <= caps).all(axis=1)
+    kept = [
+        np.flatnonzero((lat[m] <= model.constants.max_latency_s) & fits_alone)
+        for m in range(m_devices)
+    ]
+    if any(len(codes) == 0 for codes in kept):
+        return OracleResult(None, None, total, 0)
 
-    # device 0 is the most significant digit, so enumeration order is
-    # lexicographic over gene vectors
-    radix = num_codes ** np.arange(m_devices - 1, -1, -1, dtype=np.int64)
+    # the trailing devices from `split` on form one broadcast block of at most
+    # _ORACLE_CHUNK decisions (always at least the last device); the leading
+    # ones are iterated. Device 0 is the most significant digit and each
+    # device's codes ascend, so enumeration order stays lexicographic.
+    split = m_devices - 1
+    block = len(kept[split])
+    while split > 0 and block * len(kept[split - 1]) <= _ORACLE_CHUNK:
+        split -= 1
+        block *= len(kept[split])
+    block_shape = [len(codes) for codes in kept[split:]]
+    block_util = [util[m, kept[m]] for m in range(split, m_devices)]
+    block_load = [code_load[kept[m]] for m in range(split, m_devices)]
+
     best_val = -np.inf
-    best_codes: np.ndarray | None = None
+    best_codes: list[int] | None = None
     feasible_count = 0
-    for start in range(0, total, _ORACLE_CHUNK):
-        idx = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        codes_mat = (idx[:, None] // radix[None, :]) % num_codes
-        batch = len(idx)
-        vals = np.zeros(batch)
-        ok = np.ones(batch, dtype=bool)
-        loads = np.zeros((batch, len(caps)))
-        rows = np.arange(batch)
-        for m in range(m_devices):
-            c = codes_mat[:, m]
+    for prefix in itertools.product(*kept[:split]):
+        # sum device by device, left to right, as a gene-by-gene loop would:
+        # regrouping the float additions could move a near-tie or a load
+        # sitting exactly at capacity
+        vals = np.zeros(1)
+        loads = np.zeros((1, len(caps)))
+        for m, c in enumerate(prefix):
             vals = vals + util[m, c]
-            ok &= lat_ok[m, c]
-            j = slot_of[c]
-            used = j >= 0
-            if used.any():
-                loads[rows[used], j[used]] += svc_of[c[used]]
-        ok &= (loads <= caps[None, :]).all(axis=1)
-        feasible_count += int(np.count_nonzero(ok))
-        if ok.any():
-            masked = np.where(ok, vals, -np.inf)
-            pos = int(np.argmax(masked))
-            if masked[pos] > best_val:
-                best_val = float(masked[pos])
-                best_codes = codes_mat[pos].copy()
+            loads = loads + code_load[c]
+        for u_m, l_m in zip(block_util, block_load):
+            vals = (vals[:, None] + u_m).reshape(-1)
+            loads = (loads[:, None, :] + l_m).reshape(-1, len(caps))
+        ok = (loads <= caps).all(axis=1)
+        n_ok = int(np.count_nonzero(ok))
+        if n_ok == 0:
+            continue
+        feasible_count += n_ok
+        masked = np.where(ok, vals, -np.inf)
+        pos = int(np.argmax(masked))
+        if masked[pos] > best_val:
+            best_val = float(masked[pos])
+            digits = np.unravel_index(pos, block_shape)
+            best_codes = list(prefix) + [
+                codes[d] for codes, d in zip(kept[split:], digits)
+            ]
 
     if best_codes is None:
         return OracleResult(None, None, total, feasible_count)

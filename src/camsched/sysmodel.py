@@ -443,7 +443,13 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
 
 def utility_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     """(M, N, K+1) utility of every possible assignment; -inf mirrors infinite latency."""
-    lat = latency_table(slot, model)
+    return _utility_from_latency(latency_table(slot, model), slot, model)
+
+
+def _utility_from_latency(
+    lat: np.ndarray, slot: SlotInput, model: SystemModel
+) -> np.ndarray:
+    """utility_table's values from an already built latency_table."""
     q = slot.quality[:, None, :]
     weight = model.constants.latency_weight
     return np.where(np.isinf(lat), -np.inf, q - weight * lat)

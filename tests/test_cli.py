@@ -384,6 +384,8 @@ TRACE_MUTATIONS = {
     "ragged-bandwidth": lambda doc: doc["slots"][0]["bandwidth_bps"][0].append(1.0),
     "devices-not-int": lambda doc: doc.update(devices="x"),
     "nan-accuracy": lambda doc: doc["slots"][0]["accuracy"][0].__setitem__(1, math.nan),
+    "slots-not-list": lambda doc: doc.update(slots=5),
+    "slot-not-object": lambda doc: doc.update(slots=[3]),
 }
 
 

@@ -1,5 +1,6 @@
 """Scheduler tests: objective, GA operators, brute-force oracle, baselines."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -34,6 +35,9 @@ from camsched.sysmodel import (
     SlotInput,
     SystemModel,
     check_feasibility,
+    device_latency,
+    device_utility,
+    server_loads,
     utility_table,
 )
 
@@ -468,6 +472,156 @@ def test_brute_force_optimum_is_true_max():
             assert best == -math.inf
         else:
             assert res.objective == pytest.approx(best, abs=1e-12)
+
+
+def exhaustive_reference(slot, model):
+    """(first optimum, its objective, feasible count) by a plain loop.
+
+    Every decision in lexicographic order: utilities add left to right,
+    loads gene by gene, and both constraints compare with <=.
+    """
+    m_devices = model.num_devices
+    genes = [(n, k) for n in range(model.num_servers)
+             for k in range(model.num_algorithms + 1)]
+    lmax = model.constants.max_latency_s
+    weight = model.constants.latency_weight
+    lat = [[device_latency(Decision((n,) * m_devices, (k,) * m_devices), m, slot, model)
+            for n, k in genes] for m in range(m_devices)]
+    util = [[device_utility(float(slot.quality[m, k]), lat[m][g], weight)
+             for g, (n, k) in enumerate(genes)] for m in range(m_devices)]
+    caps = {}
+    for n, server in enumerate(model.servers):
+        caps[(n, 0)] = server.gpu_capacity
+        caps[(n, 1)] = server.cpu_capacity
+    best, best_val, count = None, -math.inf, 0
+    for vector in itertools.product(range(len(genes)), repeat=m_devices):
+        if not all(lat[m][g] <= lmax for m, g in enumerate(vector)):
+            continue
+        loads = dict.fromkeys(caps, 0.0)
+        total = 0.0
+        for m, g in enumerate(vector):
+            total += util[m][g]
+            n, k = genes[g]
+            if k:
+                profile = model.profiles[k - 1]
+                pool = 0 if profile.kind == KIND_GPU else 1
+                loads[(n, pool)] += float(profile.service_rate[n])
+        if all(loads[key] <= caps[key] for key in caps):
+            count += 1
+            if total > best_val:
+                best, best_val = vector, total
+    if best is None:
+        return None, None, count
+    decision = Decision(tuple(genes[g][0] for g in best),
+                        tuple(genes[g][1] for g in best))
+    return decision, objective(decision, slot, model), count
+
+
+def oracle_case(servers, profiles, d, b, q, max_latency_s=4.0, overhead=0.05):
+    """Model and slot from plain lists; profiles are (kind, demand, rate)."""
+    model = SystemModel(
+        tuple(EdgeServer(gpu, cpu) for gpu, cpu in servers),
+        tuple(
+            EnhancementProfile(k + 1, kind, np.asarray(demand, dtype=float),
+                               np.asarray(rate, dtype=float))
+            for k, (kind, demand, rate) in enumerate(profiles)
+        ),
+        ModelConstants(num_devices=len(d), overhead_latency_s=overhead,
+                       latency_weight=0.5, max_latency_s=max_latency_s),
+    )
+    slot = SlotInput(datasize_bits=np.asarray(d, dtype=float),
+                     bandwidth_bps=np.asarray(b, dtype=float),
+                     quality=np.asarray(q, dtype=float))
+    return model, slot
+
+
+MIB = float(2**20)  # power-of-two sizes keep latencies exact
+
+ORACLE_CASES = {
+    # dead links and a server that cannot run algorithm 1: infinite latency
+    "unreachable": lambda: oracle_case(
+        [(8.0, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-6, 1e-6], [1.0, 0.0]), (KIND_CPU, [1e-6, 1e-6], [2.0, 2.0])],
+        [1e6, 2e6, 1e6],
+        [[1e7, 0.0], [0.0, 1e7], [1e7, 1e7]],
+        [[0.0, 1.0, 0.8], [0.0, 0.5, 1.2], [0.0, 1.1, 0.9]],
+    ),
+    # device 0: (0, 0) and (1, 1) land exactly on the 4 s deadline, the
+    # rest of its enhancing codes miss it
+    "deadline": lambda: oracle_case(
+        [(8.0, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [2.0**-22, 2.0**-21], [1.0, 1.0]),
+         (KIND_CPU, [2.0**-20, 2.0**-20], [1.0, 1.0])],
+        [4 * MIB, MIB, 3 * MIB],
+        [[MIB, 2 * MIB], [8 * MIB, MIB], [MIB, MIB]],
+        [[0.0, 2.0, 3.0], [0.0, 1.0, 0.5], [0.0, 1.5, 2.5]],
+        overhead=0.0,
+    ),
+    # (0, 1) and (1, 2) each need more service than their pool holds
+    "overfill": lambda: oracle_case(
+        [(1.0, 4.0), (4.0, 4.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [2.0, 1.5]), (KIND_CPU, [1e-7, 1e-7], [1.0, 5.0])],
+        [1e6, 1e6, 1e6],
+        [[1e7, 1e7]] * 3,
+        [[0.0, 3.0, 1.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0]],
+    ),
+    # device 1 reaches no server at all
+    "no-admissible": lambda: oracle_case(
+        [(8.0, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [1.0, 1.0])],
+        [1e6, 1e6, 1e6],
+        [[1e7, 1e7], [0.0, 0.0], [1e7, 1e7]],
+        [[0.0, 1.0]] * 3,
+    ),
+    # three services 0.1, 0.2, 0.3 on one 0.6 pool: summed left to right,
+    # only the orders (0.2, 0.3, 0.1) and (0.3, 0.2, 0.1) fit, exactly at it;
+    # the optimum is the first of them
+    "at-capacity": lambda: oracle_case(
+        [(0.6, 1.0)],
+        [(KIND_GPU, [1e-8], [0.1]), (KIND_GPU, [1e-8], [0.2]),
+         (KIND_GPU, [1e-8], [0.3])],
+        [1e6, 1e6, 1e6],
+        [[1e7]] * 3,
+        [[0.0, 1.0, 3.0, 1.0], [0.0, 1.0, 1.0, 3.0], [0.0, 3.0, 1.0, 1.0]],
+    ),
+    # identical servers and devices: every server permutation ties
+    "ties": lambda: oracle_case(
+        [(4.0, 4.0), (4.0, 4.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [1.0, 1.0])],
+        [1e6] * 3,
+        [[1e7, 1e7]] * 3,
+        [[0.0, 1.0]] * 3,
+    ),
+    # M=6, N=2, K=2 with every code admissible: 6**6 decisions, so several
+    # blocks of the enumeration, and pools that bind. Device 4's (1, 1) and
+    # (1, 2) tie in exact arithmetic, so the optimum depends on adding the
+    # utilities left to right
+    "multi-block": lambda: oracle_case(
+        [(0.7, 1.0), (1.2, 1.0)],
+        [(KIND_GPU, [1e-8, 2e-8], [0.1, 0.2]), (KIND_GPU, [1e-8, 1e-8], [0.2, 0.3])],
+        [1e6, 2e6, 1.5e6, 1e6, 3e6, 2e6],
+        [[1e7, 2e7], [2e7, 1e7], [1e7, 1e7], [3e7, 1e7], [1e7, 3e7], [2e7, 2e7]],
+        [[0.0, 1.2, 1.3], [0.0, 1.3, 0.5], [0.0, 0.5, 1.1],
+         [0.0, 0.6, 1.4], [0.0, 1.2, 1.1], [0.0, 0.6, 0.7]],
+        max_latency_s=10.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_brute_force_matches_exhaustive_reference(case):
+    model, slot = ORACLE_CASES[case]()
+    decision, objective_value, count = exhaustive_reference(slot, model)
+    res = brute_force(slot, model)
+    assert res.decision == decision
+    assert res.objective == objective_value
+    assert res.feasible_count == count
+    num_codes = model.num_servers * (model.num_algorithms + 1)
+    assert res.enumerated == num_codes**model.num_devices
+    if case == "no-admissible":
+        assert res.decision is None and res.feasible_count == 0
+    if case == "at-capacity":
+        assert server_loads(res.decision, model)[0, 0] == 0.6
 
 
 # ---------------------------------------------------------------- baselines
