@@ -141,6 +141,12 @@ def _floats(doc, key: str, where: str) -> np.ndarray:
         raise TraceError(f"{where} key {key!r} is not a numeric array") from exc
 
 
+def _cam_names(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TraceError(f"{where} must be a list of CAM file names")
+    return value
+
+
 def load_trace(path: str) -> Trace:
     """Read a trace manifest; CAM references resolve relative to the manifest."""
     with open(path, "r", encoding="ascii") as fh:
@@ -176,11 +182,19 @@ def load_trace(path: str) -> Trace:
             refs = entry["cams"]
             lowlight = tuple(
                 load_cam(os.path.join(base, ref))
-                for ref in _field(refs, "lowlight", f"{where} cams")
+                for ref in _cam_names(
+                    _field(refs, "lowlight", f"{where} cams"), f"{where} cams lowlight"
+                )
             )
+            per_device = _field(refs, "enhanced", f"{where} cams")
+            if not isinstance(per_device, list):
+                raise TraceError(f"{where} cams enhanced must be a list per device")
             enhanced = tuple(
-                tuple(load_cam(os.path.join(base, ref)) for ref in per_dev)
-                for per_dev in _field(refs, "enhanced", f"{where} cams")
+                tuple(
+                    load_cam(os.path.join(base, ref))
+                    for ref in _cam_names(names, f"{where} cams enhanced[{m}]")
+                )
+                for m, names in enumerate(per_device)
             )
         else:
             raise TraceError(f"{where} carries neither quality nor CAMs")

@@ -28,7 +28,6 @@ from .sysmodel import (
     _utility_from_latency,
     check_feasibility,
     latency_table,
-    utility_table,
 )
 
 DEFAULT_POPULATION = 50
@@ -96,9 +95,17 @@ class BaselineResult:
 def objective(decision: Decision, slot: SlotInput, model: SystemModel) -> float:
     """Total utility of the decision; -inf as soon as any device is unreachable."""
     decision.validate_against(model)
-    util = utility_table(slot, model)
     rows = np.arange(decision.num_devices)
-    vals = util[rows, list(decision.servers), list(decision.algorithms)]
+    latencies = latency_table(slot, model)[rows, decision.servers, decision.algorithms]
+    return _total_utility(latencies, decision, slot, model)
+
+
+def _total_utility(
+    latencies: np.ndarray, decision: Decision, slot: SlotInput, model: SystemModel
+) -> float:
+    """objective() from the decision's per-device latencies."""
+    q = slot.quality[np.arange(decision.num_devices), decision.algorithms]
+    vals = _utility_from_latency(latencies, q, model)
     if np.isneginf(vals).any():
         return -math.inf
     return float(np.sum(vals))
@@ -119,8 +126,8 @@ def penalized_fitness(
     Overloads are scaled by pool capacity and deadline excess by the deadline,
     so one penalty unit means "violated by 100% of the budget" for both.
     """
-    raw = objective(decision, slot, model)
     report = check_feasibility(decision, slot, model)
+    raw = _total_utility(report.latencies, decision, slot, model)
     caps = np.maximum(model.capacity_matrix, CAPACITY_EPS)
     cap_amount = float(np.sum(report.overloads / caps))
     lat_amount = float(
@@ -209,67 +216,62 @@ def mutate(decision: Decision, rng: random.Random, model: SystemModel) -> Decisi
     return Decision(tuple(servers), tuple(algorithms))
 
 
-class _SlotTables:
-    """Flattened per-slot cost tables backing the GA inner loop.
+def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
+    """Scorer of whole GA populations for the slot.
 
-    Genes are packed as code = server * (K+1) + algorithm. The deadline
-    penalty separates per device, so it is folded into the per-gene base
-    score; only the capacity coupling is recomputed per evaluation.
+    Genes are packed as code = server * (K+1) + algorithm, and a population
+    is a device-major (M, P) code array with P = ga.population_size. The
+    deadline penalty separates per device, so it is folded into the per-gene
+    base score; only the capacity coupling depends on the whole genome.
+    Every sum runs in device order, then pool order, so each individual's
+    fitness is bit-identical to adding its genes one by one.
     """
+    load_slot, service = model.code_loads
+    m_devices = model.num_devices
+    num_codes = len(load_slot)
+    size = ga.population_size
 
-    __slots__ = (
-        "num_devices",
-        "num_codes",
-        "base",
-        "load_slot",
-        "service_flat",
-        "caps",
-        "inv_caps",
-        "lam_cap",
-    )
+    lat = latency_table(slot, model)
+    util = _utility_from_latency(lat, slot.quality[:, None, :], model)
+    lmax = model.constants.max_latency_s
+    excess = np.maximum(lat - lmax, 0.0) / lmax
+    if ga.penalty_latency > 0.0:
+        base = np.where(excess > 0.0, util - ga.penalty_latency * excess, util)
+    else:
+        base = util
+    # + 0.0 maps -0.0 to 0.0, as a sum started from 0.0 does with its first term
+    base = base.reshape(-1) + 0.0
+    rows = np.arange(m_devices)[:, None] * num_codes
+    caps = model.capacity_matrix.reshape(-1)
+    num_pools = len(caps)
+    cap_col = caps[:, None]
+    inv_col = 1.0 / np.maximum(cap_col, CAPACITY_EPS)
+    # pool loads come from one bincount over bins pool * P + individual;
+    # algorithm 0 reserves nothing and lands in a spare last pool
+    code_bin = np.where(load_slot >= 0, load_slot, num_pools) * size
+    members = np.arange(size)
+    lam_cap = ga.penalty_capacity
 
-    def __init__(self, slot: SlotInput, model: SystemModel, ga: GaConfig):
-        load_slot, service = model.code_loads
-        self.num_devices = model.num_devices
-        self.num_codes = len(load_slot)
-
-        lat = latency_table(slot, model)
-        util = _utility_from_latency(lat, slot, model)
-        lmax = model.constants.max_latency_s
-        excess = np.maximum(lat - lmax, 0.0) / lmax
-        if ga.penalty_latency > 0.0:
-            base = np.where(excess > 0.0, util - ga.penalty_latency * excess, util)
-        else:
-            base = util
-        self.base = base.reshape(self.num_devices, self.num_codes).tolist()
-        self.load_slot = load_slot.tolist()
-        self.service_flat = service.tolist()
-        self.caps = model.capacity_matrix.reshape(-1).tolist()
-        self.inv_caps = [1.0 / max(c, CAPACITY_EPS) for c in self.caps]
-        self.lam_cap = ga.penalty_capacity
-
-    def fitness(self, genome: list[int]) -> float:
-        base = self.base
-        load_slot = self.load_slot
-        service = self.service_flat
-        loads = [0.0] * len(self.caps)
-        total = 0.0
-        for m, c in enumerate(genome):
-            total += base[m][c]
-            j = load_slot[c]
-            if j >= 0:
-                loads[j] += service[c]
-        if self.lam_cap > 0.0:
-            caps = self.caps
-            inv = self.inv_caps
-            pen = 0.0
-            for j, load in enumerate(loads):
-                over = load - caps[j]
-                if over > 0.0:
-                    pen += over * inv[j]
-            if pen > 0.0:
-                total -= self.lam_cap * pen
+    def fitness(pop: np.ndarray) -> np.ndarray:
+        # accumulate, unlike np.sum, adds strictly device after device
+        total = np.cumsum(base[pop + rows], axis=0)[-1]
+        if lam_cap > 0.0:
+            # bincount adds in input order, so each pool sums in device order
+            loads = np.bincount(
+                (code_bin[pop] + members).reshape(-1),
+                weights=service[pop].reshape(-1),
+                minlength=(num_pools + 1) * size,
+            )[: num_pools * size].reshape(num_pools, size)
+            over = loads - cap_col
+            np.maximum(over, 0.0, out=over)
+            over *= inv_col
+            pen = np.cumsum(over, axis=0)[-1]
+            hit = pen > 0.0
+            np.multiply(pen, lam_cap, out=pen, where=hit)
+            np.subtract(total, pen, out=total, where=hit)
         return total
+
+    return fitness
 
 
 def evolve(
@@ -279,24 +281,27 @@ def evolve(
     per-generation best-fitness history (non-decreasing under elitism).
 
     Runs O(population * generations) evaluations on a fixed seed, so repeated
-    calls with the same inputs return the same decision and history.
+    calls with the same inputs return the same decision and history. Each
+    child's random draws are taken one child after the next; the generation
+    is then assembled and scored as one batch.
     """
     if ga is None:
         ga = GaConfig()
     rng = random.Random(ga.rng_seed)
-    tables = _SlotTables(slot, model, ga)
-    m_devices = tables.num_devices
-    num_codes = tables.num_codes
+    fitness = _population_fitness(slot, model, ga)
+    size = ga.population_size
+    m_devices = model.num_devices
+    num_codes = len(model.code_loads[0])
+    rows = np.arange(m_devices)[:, None]
 
-    pop = [
-        [rng.randrange(num_codes) for _ in range(m_devices)]
-        for _ in range(ga.population_size)
-    ]
-    fits = [tables.fitness(g) for g in pop]
+    pop = np.array(
+        [[rng.randrange(num_codes) for _ in range(m_devices)] for _ in range(size)]
+    ).T
+    fits = fitness(pop).tolist()
     history: list[float] = []
 
     for _ in range(ga.generations):
-        best_idx = max(range(len(fits)), key=fits.__getitem__)
+        best_idx = max(range(size), key=fits.__getitem__)
         history.append(fits[best_idx])
         weights = _selection_weights(fits)
         if weights is None:
@@ -304,34 +309,32 @@ def evolve(
         else:
             cum = list(itertools.accumulate(weights))
             total = cum[-1]
-        # elitism: the generation best survives verbatim
-        next_pop = [pop[best_idx]]
-        next_fits = [fits[best_idx]]
-        for _ in range(ga.population_size - 1):
-            i1 = _spin(cum, total, ga.population_size, rng)
-            i2 = _spin(cum, total, ga.population_size, rng)
-            child = pop[i1]
-            changed = False
+        # column c of the next population takes genes [0, cuts[c]) from
+        # parent firsts[c] and the rest from seconds[c]; elitism keeps the
+        # generation best verbatim in column 0
+        firsts, seconds, cuts = [best_idx], [best_idx], [m_devices]
+        mut_cols: list[int] = []
+        mut_rows: list[int] = []
+        mut_codes: list[int] = []
+        for col in range(1, size):
+            firsts.append(_spin(cum, total, size, rng))
+            seconds.append(_spin(cum, total, size, rng))
             if rng.random() < ga.crossover_prob and m_devices > 1:
-                cut = rng.randrange(1, m_devices)
-                child = pop[i1][:cut] + pop[i2][cut:]
-                changed = True
-            if rng.random() < ga.mutation_prob:
-                if not changed:
-                    child = child[:]
-                child[rng.randrange(m_devices)] = rng.randrange(num_codes)
-                changed = True
-            if changed:
-                next_pop.append(child)
-                next_fits.append(tables.fitness(child))
+                cuts.append(rng.randrange(1, m_devices))
             else:
-                # untouched copy of parent 1: reuse its cached fitness
-                next_pop.append(pop[i1])
-                next_fits.append(fits[i1])
-        pop, fits = next_pop, next_fits
+                cuts.append(m_devices)
+            if rng.random() < ga.mutation_prob:
+                # the new code is drawn before the position it lands on
+                mut_codes.append(rng.randrange(num_codes))
+                mut_rows.append(rng.randrange(m_devices))
+                mut_cols.append(col)
+        pop = np.where(rows < cuts, pop[:, firsts], pop[:, seconds])
+        if mut_cols:
+            pop[mut_rows, mut_cols] = mut_codes
+        fits = fitness(pop).tolist()
 
-    best_idx = max(range(len(fits)), key=fits.__getitem__)
-    decision = model.decode(pop[best_idx])
+    best_idx = max(range(size), key=fits.__getitem__)
+    decision = model.decode(pop[:, best_idx])
     # keep the table-path fitness: the scalar re-evaluation can differ in the
     # last ulp on penalized individuals, which would break final == history[-1]
     _, raw, feasible = penalized_fitness(decision, slot, model, ga)
@@ -365,7 +368,8 @@ def brute_force(
         )
 
     lat = latency_table(slot, model)
-    util = _utility_from_latency(lat, slot, model).reshape(m_devices, num_codes)
+    util = _utility_from_latency(lat, slot.quality[:, None, :], model)
+    util = util.reshape(m_devices, num_codes)
     lat = lat.reshape(m_devices, num_codes)
     caps = model.capacity_matrix.reshape(-1)
     # dense load row of each code: its service at its load slot, 0 elsewhere

@@ -443,16 +443,18 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
 
 def utility_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     """(M, N, K+1) utility of every possible assignment; -inf mirrors infinite latency."""
-    return _utility_from_latency(latency_table(slot, model), slot, model)
+    return _utility_from_latency(
+        latency_table(slot, model), slot.quality[:, None, :], model
+    )
 
 
 def _utility_from_latency(
-    lat: np.ndarray, slot: SlotInput, model: SystemModel
+    lat: np.ndarray, quality: np.ndarray, model: SystemModel
 ) -> np.ndarray:
-    """utility_table's values from an already built latency_table."""
-    q = slot.quality[:, None, :]
+    """Utilities of latencies and the qualities that broadcast against them:
+    a whole latency_table, or the entries one decision picks from it."""
     weight = model.constants.latency_weight
-    return np.where(np.isinf(lat), -np.inf, q - weight * lat)
+    return np.where(np.isinf(lat), -np.inf, quality - weight * lat)
 
 
 def _check_slot_dims(slot: SlotInput, model: SystemModel) -> None:

@@ -2,10 +2,20 @@
 
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix cells, no vectorization, no shared helpers from
-the package under test. If camsched and these disagree, camsched is wrong.
+the package under test (ref_evolve takes the slot's latency table and final
+scoring from it, see there). If camsched and these disagree, camsched is
+wrong.
 """
 
+import bisect
+import itertools
 import math
+import random
+
+import numpy as np
+
+from camsched.sched import objective
+from camsched.sysmodel import check_feasibility, latency_table
 
 
 def ref_cam_difference(enhanced_rows, lowlight_rows):
@@ -128,3 +138,131 @@ def ref_objective(genes, slot, model):
             return -math.inf
         total += u
     return total
+
+
+# ------------------------------------------------------- list-based GA
+#
+# The genetic search scored genome by genome: one Python loop per genome
+# over per-device lists, and an untouched copy of a parent reusing that
+# parent's cached fitness. It shares the slot's latency
+# table and code flattening with the package (both have their own tests)
+# and is otherwise self-contained, so sched.evolve must match it bit for bit.
+
+_REF_CAPACITY_EPS = 1e-9
+_REF_SELECTION_SHIFT = 1e-9
+
+
+def _ref_selection_weights(fitnesses):
+    finite = [f for f in fitnesses if not math.isinf(f)]
+    if not finite:
+        return None
+    lowest = min(finite)
+    shift = _REF_SELECTION_SHIFT * (1.0 + abs(lowest))
+    return [0.0 if math.isinf(f) else f - lowest + shift for f in fitnesses]
+
+
+def _ref_spin(cum, total, size, rng):
+    if cum is None or total <= 0.0:
+        return rng.randrange(size)
+    idx = bisect.bisect_right(cum, rng.random() * total)
+    return min(idx, size - 1)
+
+
+class _RefSlotTables:
+    def __init__(self, slot, model, ga):
+        load_slot, service = model.code_loads
+        self.num_devices = model.num_devices
+        self.num_codes = len(load_slot)
+
+        lat = latency_table(slot, model)
+        util = np.where(np.isinf(lat), -np.inf,
+                        slot.quality[:, None, :] - model.constants.latency_weight * lat)
+        lmax = model.constants.max_latency_s
+        excess = np.maximum(lat - lmax, 0.0) / lmax
+        if ga.penalty_latency > 0.0:
+            base = np.where(excess > 0.0, util - ga.penalty_latency * excess, util)
+        else:
+            base = util
+        self.base = base.reshape(self.num_devices, self.num_codes).tolist()
+        self.load_slot = load_slot.tolist()
+        self.service_flat = service.tolist()
+        self.caps = model.capacity_matrix.reshape(-1).tolist()
+        self.inv_caps = [1.0 / max(c, _REF_CAPACITY_EPS) for c in self.caps]
+        self.lam_cap = ga.penalty_capacity
+
+    def fitness(self, genome):
+        base = self.base
+        load_slot = self.load_slot
+        service = self.service_flat
+        loads = [0.0] * len(self.caps)
+        total = 0.0
+        for m, c in enumerate(genome):
+            total += base[m][c]
+            j = load_slot[c]
+            if j >= 0:
+                loads[j] += service[c]
+        if self.lam_cap > 0.0:
+            caps = self.caps
+            inv = self.inv_caps
+            pen = 0.0
+            for j, load in enumerate(loads):
+                over = load - caps[j]
+                if over > 0.0:
+                    pen += over * inv[j]
+            if pen > 0.0:
+                total -= self.lam_cap * pen
+        return total
+
+
+def ref_evolve(slot, model, ga):
+    """(decision, fitness, raw utility, feasible, history) of the list GA."""
+    rng = random.Random(ga.rng_seed)
+    tables = _RefSlotTables(slot, model, ga)
+    m_devices = tables.num_devices
+    num_codes = tables.num_codes
+
+    pop = [
+        [rng.randrange(num_codes) for _ in range(m_devices)]
+        for _ in range(ga.population_size)
+    ]
+    fits = [tables.fitness(g) for g in pop]
+    history = []
+
+    for _ in range(ga.generations):
+        best_idx = max(range(len(fits)), key=fits.__getitem__)
+        history.append(fits[best_idx])
+        weights = _ref_selection_weights(fits)
+        if weights is None:
+            cum, total = None, 0.0
+        else:
+            cum = list(itertools.accumulate(weights))
+            total = cum[-1]
+        next_pop = [pop[best_idx]]
+        next_fits = [fits[best_idx]]
+        for _ in range(ga.population_size - 1):
+            i1 = _ref_spin(cum, total, ga.population_size, rng)
+            i2 = _ref_spin(cum, total, ga.population_size, rng)
+            child = pop[i1]
+            changed = False
+            if rng.random() < ga.crossover_prob and m_devices > 1:
+                cut = rng.randrange(1, m_devices)
+                child = pop[i1][:cut] + pop[i2][cut:]
+                changed = True
+            if rng.random() < ga.mutation_prob:
+                if not changed:
+                    child = child[:]
+                child[rng.randrange(m_devices)] = rng.randrange(num_codes)
+                changed = True
+            if changed:
+                next_pop.append(child)
+                next_fits.append(tables.fitness(child))
+            else:
+                next_pop.append(pop[i1])
+                next_fits.append(fits[i1])
+        pop, fits = next_pop, next_fits
+
+    best_idx = max(range(len(fits)), key=fits.__getitem__)
+    decision = model.decode(pop[best_idx])
+    raw = objective(decision, slot, model)
+    feasible = check_feasibility(decision, slot, model).feasible
+    return decision, fits[best_idx], raw, feasible, history

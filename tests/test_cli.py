@@ -386,6 +386,12 @@ TRACE_MUTATIONS = {
     "nan-accuracy": lambda doc: doc["slots"][0]["accuracy"][0].__setitem__(1, math.nan),
     "slots-not-list": lambda doc: doc.update(slots=5),
     "slot-not-object": lambda doc: doc.update(slots=[3]),
+    "lowlight-not-list": lambda doc: doc["slots"][0]["cams"].update(lowlight=5),
+    "enhanced-not-list": lambda doc: doc["slots"][0]["cams"].update(enhanced=5),
+    "enhanced-device-not-list":
+        lambda doc: doc["slots"][0]["cams"]["enhanced"].__setitem__(0, 5),
+    "lowlight-ref-not-string":
+        lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, 7),
 }
 
 

@@ -41,8 +41,8 @@ from camsched.sysmodel import (
     utility_table,
 )
 
-from conftest import make_model, make_slot, small_instance
-from refimpl import ref_objective
+from conftest import make_model, make_slot, paper_scale_instance, small_instance
+from refimpl import ref_evolve, ref_objective
 
 
 def free_enhancer_model(num_devices=1, overhead=0.0):
@@ -371,6 +371,74 @@ def test_evolve_final_matches_history_tail():
     model, slot = small_instance(11)
     best, history = evolve(slot, model)
     assert best.fitness == history[-1]
+
+
+FIVE_SERVERS = ((2.0, 2.5), (2.5, 1.5), (1.5, 2.0), (1.0, 2.0), (2.0, 1.0))
+
+
+def reachable_instance(num_devices, seed, capacities=FIVE_SERVERS):
+    """Every link alive and every server runs every algorithm, so each genome
+    has a finite fitness; some codes miss the deadline and pools overfill.
+    Ten pools make a pairwise sum over them differ from a sequential one."""
+    rng = np.random.default_rng(seed)
+    num_servers = len(capacities)
+    model = SystemModel(
+        tuple(EdgeServer(gpu, cpu) for gpu, cpu in capacities),
+        tuple(
+            EnhancementProfile(k, kind, rng.uniform(2e-7, 2e-6, num_servers),
+                               rng.uniform(1.0, 4.0, num_servers))
+            for k, kind in ((1, KIND_GPU), (2, KIND_CPU))
+        ),
+        ModelConstants(num_devices=num_devices),
+    )
+    return model, make_slot(rng, model, dead_link_frac=0.0)
+
+
+def conftest_instance(num_devices, seed):
+    rng = np.random.default_rng(seed)
+    model = make_model(rng, num_devices, 4, 4)
+    return model, make_slot(rng, model)
+
+
+EVOLVE_INSTANCES = {
+    **{f"small-{s}": (lambda s=s: small_instance(s)) for s in range(3)},
+    **{f"paper-{s}": (lambda s=s: paper_scale_instance(s)) for s in range(3)},
+    "devices-1": lambda: conftest_instance(1, 61),
+    "devices-2": lambda: conftest_instance(2, 62),
+    "devices-30": lambda: reachable_instance(30, 63),
+    # every genome holds an unreachable gene: the whole population is -inf
+    "devices-300": lambda: conftest_instance(300, 64),
+    # overloads on a zero-capacity pool are scaled by CAPACITY_EPS
+    "zero-capacity": lambda: reachable_instance(6, 65, ((0.0, 6.0), (8.0, 0.0))),
+}
+
+EVOLVE_CONFIGS = (
+    GaConfig(),
+    GaConfig(population_size=1),
+    GaConfig(generations=1),
+    GaConfig(population_size=20, generations=30, crossover_prob=0.0, mutation_prob=0.0),
+    GaConfig(population_size=20, generations=30, crossover_prob=1.0, mutation_prob=1.0,
+             rng_seed=4),
+    GaConfig(population_size=20, generations=30, penalty_capacity=0.0, rng_seed=5),
+    GaConfig(population_size=20, generations=30, penalty_latency=0.0, rng_seed=6),
+)
+
+
+@pytest.mark.parametrize("case", sorted(EVOLVE_INSTANCES))
+def test_evolve_matches_list_reference(case):
+    model, slot = EVOLVE_INSTANCES[case]()
+    for ga in EVOLVE_CONFIGS:
+        best, history = evolve(slot, model, ga)
+        decision, fitness, raw, feasible, ref_history = ref_evolve(slot, model, ga)
+        assert best.decision == decision, ga
+        assert best.fitness.hex() == fitness.hex(), ga
+        assert best.raw_utility.hex() == raw.hex(), ga
+        assert best.feasible == feasible, ga
+        assert [h.hex() for h in history] == [h.hex() for h in ref_history], ga
+    if case == "devices-300":
+        assert history[-1] == -math.inf
+    if case in ("devices-30", "zero-capacity"):
+        assert math.isfinite(history[0])
 
 
 # -------------------------------------------------------------- brute force
