@@ -210,19 +210,37 @@ def enhancement_quality(
 ) -> float:
     """Quality score for running `algorithm` on this device's current chunk.
 
-    Algorithm 0 means "send the raw chunk" and always scores exactly 0; the
-    score of a real algorithm is the accuracy-weighted filtered difference
-    divided by the windowed temporal variation, clamped to +/- quality_cap.
+    Algorithm 0 means "send the raw chunk" and always scores exactly 0; a real
+    algorithm is scored by :func:`filtered_quality` on the two filtered maps.
+    """
+    if algorithm == 0:
+        return 0.0
+    return filtered_quality(
+        state, device, algorithm,
+        filter_cam(enhanced, threshold), filter_cam(lowlight, threshold),
+    )
+
+
+def filtered_quality(
+    state: QualityState,
+    device: int,
+    algorithm: int,
+    filtered_enhanced: FilteredCam,
+    filtered_lowlight: FilteredCam,
+) -> float:
+    """Quality score from maps that are already filtered.
+
+    The accuracy-weighted filtered difference divided by the windowed temporal
+    variation, clamped to +/- quality_cap; algorithm 0 scores exactly 0. A
+    slot filters each map once and scores every algorithm from those maps.
     """
     if algorithm == 0:
         return 0.0
     state._check_device(device)
     state._check_algorithm(algorithm)
-    filtered_enh = filter_cam(enhanced, threshold)
-    filtered_low = filter_cam(lowlight, threshold)
-    numerator = filtered_difference(filtered_enh, filtered_low)
+    numerator = filtered_difference(filtered_enhanced, filtered_lowlight)
     history = state.cam_window(device, algorithm)
-    denom = temporal_variation(filtered_enh, history, state.denom_floor)
+    denom = temporal_variation(filtered_enhanced, history, state.denom_floor)
     score = rolling_accuracy(state, device) * numerator / denom
     cap = state.quality_cap
     return min(max(score, -cap), cap)

@@ -408,7 +408,11 @@ def parse_config_file(path: str | None) -> RunConfig:
     if path is None:
         return parse_config("")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def emit_config(config: RunConfig) -> str:

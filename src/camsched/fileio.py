@@ -33,8 +33,11 @@ def load_cam(path: str) -> CamMap:
     Whitespace layout after the header is free-form; only the total value
     count is checked.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: CAM file is not ASCII text: {exc}") from exc
     lines = text.split("\n", 1)
     header = lines[0].split()
     if len(header) != 2:
@@ -141,10 +144,14 @@ def _floats(doc, key: str, where: str) -> np.ndarray:
         raise TraceError(f"{where} key {key!r} is not a numeric array") from exc
 
 
-def _cam_names(value, where: str) -> list[str]:
+def _load_cams(base: str, value, where: str) -> tuple[CamMap, ...]:
+    """The CAM files a manifest list names; a malformed file is a TraceError."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TraceError(f"{where} must be a list of CAM file names")
-    return value
+    try:
+        return tuple(load_cam(os.path.join(base, ref)) for ref in value)
+    except ValidationError as exc:
+        raise TraceError(f"{where}: {exc}") from exc
 
 
 def load_trace(path: str) -> Trace:
@@ -152,6 +159,8 @@ def load_trace(path: str) -> Trace:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: manifest is not ASCII text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise TraceError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -180,20 +189,14 @@ def load_trace(path: str) -> Trace:
             quality = _floats(entry, "quality", where)
         elif "cams" in entry:
             refs = entry["cams"]
-            lowlight = tuple(
-                load_cam(os.path.join(base, ref))
-                for ref in _cam_names(
-                    _field(refs, "lowlight", f"{where} cams"), f"{where} cams lowlight"
-                )
+            lowlight = _load_cams(
+                base, _field(refs, "lowlight", f"{where} cams"), f"{where} cams lowlight"
             )
             per_device = _field(refs, "enhanced", f"{where} cams")
             if not isinstance(per_device, list):
                 raise TraceError(f"{where} cams enhanced must be a list per device")
             enhanced = tuple(
-                tuple(
-                    load_cam(os.path.join(base, ref))
-                    for ref in _cam_names(names, f"{where} cams enhanced[{m}]")
-                )
+                _load_cams(base, names, f"{where} cams enhanced[{m}]")
                 for m, names in enumerate(per_device)
             )
         else:

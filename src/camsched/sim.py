@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import camq, sched
-from .camq import CamMap, QualityState
+from .camq import CamMap, FilteredCam, QualityState
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
@@ -25,6 +25,9 @@ from .sched import GaConfig
 from .sysmodel import Decision, SlotInput, SystemModel, check_feasibility, device_latency, device_utility
 
 SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
+
+# a CAM slot's filtered enhanced maps: per device, per algorithm k=1..K
+FilteredMaps = tuple[tuple[FilteredCam, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,13 @@ class Trace:
                     raise TraceError(f"slot {t}: CAM payload must cover every device")
                 if any(len(per_dev) != k for per_dev in slot.enhanced):
                     raise TraceError(f"slot {t}: need one enhanced CAM per algorithm")
+                for dev, (low, per_alg) in enumerate(zip(slot.lowlight, slot.enhanced)):
+                    for cam in per_alg:
+                        if cam.shape != low.shape:
+                            raise TraceError(
+                                f"slot {t} device {dev}: CAM shapes differ: "
+                                f"{low.shape} vs {cam.shape}"
+                            )
             if slot.accuracy is not None:
                 if slot.accuracy.shape != (m, k + 1):
                     raise TraceError(f"slot {t}: accuracy must have shape ({m}, {k + 1})")
@@ -114,18 +124,24 @@ class RunSummary:
 
 def assess_quality(
     trace: Trace, slot: SlotData, state: QualityState, threshold: float
-) -> np.ndarray:
-    """Assessment stage: the slot's (M, K+1) quality against the current windows."""
+) -> tuple[np.ndarray, FilteredMaps | None]:
+    """Assessment stage: the slot's (M, K+1) quality against the current windows.
+
+    Every CAM of the slot is filtered once, and each (device, algorithm) pair
+    is scored from those maps. The filtered enhanced maps come back with the
+    quality matrix for :func:`commit_windows`; a quality-matrix slot has none.
+    """
     if slot.quality is not None:
-        return slot.quality
-    k = trace.num_algorithms
-    q = np.zeros((trace.num_devices, k + 1))
-    for m in range(trace.num_devices):
-        for alg in range(1, k + 1):
-            q[m, alg] = camq.enhancement_quality(
-                state, m, alg, slot.enhanced[m][alg - 1], slot.lowlight[m], threshold
-            )
-    return q
+        return slot.quality, None
+    q = np.zeros((trace.num_devices, trace.num_algorithms + 1))
+    filtered = []
+    for m, (lowlight, enhanced) in enumerate(zip(slot.lowlight, slot.enhanced)):
+        low = camq.filter_cam(lowlight, threshold)
+        per_alg = tuple(camq.filter_cam(cam, threshold) for cam in enhanced)
+        for alg, enh in enumerate(per_alg, start=1):
+            q[m, alg] = camq.filtered_quality(state, m, alg, enh, low)
+        filtered.append(per_alg)
+    return q, tuple(filtered)
 
 
 def commit_windows(
@@ -134,19 +150,19 @@ def commit_windows(
     state: QualityState,
     decision: Decision | None,
     rejected: frozenset[int],
-    threshold: float,
+    filtered: FilteredMaps | None,
 ) -> None:
-    """Commit stage: advance the windows past the slot.
+    """Commit stage: advance the windows past the slot with the maps
+    :func:`assess_quality` filtered for it.
 
     Windows advance for every algorithm each slot, not just the chosen one;
     accuracy feedback lands only for what actually ran (decision None means
     a pure assessment replay where nothing ran).
     """
-    if slot.lowlight is not None:
-        for m in range(trace.num_devices):
-            for alg in range(1, trace.num_algorithms + 1):
-                filtered = camq.filter_cam(slot.enhanced[m][alg - 1], threshold)
-                camq.commit_slot(state, m, alg, filtered)
+    if filtered is not None:
+        for m, per_alg in enumerate(filtered):
+            for alg, enh in enumerate(per_alg, start=1):
+                camq.commit_slot(state, m, alg, enh)
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):
             if m in rejected:
@@ -161,8 +177,8 @@ def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[np.n
     After n items the state holds exactly the windows of slots 0..n-1.
     """
     for slot in trace.slots:
-        quality = assess_quality(trace, slot, state, threshold)
-        commit_windows(trace, slot, state, None, frozenset(), threshold)
+        quality, filtered = assess_quality(trace, slot, state, threshold)
+        commit_windows(trace, slot, state, None, frozenset(), filtered)
         yield quality
 
 
@@ -187,7 +203,7 @@ def run_slot(
     if not 0 <= t < trace.horizon:
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
-    quality = assess_quality(trace, slot_data, state, threshold)
+    quality, filtered = assess_quality(trace, slot_data, state, threshold)
     slot = SlotInput(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
 
     rejected: frozenset[int] = frozenset()
@@ -225,7 +241,7 @@ def run_slot(
     total = sum(utilities)
     feasible = report.feasible and not rejected
 
-    commit_windows(trace, slot_data, state, decision, rejected, threshold)
+    commit_windows(trace, slot_data, state, decision, rejected, filtered)
     return SlotMetrics(
         slot=t,
         decision=decision,

@@ -3,8 +3,8 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix cells, no vectorization, no shared helpers from
 the package under test (ref_evolve takes the slot's latency table and final
-scoring from it, see there). If camsched and these disagree, camsched is
-wrong.
+scoring from it, see there; the slot-stage references take the per-pair camq
+API, see there). If camsched and these disagree, camsched is wrong.
 """
 
 import bisect
@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 
+from camsched import camq
 from camsched.sched import objective
 from camsched.sysmodel import check_feasibility, latency_table
 
@@ -50,6 +51,38 @@ def ref_temporal_variation(current_rows, history, floor):
 def ref_quality(accuracy, filtered_diff, variation, cap):
     q = accuracy * filtered_diff / variation
     return max(-cap, min(cap, q))
+
+
+# The slot stages as per-pair loops: every (device, algorithm) pair filters
+# its own maps through camq.enhancement_quality, and the commit filters each
+# enhanced map again. They check how sim orchestrates a slot (one filter per
+# map, the same filtered maps committed); the quality formula itself is
+# checked against ref_quality.
+
+def ref_assess_quality(trace, slot, state, threshold):
+    if slot.quality is not None:
+        return slot.quality
+    k = trace.num_algorithms
+    q = np.zeros((trace.num_devices, k + 1))
+    for m in range(trace.num_devices):
+        for alg in range(1, k + 1):
+            q[m, alg] = camq.enhancement_quality(
+                state, m, alg, slot.enhanced[m][alg - 1], slot.lowlight[m], threshold
+            )
+    return q
+
+
+def ref_commit_windows(trace, slot, state, decision, rejected, threshold):
+    if slot.lowlight is not None:
+        for m in range(trace.num_devices):
+            for alg in range(1, trace.num_algorithms + 1):
+                filtered = camq.filter_cam(slot.enhanced[m][alg - 1], threshold)
+                camq.commit_slot(state, m, alg, filtered)
+    if slot.accuracy is not None and decision is not None:
+        for m in range(trace.num_devices):
+            if m in rejected:
+                continue
+            camq.record_accuracy(state, m, float(slot.accuracy[m, decision.algorithms[m]]))
 
 
 def ref_transmission(d, b):

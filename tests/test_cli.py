@@ -2,6 +2,7 @@
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from camsched.config import (
     build_quality_state,
     emit_config,
     parse_config,
+    parse_config_file,
 )
 from camsched.errors import CamSchedError, ConfigError, TraceError, ValidationError
 from camsched.fileio import (
@@ -378,6 +380,13 @@ def test_cli_schedule_prints_the_simulate_slot_record(tmp_path, capsys, case):
         assert records["capacity"]["rejected"] == [2]
 
 
+class Overwrite(NamedTuple):
+    """A mutation that replaces one file of the trace directory with raw bytes."""
+
+    path: str   # relative to the trace directory
+    data: bytes
+
+
 TRACE_MUTATIONS = {
     "missing-datasize": lambda doc: doc["slots"][0].pop("datasize_bits"),
     "missing-lowlight": lambda doc: doc["slots"][0]["cams"].pop("lowlight"),
@@ -392,6 +401,10 @@ TRACE_MUTATIONS = {
         lambda doc: doc["slots"][0]["cams"]["enhanced"].__setitem__(0, 5),
     "lowlight-ref-not-string":
         lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, 7),
+    "manifest-trailing-0xff":
+        lambda doc: Overwrite("trace.json", json.dumps(doc).encode() + b"\xff"),
+    "cam-leading-0xff":
+        lambda doc: Overwrite(doc["slots"][0]["cams"]["lowlight"][0], b"\xff4 4\n" + b"0 " * 16),
 }
 
 
@@ -401,13 +414,46 @@ def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
-    TRACE_MUTATIONS[mutation](doc)
+    change = TRACE_MUTATIONS[mutation](doc)
     manifest.write_text(json.dumps(doc))
+    if isinstance(change, Overwrite):
+        (tmp_path / "t" / change.path).write_bytes(change.data)
     with pytest.raises(TraceError):
         load_trace(str(manifest))
     capsys.readouterr()
     code = run_cli(["simulate", "--config", str(cfg), "--trace", str(manifest),
                     "--out", str(tmp_path / "m.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "assess"])
+def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = tmp_path / "t" / "trace.json"
+    doc = json.loads(manifest.read_text())
+    # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map
+    save_cam(CamMap(np.zeros((3, 3))),
+             str(tmp_path / "t" / doc["slots"][1]["cams"]["enhanced"][1][0]))
+    capsys.readouterr()
+    args = [command, "--config", str(cfg), "--trace", str(manifest)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "m.jsonl")]
+    code = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "slot 1 device 1" in err and "(4, 4) vs (3, 3)" in err
+
+
+def test_cli_undecodable_config_is_one_error_line(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b'{"devices": 2}\xff')
+    with pytest.raises(ConfigError):
+        parse_config_file(str(p))
+    code = run_cli(["show-config", "--config", str(p)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from camsched import camq
+from camsched import camq, sim
 from camsched.errors import TraceError, ValidationError
 from camsched.camq import QualityState, cam_difference, filter_cam, filtered_difference
 from camsched.sched import GaConfig, brute_force
 from camsched.sim import (
+    SCHEDULER_CHOICES,
     SlotData,
     SynthSpec,
     Trace,
@@ -29,6 +30,8 @@ from camsched.sysmodel import (
     device_latency,
     device_utility,
 )
+
+from refimpl import ref_assess_quality, ref_commit_windows
 
 
 def tiny_model(num_devices=2, overhead=0.05):
@@ -201,6 +204,159 @@ def test_run_on_cam_trace_is_reproducible():
                     tuple(sm.latencies for sm in metrics),
                     summary.mean_total_utility, summary.p95_latency_s))
     assert out[0] == out[1]
+
+
+# ---------------------------------------------------------- slot assessment
+
+def gpu_roster_model(num_devices, num_algorithms=4):
+    """One server whose 8-unit gpu pool holds two 4-unit reservations, so the
+    capacity matcher rejects every enhancing device after the second."""
+    profiles = tuple(
+        EnhancementProfile(k, KIND_GPU, np.array([1e-8]), np.array([4.0]))
+        for k in range(1, num_algorithms + 1)
+    )
+    return SystemModel((EdgeServer(8.0, 8.0),), profiles,
+                       ModelConstants(num_devices=num_devices))
+
+
+def cam_trace(shapes, horizon, feedback, seed, num_algorithms=4):
+    """CAM trace in which device m films maps of shapes[m], every value in [0, 1].
+
+    Algorithm k lifts the low-light map by 0.15*k plus noise, so every
+    enhanced map differs from the last slot's and scores differently.
+    """
+    rng = np.random.default_rng(seed)
+    m, k = len(shapes), num_algorithms
+    slots = []
+    for _ in range(horizon):
+        lows = [rng.uniform(0.0, 1.0, shape) for shape in shapes]
+        enhanced = tuple(
+            tuple(
+                camq.CamMap(np.clip(low + 0.15 * alg + rng.normal(0.0, 0.05, low.shape),
+                                    0.0, 1.0))
+                for alg in range(1, k + 1)
+            )
+            for low in lows
+        )
+        slots.append(SlotData(
+            datasize_bits=np.full(m, 1e6),
+            bandwidth_bps=np.full((m, 1), 1e7),
+            lowlight=tuple(camq.CamMap(low) for low in lows),
+            enhanced=enhanced,
+            accuracy=rng.uniform(0.0, 1.0, (m, k + 1)) if feedback else None,
+        ))
+    return Trace(m, 1, k, tuple(slots))
+
+
+def hex_matrix(q):
+    return [[v.hex() for v in row] for row in np.asarray(q).tolist()]
+
+
+def hex_windows(state, seen):
+    """Every stored window entry, bit for bit. An entry is immutable, so its
+    rendering is kept in `seen` (with the entry, so its id stays unique)."""
+    def render(f):
+        if id(f) not in seen:
+            hexed = (f.shape, f.threshold.hex(), [v.hex() for v in f.values.ravel().tolist()])
+            seen[id(f)] = (f, hexed)
+        return seen[id(f)][1]
+
+    cams = [
+        [[render(f) for f in state.cam_window(m, k)] for k in range(1, state.num_algorithms + 1)]
+        for m in range(state.num_devices)
+    ]
+    accuracy = [[v.hex() for v in state.accuracy_window(m)] for m in range(state.num_devices)]
+    return cams, accuracy
+
+
+SLOT_SHAPES = {
+    "1x1": ((1, 1),) * 3,
+    "3x5": ((3, 5),) * 3,
+    "16x16": ((16, 16),) * 3,
+    "64x64": ((64, 64),) * 3,
+    "mixed": ((1, 1), (3, 5), (16, 16), (64, 64)),
+}
+
+
+@pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
+@pytest.mark.parametrize("threshold", [0.0, 0.4, 1.0], ids=["t0", "t0.4", "blank-all"])
+@pytest.mark.parametrize("shapes", sorted(SLOT_SHAPES))
+def test_slot_assessment_matches_per_pair_reference(shapes, threshold, feedback):
+    depth = 3
+    trace = cam_trace(SLOT_SHAPES[shapes], depth + 2, feedback, seed=7)
+    m, k = trace.num_devices, trace.num_algorithms
+    model = gpu_roster_model(m)
+    seen = {}
+
+    # run_slot under the capacity matcher, which rejects devices
+    state = QualityState(m, k, window_depth=depth)
+    ref = QualityState(m, k, window_depth=depth)
+    rejections = 0
+    for t, slot in enumerate(trace.slots):
+        want = ref_assess_quality(trace, slot, ref, threshold)
+        metrics = run_slot(t, trace, state, model, "capacity", threshold=threshold)
+        ref_commit_windows(trace, slot, ref, metrics.decision, metrics.rejected, threshold)
+        rejections += len(metrics.rejected)
+        chosen = [0.0 if d in metrics.rejected else float(want[d, a])
+                  for d, a in enumerate(metrics.decision.algorithms)]
+        assert [q.hex() for q in metrics.qualities] == [q.hex() for q in chosen]
+        assert hex_windows(state, seen) == hex_windows(ref, seen)
+    # the last slots evicted the oldest entries of full windows
+    assert all(len(state.cam_window(d, a)) == depth for d in range(m) for a in range(1, k + 1))
+    if threshold < 1.0:
+        assert rejections > 0
+    else:
+        assert rejections == 0  # every map blank: all qualities 0, nothing enhances
+
+    # the replay, which commits without a decision
+    state = QualityState(m, k, window_depth=depth)
+    ref = QualityState(m, k, window_depth=depth)
+    for slot, got in zip(trace.slots, sim.replay(trace, state, threshold)):
+        want = ref_assess_quality(trace, slot, ref, threshold)
+        ref_commit_windows(trace, slot, ref, None, frozenset(), threshold)
+        assert hex_matrix(got) == hex_matrix(want)
+        assert hex_windows(state, seen) == hex_windows(ref, seen)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(camq, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(camq, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
+def test_cam_slot_filters_each_map_once(monkeypatch, scheduler):
+    m, k = 3, 2
+    trace = cam_trace(((4, 4),) * m, 2, True, seed=5, num_algorithms=k)
+    model = gpu_roster_model(m, k)
+    filters = count_calls(monkeypatch, "filter_cam")
+    pair_scores = count_calls(monkeypatch, "enhancement_quality")
+    state = QualityState(m, k)
+    for t in range(trace.horizon):
+        del filters[:]
+        run_slot(t, trace, state, model, scheduler)
+        assert len(filters) == m * (k + 1)
+    del filters[:]
+    for _ in sim.replay(trace, QualityState(m, k), camq.DEFAULT_THRESHOLD):
+        assert len(filters) == m * (k + 1)
+        del filters[:]
+    assert pair_scores == []
+
+
+def test_quality_slot_filters_nothing(monkeypatch):
+    model = tiny_model()
+    trace = quality_trace(model, num_slots=2, seed=4)
+    filters = count_calls(monkeypatch, "filter_cam")
+    state = QualityState(2, 1)
+    run_slot(0, trace, state, model, "none")
+    next(sim.replay(trace, state, camq.DEFAULT_THRESHOLD))
+    assert filters == []
 
 
 # ------------------------------------------------------------ trace validation
