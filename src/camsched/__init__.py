@@ -39,14 +39,9 @@ from .sched import (
     baseline_capacity,
     baseline_no_enhancement,
     brute_force,
-    crossover,
     evolve,
-    mutate,
     objective,
     penalized_fitness,
-    random_decision,
-    random_individual,
-    roulette_select,
 )
 from .sim import (
     RunSummary,

@@ -3,20 +3,24 @@
 An empty document resolves to the default deployment: 10 devices, the
 four-server roster (one strong GPU box, one weak GPU box, two CPU-only
 boxes), four enhancement algorithms (two GPU-bound, two CPU-bound), quality
-window of 5, latency weight 0.5 and a 4 second deadline. Unknown keys are
-rejected by name; emit_config renders the fully resolved form canonically.
+window of 5, latency weight 0.5 and a 4 second deadline. Each key is declared
+once, in its section's table with its type, default and bounds; parsing, the
+unknown-key check and emit_config all read those tables. Numbers must be
+finite and bools are not numbers. Unknown keys are rejected by name;
+emit_config renders the fully resolved form canonically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import camq, sched, sysmodel
 from .camq import QualityState
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .sched import GaConfig
 from .sim import SCHEDULER_CHOICES, SynthSpec
 from .sysmodel import (
@@ -50,52 +54,135 @@ DEFAULT_ALGORITHMS = (
     {"kind": KIND_CPU, "demand_per_bit": [40.0] * 4, "service_rate": _CPU_QUARTER},
 )
 
-_TOP_KEYS = {
-    "devices",
-    "seed",
-    "scheduler",
-    "oracle_limit",
-    "latency_weight",
-    "max_latency_s",
-    "overhead_latency_s",
-    "window_depth",
-    "cam_threshold",
-    "denominator_floor",
-    "quality_cap",
-    "default_accuracy",
-    "servers",
-    "algorithms",
-    "ga",
-    "synth",
-    "trace_path",
-    "metrics_path",
-}
-_SERVER_KEYS = {"gpu_capacity", "cpu_capacity"}
-_ALGORITHM_KEYS = {"kind", "demand_per_bit", "service_rate"}
-_GA_KEYS = {
-    "population_size",
-    "generations",
-    "crossover_prob",
-    "mutation_prob",
-    "penalty_capacity",
-    "penalty_latency",
-    "seed",
-}
-_SYNTH_KEYS = {
-    "horizon",
-    "cam_rows",
-    "cam_cols",
-    "smoothness",
-    "drift",
-    "offsets",
-    "cam_noise",
-    "datasize_bits",
-    "bandwidth_bps",
-    "accuracy_floor",
-    "accuracy_gain",
-    "accuracy_noise",
-    "seed",
-}
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its JSON name, type, default and bounds.
+
+    A list key holds as many finite numbers as its default. A key with a
+    `table` is a section, an object (or a list of objects) whose keys that
+    table declares. `attr` names the field the key fills when it differs
+    from the name.
+    """
+
+    name: str
+    kind: type = float          # int, float, str or list
+    default: object = None
+    low: float | None = None
+    high: float | None = None
+    strict: bool = False        # whether `low` itself is out of bounds
+    choices: tuple[str, ...] = ()
+    table: tuple[Key, ...] = ()
+    attr: str = ""
+
+    @property
+    def field(self) -> str:
+        return self.attr or self.name
+
+    def read(self, doc: dict, where: str, default=None):
+        """The validated value of this key in `doc`, or its default."""
+        if default is None:
+            default = self.default
+        if self.name not in doc and default is not None:
+            return default  # the defaults are valid by construction
+        val = doc.get(self.name)
+        what = f"{where} key {self.name!r}"
+        if self.choices:
+            if val not in self.choices:
+                raise ConfigError(
+                    f"{what} must be one of {'|'.join(self.choices)}, got {val!r}"
+                )
+        elif self.kind is str:
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(f"{what} must be a string path")
+        elif self.kind is list:
+            val = _numbers(val, what, len(default))
+        else:
+            val = _number(val, what, self.kind, self.low, self.high, self.strict)
+        return val
+
+
+def _number(val, what: str, kind: type = float, low=None, high=None, strict=False):
+    """A finite number of `kind` (never a bool) inside the bounds."""
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}")
+    if kind is float:
+        try:
+            val = float(val)
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"{what} must be finite, got {val}")
+    if low is not None and (val <= low if strict else val < low):
+        raise ConfigError(f"{what} must be {'>' if strict else '>='} {low}, got {val}")
+    if high is not None and val > high:
+        raise ConfigError(f"{what} must be <= {high}, got {val}")
+    return val
+
+
+def _numbers(val, what: str, size: int) -> tuple[float, ...]:
+    if not isinstance(val, (list, tuple)) or len(val) != size:
+        raise ConfigError(f"{what} must list {size} numbers")
+    return tuple(_number(v, what) for v in val)
+
+
+_SPEC = SynthSpec()
+_SERVER = (
+    Key("gpu_capacity", float, 0.0, low=0.0),
+    Key("cpu_capacity", float, 0.0, low=0.0),
+)
+# demand and service are per-server lists, or a scalar broadcast over the roster
+_ALGORITHM = (
+    Key("kind", str, choices=(KIND_GPU, KIND_CPU)),
+    Key("demand_per_bit", list),
+    Key("service_rate", list),
+)
+# a seed absent from the ga or synth section takes the top-level seed
+_GA = (
+    Key("population_size", int, sched.DEFAULT_POPULATION, low=1),
+    Key("generations", int, sched.DEFAULT_GENERATIONS, low=1),
+    Key("crossover_prob", float, sched.DEFAULT_CROSSOVER_PROB, 0.0, 1.0),
+    Key("mutation_prob", float, sched.DEFAULT_MUTATION_PROB, 0.0, 1.0),
+    Key("penalty_capacity", float, sched.DEFAULT_PENALTY, low=0.0),
+    Key("penalty_latency", float, sched.DEFAULT_PENALTY, low=0.0),
+    Key("seed", int, attr="rng_seed"),
+)
+# offsets default to one generated value per configured algorithm
+_SYNTH = (
+    Key("horizon", int, _SPEC.horizon, low=0),
+    Key("cam_rows", int, _SPEC.cam_rows, low=1),
+    Key("cam_cols", int, _SPEC.cam_cols, low=1),
+    Key("smoothness", float, _SPEC.smoothness),
+    Key("drift", float, _SPEC.drift, low=0.0),
+    Key("offsets", list),
+    Key("cam_noise", float, _SPEC.cam_noise, low=0.0),
+    Key("datasize_bits", list, _SPEC.datasize_bits),
+    Key("bandwidth_bps", list, _SPEC.bandwidth_bps),
+    Key("accuracy_floor", float, _SPEC.accuracy_floor, 0.0, 1.0),
+    Key("accuracy_gain", float, _SPEC.accuracy_gain),
+    Key("accuracy_noise", float, _SPEC.accuracy_noise, low=0.0),
+    Key("seed", int),
+)
+_TOP = (
+    Key("devices", int, DEFAULT_DEVICES, low=1, attr="num_devices"),
+    Key("seed", int, sched.DEFAULT_SEED),
+    Key("scheduler", str, DEFAULT_SCHEDULER, choices=SCHEDULER_CHOICES),
+    Key("oracle_limit", int, sched.DEFAULT_ORACLE_LIMIT, low=1),
+    Key("latency_weight", float, sysmodel.DEFAULT_LATENCY_WEIGHT, low=0.0),
+    Key("max_latency_s", float, sysmodel.DEFAULT_MAX_LATENCY_S, low=0.0, strict=True),
+    Key("overhead_latency_s", float, sysmodel.DEFAULT_OVERHEAD_S, low=0.0),
+    Key("window_depth", int, camq.DEFAULT_WINDOW_DEPTH, low=1),
+    Key("cam_threshold", float, camq.DEFAULT_THRESHOLD),
+    Key("denominator_floor", float, camq.DEFAULT_DENOM_FLOOR, low=0.0, strict=True),
+    Key("quality_cap", float, camq.DEFAULT_QUALITY_CAP, low=0.0, strict=True),
+    Key("default_accuracy", float, camq.DEFAULT_ACCURACY, 0.0, 1.0),
+    Key("servers", table=_SERVER),
+    Key("algorithms", table=_ALGORITHM),
+    Key("ga", table=_GA),
+    Key("synth", table=_SYNTH),
+    Key("trace_path", str),
+    Key("metrics_path", str),
+)
 
 
 @dataclass(frozen=True)
@@ -120,112 +207,49 @@ class RunConfig:
     metrics_path: str | None
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
+def _reject_unknown(doc: dict, table: tuple[Key, ...], where: str) -> None:
+    unknown = sorted(set(doc) - {key.name for key in table})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def _number(doc: dict, key: str, default, low=None, high=None, where="config"):
-    val = doc.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where} key {key!r} must be a number")
-    val = float(val)
-    if low is not None and val < low:
-        raise ConfigError(f"{where} key {key!r} must be >= {low}, got {val}")
-    if high is not None and val > high:
-        raise ConfigError(f"{where} key {key!r} must be <= {high}, got {val}")
-    return val
+def _build(cls, where: str, doc, table: tuple[Key, ...], defaults=None, **fixed):
+    """`cls` from one config object whose keys `table` declares."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(doc, table, where)
+    values = {
+        key.field: key.read(doc, where, (defaults or {}).get(key.name)) for key in table
+    }
+    try:
+        return cls(**values, **fixed)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _integer(doc: dict, key: str, default, low=None, where="config") -> int:
-    val = doc.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where} key {key!r} must be an integer")
-    if low is not None and val < low:
-        raise ConfigError(f"{where} key {key!r} must be >= {low}, got {val}")
-    return val
-
-
-def _per_server(value, num_servers: int, key: str) -> list[float]:
-    """Scalar values broadcast across the roster; lists must match its length."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)] * num_servers
-    if isinstance(value, list):
-        if len(value) != num_servers:
-            raise ConfigError(
-                f"algorithm key {key!r} must list one value per server "
-                f"({num_servers}), got {len(value)}"
-            )
-        out = []
-        for v in value:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"algorithm key {key!r} must hold numbers")
-            out.append(float(v))
-        return out
-    raise ConfigError(f"algorithm key {key!r} must be a number or per-server list")
-
-
-def _parse_servers(entries) -> tuple[EdgeServer, ...]:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("config key 'servers' must be a non-empty list")
-    servers = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"server {i} must be an object")
-        _reject_unknown(entry, _SERVER_KEYS, f"server {i}")
-        gpu = _number(entry, "gpu_capacity", 0.0, low=0.0, where=f"server {i}")
-        cpu = _number(entry, "cpu_capacity", 0.0, low=0.0, where=f"server {i}")
-        try:
-            servers.append(EdgeServer(gpu, cpu))
-        except Exception as exc:
-            raise ConfigError(f"server {i}: {exc}") from exc
-    return tuple(servers)
-
-
-def _parse_algorithms(entries, servers: tuple[EdgeServer, ...]):
-    if not isinstance(entries, list):
-        raise ConfigError("config key 'algorithms' must be a list")
-    n = len(servers)
-    profiles = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"algorithm {i} must be an object")
-        _reject_unknown(entry, _ALGORITHM_KEYS, f"algorithm {i + 1}")
-        kind = entry.get("kind")
-        if kind not in (KIND_GPU, KIND_CPU):
-            raise ConfigError(
-                f"algorithm {i + 1} key 'kind' must be 'gpu' or 'cpu', got {kind!r}"
-            )
-        if "demand_per_bit" not in entry or "service_rate" not in entry:
-            raise ConfigError(
-                f"algorithm {i + 1} needs both 'demand_per_bit' and 'service_rate'"
-            )
-        demand = _per_server(entry["demand_per_bit"], n, "demand_per_bit")
-        was_scalar = isinstance(entry["service_rate"], (int, float)) and not isinstance(
-            entry["service_rate"], bool
+def _parse_algorithm(i: int, entry, servers: tuple[EdgeServer, ...]) -> EnhancementProfile:
+    where = f"algorithm {i + 1}"
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(entry, _ALGORITHM, where)
+    kind = _ALGORITHM[0].read(entry, where)
+    rates = {}
+    for key in _ALGORITHM[1:]:
+        val, what = entry.get(key.name), f"{where} key {key.name!r}"
+        rates[key.name] = np.array(
+            _numbers(val, what, len(servers))
+            if isinstance(val, list)
+            else [_number(val, what)] * len(servers)
         )
-        service = _per_server(entry["service_rate"], n, "service_rate")
-        if was_scalar:
-            # a broadcast rate cannot grant a server a pool it does not have
-            for s in range(n):
-                pool_cap = (
-                    servers[s].gpu_capacity if kind == KIND_GPU else servers[s].cpu_capacity
-                )
-                if pool_cap == 0.0:
-                    service[s] = 0.0
-        try:
-            profiles.append(
-                EnhancementProfile(
-                    algorithm_id=i + 1,
-                    kind=kind,
-                    demand_per_bit=np.array(demand),
-                    service_rate=np.array(service),
-                )
-            )
-        except Exception as exc:
-            raise ConfigError(f"algorithm {i + 1}: {exc}") from exc
-    return tuple(profiles)
+    if not isinstance(entry["service_rate"], list):
+        # a broadcast rate cannot grant a server a pool it does not have
+        for n, server in enumerate(servers):
+            if (server.gpu_capacity if kind == KIND_GPU else server.cpu_capacity) == 0.0:
+                rates["service_rate"][n] = 0.0
+    try:
+        return EnhancementProfile(algorithm_id=i + 1, kind=kind, **rates)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -240,148 +264,39 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
+    _reject_unknown(doc, _TOP, "config")
+    top = {key.field: key.read(doc, "config") for key in _TOP if not key.table}
 
-    num_devices = _integer(doc, "devices", DEFAULT_DEVICES, low=1)
-    seed = _integer(doc, "seed", sched.DEFAULT_SEED)
-    scheduler = doc.get("scheduler", DEFAULT_SCHEDULER)
-    if scheduler not in SCHEDULER_CHOICES:
-        raise ConfigError(
-            f"config key 'scheduler' must be one of {'|'.join(SCHEDULER_CHOICES)}, "
-            f"got {scheduler!r}"
-        )
-    oracle_limit = _integer(doc, "oracle_limit", sched.DEFAULT_ORACLE_LIMIT, low=1)
-    latency_weight = _number(doc, "latency_weight", sysmodel.DEFAULT_LATENCY_WEIGHT, low=0.0)
-    max_latency_s = _number(doc, "max_latency_s", sysmodel.DEFAULT_MAX_LATENCY_S)
-    if max_latency_s <= 0:
-        raise ConfigError(f"config key 'max_latency_s' must be > 0, got {max_latency_s}")
-    overhead = _number(doc, "overhead_latency_s", sysmodel.DEFAULT_OVERHEAD_S, low=0.0)
-    window_depth = _integer(doc, "window_depth", camq.DEFAULT_WINDOW_DEPTH, low=1)
-    cam_threshold = _number(doc, "cam_threshold", camq.DEFAULT_THRESHOLD)
-    denom_floor = _number(doc, "denominator_floor", camq.DEFAULT_DENOM_FLOOR)
-    if denom_floor <= 0:
-        raise ConfigError(
-            f"config key 'denominator_floor' must be > 0, got {denom_floor}"
-        )
-    quality_cap = _number(doc, "quality_cap", camq.DEFAULT_QUALITY_CAP)
-    if quality_cap <= 0:
-        raise ConfigError(f"config key 'quality_cap' must be > 0, got {quality_cap}")
-    default_accuracy = _number(doc, "default_accuracy", camq.DEFAULT_ACCURACY, 0.0, 1.0)
-
-    servers = _parse_servers(
-        doc.get(
-            "servers",
-            [{"gpu_capacity": g, "cpu_capacity": c} for g, c in DEFAULT_SERVERS],
-        )
+    entries = doc.get(
+        "servers", [{"gpu_capacity": g, "cpu_capacity": c} for g, c in DEFAULT_SERVERS]
     )
-    algo_entries = doc.get("algorithms")
-    if algo_entries is None:
-        if len(servers) == len(DEFAULT_SERVERS):
-            algo_entries = [dict(a) for a in DEFAULT_ALGORITHMS]
-        else:
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("config key 'servers' must be a non-empty list")
+    servers = tuple(
+        _build(EdgeServer, f"server {i}", entry, _SERVER) for i, entry in enumerate(entries)
+    )
+    entries = doc.get("algorithms")
+    if entries is None:
+        if len(servers) != len(DEFAULT_SERVERS):
             raise ConfigError(
                 "config key 'algorithms' is required when 'servers' does not "
                 "have the default length"
             )
-    algorithms = _parse_algorithms(algo_entries, servers)
+        entries = list(DEFAULT_ALGORITHMS)
+    if not isinstance(entries, list):
+        raise ConfigError("config key 'algorithms' must be a list")
+    algorithms = tuple(_parse_algorithm(i, e, servers) for i, e in enumerate(entries))
 
-    ga_doc = doc.get("ga", {})
-    if not isinstance(ga_doc, dict):
-        raise ConfigError("config key 'ga' must be an object")
-    _reject_unknown(ga_doc, _GA_KEYS, "ga")
-    try:
-        ga = GaConfig(
-            population_size=_integer(
-                ga_doc, "population_size", sched.DEFAULT_POPULATION, low=1, where="ga"
-            ),
-            generations=_integer(
-                ga_doc, "generations", sched.DEFAULT_GENERATIONS, low=1, where="ga"
-            ),
-            crossover_prob=_number(
-                ga_doc, "crossover_prob", sched.DEFAULT_CROSSOVER_PROB, 0.0, 1.0, where="ga"
-            ),
-            mutation_prob=_number(
-                ga_doc, "mutation_prob", sched.DEFAULT_MUTATION_PROB, 0.0, 1.0, where="ga"
-            ),
-            penalty_capacity=_number(
-                ga_doc, "penalty_capacity", sched.DEFAULT_PENALTY, 0.0, where="ga"
-            ),
-            penalty_latency=_number(
-                ga_doc, "penalty_latency", sched.DEFAULT_PENALTY, 0.0, where="ga"
-            ),
-            rng_seed=_integer(ga_doc, "seed", seed, where="ga"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"ga: {exc}") from exc
-
-    synth_doc = doc.get("synth", {})
-    if not isinstance(synth_doc, dict):
-        raise ConfigError("config key 'synth' must be an object")
-    _reject_unknown(synth_doc, _SYNTH_KEYS, "synth")
-    k = len(algorithms)
-    if "offsets" in synth_doc:
-        offsets = synth_doc["offsets"]
-        if not isinstance(offsets, list) or len(offsets) != k:
-            raise ConfigError(
-                f"synth key 'offsets' must list one value per algorithm ({k})"
-            )
-        offsets = tuple(float(v) for v in offsets)
-    else:
-        offsets = _default_offsets(k)
-    try:
-        synth = SynthSpec(
-            num_devices=num_devices,
-            num_servers=len(servers),
-            num_algorithms=k,
-            horizon=_integer(synth_doc, "horizon", 30, low=0, where="synth"),
-            cam_rows=_integer(synth_doc, "cam_rows", 16, low=1, where="synth"),
-            cam_cols=_integer(synth_doc, "cam_cols", 16, low=1, where="synth"),
-            smoothness=_number(synth_doc, "smoothness", 0.25, where="synth"),
-            drift=_number(synth_doc, "drift", 0.05, low=0.0, where="synth"),
-            offsets=offsets,
-            cam_noise=_number(synth_doc, "cam_noise", 0.02, low=0.0, where="synth"),
-            datasize_bits=_range_pair(synth_doc, "datasize_bits", (15e6, 25e6)),
-            bandwidth_bps=_range_pair(synth_doc, "bandwidth_bps", (20e6, 20e6)),
-            accuracy_floor=_number(
-                synth_doc, "accuracy_floor", 0.6, 0.0, 1.0, where="synth"
-            ),
-            accuracy_gain=_number(synth_doc, "accuracy_gain", 0.8, where="synth"),
-            accuracy_noise=_number(
-                synth_doc, "accuracy_noise", 0.05, low=0.0, where="synth"
-            ),
-            seed=_integer(synth_doc, "seed", seed, where="synth"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"synth: {exc}") from exc
-
-    for key in ("trace_path", "metrics_path"):
-        if key in doc and doc[key] is not None and not isinstance(doc[key], str):
-            raise ConfigError(f"config key {key!r} must be a string path")
-
-    return RunConfig(
-        num_devices=num_devices,
-        seed=seed,
-        scheduler=scheduler,
-        oracle_limit=oracle_limit,
-        latency_weight=latency_weight,
-        max_latency_s=max_latency_s,
-        overhead_latency_s=overhead,
-        window_depth=window_depth,
-        cam_threshold=cam_threshold,
-        denominator_floor=denom_floor,
-        quality_cap=quality_cap,
-        default_accuracy=default_accuracy,
-        servers=servers,
-        algorithms=algorithms,
-        ga=ga,
-        synth=synth,
-        trace_path=doc.get("trace_path"),
-        metrics_path=doc.get("metrics_path"),
+    seed = top["seed"]
+    ga = _build(GaConfig, "ga", doc.get("ga", {}), _GA, {"seed": seed})
+    synth = _build(
+        SynthSpec, "synth", doc.get("synth", {}), _SYNTH,
+        {"seed": seed, "offsets": _default_offsets(len(algorithms))},
+        num_devices=top["num_devices"],
+        num_servers=len(servers),
+        num_algorithms=len(algorithms),
     )
+    return RunConfig(servers=servers, algorithms=algorithms, ga=ga, synth=synth, **top)
 
 
 def _default_offsets(k: int) -> tuple[float, ...]:
@@ -390,18 +305,6 @@ def _default_offsets(k: int) -> tuple[float, ...]:
     if k == 1:
         return (0.30,)
     return tuple(round(v, 6) for v in np.linspace(0.30, 0.08, k))
-
-
-def _range_pair(doc: dict, key: str, default) -> tuple[float, float]:
-    val = doc.get(key)
-    if val is None:
-        return default
-    if not isinstance(val, list) or len(val) != 2:
-        raise ConfigError(f"synth key {key!r} must be a [low, high] pair")
-    lo, hi = float(val[0]), float(val[1])
-    if lo < 0 or hi < lo:
-        raise ConfigError(f"synth key {key!r} must satisfy 0 <= low <= high")
-    return lo, hi
 
 
 def parse_config_file(path: str | None) -> RunConfig:
@@ -415,62 +318,26 @@ def parse_config_file(path: str | None) -> RunConfig:
     return parse_config(text)
 
 
+def _emit(table: tuple[Key, ...], obj) -> dict:
+    doc = {}
+    for key in table:
+        val = getattr(obj, key.field)
+        if key.table:
+            val = (
+                [_emit(key.table, v) for v in val]
+                if isinstance(val, tuple)
+                else _emit(key.table, val)
+            )
+        elif key.kind is list:
+            val = [float(v) for v in val]
+        doc[key.name] = val
+    return doc
+
+
 def emit_config(config: RunConfig) -> str:
     """Canonical fully-resolved rendering: emitting, parsing and emitting
     again reproduces the same bytes."""
-    doc = {
-        "devices": config.num_devices,
-        "seed": config.seed,
-        "scheduler": config.scheduler,
-        "oracle_limit": config.oracle_limit,
-        "latency_weight": config.latency_weight,
-        "max_latency_s": config.max_latency_s,
-        "overhead_latency_s": config.overhead_latency_s,
-        "window_depth": config.window_depth,
-        "cam_threshold": config.cam_threshold,
-        "denominator_floor": config.denominator_floor,
-        "quality_cap": config.quality_cap,
-        "default_accuracy": config.default_accuracy,
-        "servers": [
-            {"gpu_capacity": s.gpu_capacity, "cpu_capacity": s.cpu_capacity}
-            for s in config.servers
-        ],
-        "algorithms": [
-            {
-                "kind": p.kind,
-                "demand_per_bit": p.demand_per_bit.tolist(),
-                "service_rate": p.service_rate.tolist(),
-            }
-            for p in config.algorithms
-        ],
-        "ga": {
-            "population_size": config.ga.population_size,
-            "generations": config.ga.generations,
-            "crossover_prob": config.ga.crossover_prob,
-            "mutation_prob": config.ga.mutation_prob,
-            "penalty_capacity": config.ga.penalty_capacity,
-            "penalty_latency": config.ga.penalty_latency,
-            "seed": config.ga.rng_seed,
-        },
-        "synth": {
-            "horizon": config.synth.horizon,
-            "cam_rows": config.synth.cam_rows,
-            "cam_cols": config.synth.cam_cols,
-            "smoothness": config.synth.smoothness,
-            "drift": config.synth.drift,
-            "offsets": list(config.synth.offsets),
-            "cam_noise": config.synth.cam_noise,
-            "datasize_bits": list(config.synth.datasize_bits),
-            "bandwidth_bps": list(config.synth.bandwidth_bps),
-            "accuracy_floor": config.synth.accuracy_floor,
-            "accuracy_gain": config.synth.accuracy_gain,
-            "accuracy_noise": config.synth.accuracy_noise,
-            "seed": config.synth.seed,
-        },
-        "trace_path": config.trace_path,
-        "metrics_path": config.metrics_path,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_emit(_TOP, config), indent=2) + "\n"
 
 
 def build_constants(config: RunConfig) -> ModelConstants:

@@ -1,7 +1,8 @@
 """Per-slot schedulers over (server, algorithm) assignments.
 
 The genetic scheduler searches the full assignment space with elitism,
-roulette selection, single-point crossover and single-gene mutation, scoring
+roulette selection, single-point crossover and single-gene mutation, all in
+one operator on packed code populations (next_generation), scoring
 individuals by total utility minus normalised constraint penalties. The
 exhaustive oracle enumerates every admissible decision for small instances,
 and two baselines bound it from below: capacity-driven greedy and no
@@ -141,24 +142,6 @@ def penalized_fitness(
     return fitness, raw, report.feasible
 
 
-def random_decision(rng: random.Random, model: SystemModel) -> Decision:
-    """One uniform (server, algorithm) draw per device."""
-    servers = []
-    algorithms = []
-    for _ in range(model.num_devices):
-        servers.append(rng.randrange(model.num_servers))
-        algorithms.append(rng.randrange(model.num_algorithms + 1))
-    return Decision(tuple(servers), tuple(algorithms))
-
-
-def random_individual(
-    rng: random.Random, slot: SlotInput, model: SystemModel, ga: GaConfig
-) -> Individual:
-    decision = random_decision(rng, model)
-    fitness, raw, feasible = penalized_fitness(decision, slot, model, ga)
-    return Individual(decision, fitness, raw, feasible)
-
-
 def _selection_weights(fitnesses: Sequence[float]) -> list[float] | None:
     """Min-shifted roulette weights; None requests uniform selection.
 
@@ -178,42 +161,6 @@ def _spin(cum: list[float] | None, total: float, size: int, rng: random.Random) 
         return rng.randrange(size)
     idx = bisect_right(cum, rng.random() * total)
     return min(idx, size - 1)
-
-
-def roulette_select(population: Sequence[Individual], rng: random.Random) -> Individual:
-    """Fitness-proportional draw over min-shifted weights."""
-    if not population:
-        raise ValidationError("cannot select from an empty population")
-    weights = _selection_weights([ind.fitness for ind in population])
-    if weights is None:
-        return population[rng.randrange(len(population))]
-    cum = list(itertools.accumulate(weights))
-    return population[_spin(cum, cum[-1], len(population), rng)]
-
-
-def crossover(parent1: Decision, parent2: Decision, rng: random.Random) -> Decision:
-    """Single-point splice over the device axis; a 1-device child copies parent1."""
-    if parent1.num_devices != parent2.num_devices:
-        raise ValidationError("parents must cover the same devices")
-    m = parent1.num_devices
-    if m == 1:
-        return Decision(parent1.servers, parent1.algorithms)
-    cut = rng.randrange(1, m)
-    return Decision(
-        parent1.servers[:cut] + parent2.servers[cut:],
-        parent1.algorithms[:cut] + parent2.algorithms[cut:],
-    )
-
-
-def mutate(decision: Decision, rng: random.Random, model: SystemModel) -> Decision:
-    """Redraw one uniformly chosen device's gene uniformly (may land unchanged)."""
-    decision.validate_against(model)
-    pos = rng.randrange(decision.num_devices)
-    servers = list(decision.servers)
-    algorithms = list(decision.algorithms)
-    servers[pos] = rng.randrange(model.num_servers)
-    algorithms[pos] = rng.randrange(model.num_algorithms + 1)
-    return Decision(tuple(servers), tuple(algorithms))
 
 
 def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
@@ -274,6 +221,57 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
     return fitness
 
 
+def next_generation(
+    pop: np.ndarray,
+    fits: Sequence[float],
+    ga: GaConfig,
+    rng: random.Random,
+    num_codes: int,
+) -> np.ndarray:
+    """The GA's one operator: the next (M, P) code population from `pop`
+    and its fitnesses.
+
+    Column 0 keeps the best column verbatim (elitism, the first on ties).
+    Every other column spins the roulette twice for its parents; with
+    probability crossover_prob it takes genes [0, cut) from the first and
+    the rest from the second, the cut uniform in 1..M-1, and otherwise it
+    copies the first. With probability mutation_prob one uniformly chosen
+    gene is then redrawn uniformly from the `num_codes` codes. The draws are
+    taken one child after the next in exactly that order.
+    """
+    m_devices, size = pop.shape
+    best_idx = max(range(size), key=fits.__getitem__)
+    weights = _selection_weights(fits)
+    if weights is None:
+        cum, total = None, 0.0
+    else:
+        cum = list(itertools.accumulate(weights))
+        total = cum[-1]
+    # column c of the next population takes genes [0, cuts[c]) from
+    # parent firsts[c] and the rest from seconds[c]
+    firsts, seconds, cuts = [best_idx], [best_idx], [m_devices]
+    mut_cols: list[int] = []
+    mut_rows: list[int] = []
+    mut_codes: list[int] = []
+    for col in range(1, size):
+        firsts.append(_spin(cum, total, size, rng))
+        seconds.append(_spin(cum, total, size, rng))
+        if rng.random() < ga.crossover_prob and m_devices > 1:
+            cuts.append(rng.randrange(1, m_devices))
+        else:
+            cuts.append(m_devices)
+        if rng.random() < ga.mutation_prob:
+            # the new code is drawn before the position it lands on
+            mut_codes.append(rng.randrange(num_codes))
+            mut_rows.append(rng.randrange(m_devices))
+            mut_cols.append(col)
+    rows = np.arange(m_devices)[:, None]
+    pop = np.where(rows < cuts, pop[:, firsts], pop[:, seconds])
+    if mut_cols:
+        pop[mut_rows, mut_cols] = mut_codes
+    return pop
+
+
 def evolve(
     slot: SlotInput, model: SystemModel, ga: GaConfig | None = None
 ) -> tuple[Individual, list[float]]:
@@ -282,8 +280,7 @@ def evolve(
 
     Runs O(population * generations) evaluations on a fixed seed, so repeated
     calls with the same inputs return the same decision and history. Each
-    child's random draws are taken one child after the next; the generation
-    is then assembled and scored as one batch.
+    generation comes from next_generation and is scored as one batch.
     """
     if ga is None:
         ga = GaConfig()
@@ -292,7 +289,6 @@ def evolve(
     size = ga.population_size
     m_devices = model.num_devices
     num_codes = len(model.code_loads[0])
-    rows = np.arange(m_devices)[:, None]
 
     pop = np.array(
         [[rng.randrange(num_codes) for _ in range(m_devices)] for _ in range(size)]
@@ -301,36 +297,8 @@ def evolve(
     history: list[float] = []
 
     for _ in range(ga.generations):
-        best_idx = max(range(size), key=fits.__getitem__)
-        history.append(fits[best_idx])
-        weights = _selection_weights(fits)
-        if weights is None:
-            cum, total = None, 0.0
-        else:
-            cum = list(itertools.accumulate(weights))
-            total = cum[-1]
-        # column c of the next population takes genes [0, cuts[c]) from
-        # parent firsts[c] and the rest from seconds[c]; elitism keeps the
-        # generation best verbatim in column 0
-        firsts, seconds, cuts = [best_idx], [best_idx], [m_devices]
-        mut_cols: list[int] = []
-        mut_rows: list[int] = []
-        mut_codes: list[int] = []
-        for col in range(1, size):
-            firsts.append(_spin(cum, total, size, rng))
-            seconds.append(_spin(cum, total, size, rng))
-            if rng.random() < ga.crossover_prob and m_devices > 1:
-                cuts.append(rng.randrange(1, m_devices))
-            else:
-                cuts.append(m_devices)
-            if rng.random() < ga.mutation_prob:
-                # the new code is drawn before the position it lands on
-                mut_codes.append(rng.randrange(num_codes))
-                mut_rows.append(rng.randrange(m_devices))
-                mut_cols.append(col)
-        pop = np.where(rows < cuts, pop[:, firsts], pop[:, seconds])
-        if mut_cols:
-            pop[mut_rows, mut_cols] = mut_codes
+        history.append(max(fits))
+        pop = next_generation(pop, fits, ga, rng, num_codes)
         fits = fitness(pop).tolist()
 
     best_idx = max(range(size), key=fits.__getitem__)

@@ -67,6 +67,7 @@ class Trace:
         m, n, k = self.num_devices, self.num_servers, self.num_algorithms
         if m < 1 or n < 1 or k < 0:
             raise TraceError("trace needs at least one device and one server")
+        shapes: dict[int, tuple[int, ...]] = {}  # each device's CAM shape
         for t, slot in enumerate(self.slots):
             if slot.datasize_bits.shape != (m,):
                 raise TraceError(f"slot {t}: datasize must have shape ({m},)")
@@ -79,12 +80,14 @@ class Trace:
                     raise TraceError(f"slot {t}: CAM payload must cover every device")
                 if any(len(per_dev) != k for per_dev in slot.enhanced):
                     raise TraceError(f"slot {t}: need one enhanced CAM per algorithm")
+                # a device keeps one CAM shape across its maps and slots
                 for dev, (low, per_alg) in enumerate(zip(slot.lowlight, slot.enhanced)):
-                    for cam in per_alg:
-                        if cam.shape != low.shape:
+                    shape = shapes.setdefault(dev, low.shape)
+                    for cam in (low, *per_alg):
+                        if cam.shape != shape:
                             raise TraceError(
                                 f"slot {t} device {dev}: CAM shapes differ: "
-                                f"{low.shape} vs {cam.shape}"
+                                f"{shape} vs {cam.shape}"
                             )
             if slot.accuracy is not None:
                 if slot.accuracy.shape != (m, k + 1):

@@ -441,13 +441,6 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     return (trans[:, :, None] + model.constants.overhead_latency_s) + enh
 
 
-def utility_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
-    """(M, N, K+1) utility of every possible assignment; -inf mirrors infinite latency."""
-    return _utility_from_latency(
-        latency_table(slot, model), slot.quality[:, None, :], model
-    )
-
-
 def _utility_from_latency(
     lat: np.ndarray, quality: np.ndarray, model: SystemModel
 ) -> np.ndarray:

@@ -5,9 +5,12 @@ zero datasizes and dead links so the infinity/sentinel paths get exercised,
 not just the happy path.
 """
 
+import random
+
 import numpy as np
 
 from camsched.sysmodel import (
+    Decision,
     EdgeServer,
     EnhancementProfile,
     KIND_CPU,
@@ -49,6 +52,16 @@ def make_model(rng, num_devices, num_servers, num_algorithms,
         max_latency_s=max_latency_s,
     )
     return SystemModel(tuple(servers), tuple(profiles), constants)
+
+
+def random_decision(rng: random.Random, model: SystemModel) -> Decision:
+    """One uniform (server, algorithm) draw per device."""
+    servers = []
+    algorithms = []
+    for _ in range(model.num_devices):
+        servers.append(rng.randrange(model.num_servers))
+        algorithms.append(rng.randrange(model.num_algorithms + 1))
+    return Decision(tuple(servers), tuple(algorithms))
 
 
 def make_slot(rng, model, zero_data_frac=0.1, dead_link_frac=0.1):

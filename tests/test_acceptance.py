@@ -33,7 +33,6 @@ from camsched.sched import (
     brute_force,
     evolve,
     objective,
-    random_decision,
 )
 from camsched.sim import SlotData, SynthSpec, Trace, generate_synthetic, run
 from camsched.sysmodel import (
@@ -57,6 +56,7 @@ from conftest import (
     make_slot,
     oracle_gap_instance,
     paper_scale_instance,
+    random_decision,
     small_instance,
 )
 from refimpl import (

@@ -428,15 +428,21 @@ def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "assess"])
-def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,between_slots", [
+    ("simulate", False), ("assess", False), ("simulate", True), ("assess", True),
+], ids=["simulate", "assess", "simulate-between-slots", "assess-between-slots"])
+def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command,
+                                                      between_slots):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
-    # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map
-    save_cam(CamMap(np.zeros((3, 3))),
-             str(tmp_path / "t" / doc["slots"][1]["cams"]["enhanced"][1][0]))
+    # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map, or
+    # 3x3 maps throughout where slot 0 had 4x4 ones
+    cams = doc["slots"][1]["cams"]
+    names = cams["enhanced"][1] + (cams["lowlight"][1:2] if between_slots else [])
+    for name in names:
+        save_cam(CamMap(np.zeros((3, 3))), str(tmp_path / "t" / name))
     capsys.readouterr()
     args = [command, "--config", str(cfg), "--trace", str(manifest)]
     if command == "simulate":

@@ -1,4 +1,4 @@
-"""Scheduler tests: objective, GA operators, brute-force oracle, baselines."""
+"""Scheduler tests: objective, the GA operator, brute-force oracle, baselines."""
 
 import itertools
 import math
@@ -12,18 +12,13 @@ from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
     BaselineResult,
     GaConfig,
-    Individual,
     baseline_capacity,
     baseline_no_enhancement,
     brute_force,
-    crossover,
     evolve,
-    mutate,
+    next_generation,
     objective,
     penalized_fitness,
-    random_decision,
-    random_individual,
-    roulette_select,
 )
 from camsched.sysmodel import (
     Decision,
@@ -37,11 +32,18 @@ from camsched.sysmodel import (
     check_feasibility,
     device_latency,
     device_utility,
+    _utility_from_latency,
+    latency_table,
     server_loads,
-    utility_table,
 )
 
-from conftest import make_model, make_slot, paper_scale_instance, small_instance
+from conftest import (
+    make_model,
+    make_slot,
+    paper_scale_instance,
+    random_decision,
+    small_instance,
+)
 from refimpl import ref_evolve, ref_objective
 
 
@@ -176,146 +178,172 @@ def test_fitness_is_pure():
     assert first == second
 
 
-# ------------------------------------------------------------- GA operators
+# ------------------------------------------------------------- GA operator
 
-def test_random_decision_single_point_space():
-    servers = (EdgeServer(1.0, 1.0),)
-    model = SystemModel((servers[0],), (), ModelConstants(num_devices=2))
-    decision = random_decision(random.Random(0), model)
-    assert decision == Decision((0, 0), (0, 0))
-
-
-def test_random_decision_deterministic():
-    model, _ = small_instance(1)
-    assert random_decision(random.Random(99), model) == random_decision(
-        random.Random(99), model
-    )
+def tagged_population(m_devices, size):
+    """Code m * size + c sits at (m, c): a child's gene names its parent
+    column (code % size) and the device it came from (code // size)."""
+    return np.arange(m_devices * size).reshape(m_devices, size)
 
 
-def test_random_decision_uniform_marginal():
-    model, _ = small_instance(1)
-    k_counts = Counter()
-    n_counts = Counter()
-    rng = random.Random(12345)
-    draws = 100_000
-    for _ in range(draws):
-        d = random_decision(rng, model)
-        k_counts[d.algorithms[0]] += 1
-        n_counts[d.servers[0]] += 1
-    for counts, bins in ((k_counts, 3), (n_counts, 2)):
-        expected = draws * len(counts) and draws / bins
-        sigma = math.sqrt(draws * (1 / bins) * (1 - 1 / bins))
-        for value in range(bins):
-            assert abs(counts[value] - expected) < 3 * sigma, (value, counts)
+def child_counts(size, fits, calls, seed):
+    """How often each column parents a child, over `calls` generations of a
+    one-device tagged population without crossover or mutation."""
+    pop = tagged_population(1, size)
+    ga = GaConfig(crossover_prob=0.0, mutation_prob=0.0)
+    rng = random.Random(seed)
+    counts = Counter()
+    for _ in range(calls):
+        counts.update(next_generation(pop, fits, ga, rng, size)[0, 1:].tolist())
+    return counts
+
+
+def test_next_generation_keeps_the_best_in_column_0():
+    rng = random.Random(2)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=1.0)
+    for _ in range(500):
+        m_devices, size = rng.randint(1, 6), rng.randint(1, 12)
+        pop = np.array([[rng.randrange(9) for _ in range(size)] for _ in range(m_devices)])
+        fits = [rng.choice([-math.inf, 0.0, 1.5, rng.random()]) for _ in range(size)]
+        before = pop.copy()
+        nxt = next_generation(pop, fits, ga, rng, 9)
+        assert nxt.shape == pop.shape
+        assert (pop == before).all()
+        # the first column of the best fitness, gene for gene
+        assert nxt[:, 0].tolist() == pop[:, fits.index(max(fits))].tolist()
 
 
 def test_roulette_single_individual():
-    model, slot = small_instance(2)
-    ind = random_individual(random.Random(0), slot, model, GaConfig())
-    assert roulette_select([ind], random.Random(1)) is ind
+    # a lone column is its own elite: nothing is spun or drawn
+    pop = np.array([[3], [1], [4]])
+    rng = random.Random(1)
+    state = rng.getstate()
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=1.0)
+    assert next_generation(pop, [0.5], ga, rng, 6).tolist() == pop.tolist()
+    assert rng.getstate() == state
 
 
 def test_roulette_uniform_fallback_on_equal_fitness():
-    d = Decision((0,), (0,))
-    pop = [Individual(d, 0.0, 0.0, True), Individual(d, 0.0, 0.0, True)]
-    rng = random.Random(777)
-    counts = Counter(id(roulette_select(pop, rng)) for _ in range(100_000))
-    a, b = counts[id(pop[0])], counts[id(pop[1])]
-    sigma = math.sqrt(100_000 * 0.25)
-    assert abs(a - 50_000) < 3 * sigma and a + b == 100_000
+    # equal finite weights, or no finite one at all: every column alike
+    draws = 20_000 * 3
+    sigma = math.sqrt(draws * 0.25 * 0.75)
+    for fitness, seed in ((0.0, 777), (-math.inf, 778)):
+        counts = child_counts(4, [fitness] * 4, 20_000, seed)
+        for col in range(4):
+            assert abs(counts[col] - draws / 4) < 4 * sigma, (fitness, counts)
 
 
 def test_roulette_ratio_tracks_shifted_weights():
-    d = Decision((0,), (0,))
-    pop = [Individual(d, 1.0, 1.0, True), Individual(d, 3.0, 3.0, True)]
-    rng = random.Random(4242)
-    counts = Counter(id(roulette_select(pop, rng)) for _ in range(100_000))
-    # shifted weights are {delta, 2 + delta}: the weaker one almost never wins
-    assert counts[id(pop[0])] <= 2
-    assert counts[id(pop[1])] >= 99_998
+    # shifted weights are {delta, 1 + delta, 3 + delta}: column 0 almost never
+    # parents a child, and column 2 three times as often as column 1
+    counts = child_counts(3, [1.0, 2.0, 4.0], 20_000, seed=4242)
+    draws = 20_000 * 2
+    sigma = math.sqrt(draws * 0.75 * 0.25)
+    assert counts[0] <= 2
+    assert abs(counts[2] - 0.75 * draws) < 4 * sigma, counts
 
 
 def test_roulette_ignores_minus_inf():
-    d = Decision((0,), (0,))
-    pop = [Individual(d, -math.inf, -math.inf, False), Individual(d, 0.5, 0.5, True)]
+    # equal finite fitnesses get the smallest weight the shift allows; -inf
+    # still gets none
+    pop = tagged_population(3, 4)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=0.0)
     rng = random.Random(5)
-    for _ in range(1000):
-        assert roulette_select(pop, rng) is pop[1]
+    for fits in ([-math.inf, 0.5, -math.inf, 0.5], [-math.inf, 0.5, -math.inf, 0.2]):
+        for _ in range(1000):
+            nxt = next_generation(pop, fits, ga, rng, 12)
+            assert set((nxt % 4).reshape(-1).tolist()) <= {1, 3}
 
 
 def test_crossover_identical_parents():
-    p = Decision((0, 1, 0), (2, 0, 1))
-    child = crossover(p, p, random.Random(0))
-    assert child == p
+    pop = np.repeat(np.array([[2], [0], [5]]), 6, axis=1)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=0.0)
+    rng = random.Random(0)
+    for _ in range(200):
+        fits = [rng.random() for _ in range(6)]
+        assert next_generation(pop, fits, ga, rng, 6).tolist() == pop.tolist()
 
 
 def test_crossover_two_devices_is_the_single_cut():
-    p1 = Decision((0, 0), (1, 1))
-    p2 = Decision((1, 1), (2, 2))
-    child = crossover(p1, p2, random.Random(0))
-    assert child == Decision((0, 1), (1, 2))
+    # two devices have one cut, after device 0: a crossed child mixes two
+    # parents, an uncrossed one copies a single parent
+    size = 8
+    pop = tagged_population(2, size)
+    rng = random.Random(0)
+    for prob in (0.0, 1.0):
+        ga = GaConfig(crossover_prob=prob, mutation_prob=0.0)
+        mixed = 0
+        for _ in range(300):
+            nxt = next_generation(pop, [1.0] * size, ga, rng, 2 * size)
+            assert (nxt // size == [[0], [1]]).all()
+            mixed += int(np.count_nonzero(nxt[0] % size != nxt[1] % size))
+        if prob == 0.0:
+            assert mixed == 0
+        else:
+            # distinct parents in about 7 of 8 of the 2100 children
+            assert mixed > 1500
 
 
 def test_crossover_genes_come_from_parents():
+    m_devices, size = 4, 6
+    pop = tagged_population(m_devices, size)
+    ga = GaConfig(crossover_prob=0.8, mutation_prob=0.0)
     rng = random.Random(88)
-    model, _ = small_instance(4)
-    for _ in range(10_000):
-        p1 = random_decision(rng, model)
-        p2 = random_decision(rng, model)
-        child = crossover(p1, p2, rng)
-        for m in range(4):
-            gene = (child.servers[m], child.algorithms[m])
-            assert gene in (
-                (p1.servers[m], p1.algorithms[m]),
-                (p2.servers[m], p2.algorithms[m]),
-            )
+    for _ in range(2000):
+        fits = [rng.choice([-math.inf, rng.random()]) for _ in range(size)]
+        nxt = next_generation(pop, fits, ga, rng, m_devices * size)
+        # each gene is some parent's gene of the same device
+        assert (nxt // size == np.arange(m_devices)[:, None]).all()
 
 
 def test_crossover_prefix_suffix_structure():
+    m_devices, size = 5, 7
+    pop = tagged_population(m_devices, size)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=0.0)
     rng = random.Random(13)
-    model, _ = small_instance(5)
-    for _ in range(2000):
-        p1 = random_decision(rng, model)
-        p2 = random_decision(rng, model)
-        child = crossover(p1, p2, rng)
-        from_p1 = [
-            (child.servers[m], child.algorithms[m]) == (p1.servers[m], p1.algorithms[m])
-            for m in range(4)
-        ]
-        from_p2 = [
-            (child.servers[m], child.algorithms[m]) == (p2.servers[m], p2.algorithms[m])
-            for m in range(4)
-        ]
-        # one cut: everything left of it from p1, everything right from p2
-        assert any(
-            all(from_p1[:cut]) and all(from_p2[cut:]) for cut in range(1, 5)
-        )
+    cuts_seen = set()
+    for _ in range(500):
+        fits = [rng.random() for _ in range(size)]
+        for parents in (next_generation(pop, fits, ga, rng, m_devices * size) % size).T:
+            # one cut: a run of genes from one parent, then a run from the other
+            changes = np.flatnonzero(parents[1:] != parents[:-1])
+            assert len(changes) <= 1
+            cuts_seen.update((changes + 1).tolist())
+    assert cuts_seen == {1, 2, 3, 4}
 
 
 def test_mutate_single_point_space_noop():
-    servers = (EdgeServer(1.0, 1.0),)
-    model = SystemModel((servers[0],), (), ModelConstants(num_devices=3))
-    d = Decision((0, 0, 0), (0, 0, 0))
-    assert mutate(d, random.Random(0), model) == d
+    pop = np.zeros((3, 5), dtype=int)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=1.0)
+    rng = random.Random(0)
+    for _ in range(50):
+        assert next_generation(pop, [0.0] * 5, ga, rng, 1).tolist() == pop.tolist()
 
 
 def test_mutate_deterministic():
-    model, _ = small_instance(6)
-    d = Decision((0, 1, 0, 1), (2, 1, 0, 2))
-    assert mutate(d, random.Random(3), model) == mutate(d, random.Random(3), model)
+    rng = np.random.default_rng(6)
+    pop = rng.integers(0, 12, (4, 9))
+    fits = rng.normal(size=9).tolist()
+    ga = GaConfig(crossover_prob=0.5, mutation_prob=0.5)
+    first = next_generation(pop, fits, ga, random.Random(3), 12)
+    assert first.tolist() == next_generation(pop, fits, ga, random.Random(3), 12).tolist()
+    assert first.tolist() != next_generation(pop, fits, ga, random.Random(4), 12).tolist()
 
 
 def test_mutate_changes_at_most_one_gene():
+    # every column holds the same genome, so only mutation can change a gene
+    size = 6
+    pop = np.repeat(np.array([[0], [1], [2], [3]]), size, axis=1)
+    ga = GaConfig(crossover_prob=1.0, mutation_prob=1.0)
     rng = random.Random(21)
-    model, _ = small_instance(7)
-    for _ in range(10_000):
-        d = random_decision(rng, model)
-        mutated = mutate(d, rng, model)
-        changed = sum(
-            (d.servers[m], d.algorithms[m]) != (mutated.servers[m], mutated.algorithms[m])
-            for m in range(4)
-        )
-        assert changed <= 1
+    mutated = 0
+    for _ in range(2000):
+        fits = [rng.random() for _ in range(size)]
+        changed = np.count_nonzero(next_generation(pop, fits, ga, rng, 8) != pop, axis=0)
+        assert changed[0] == 0 and changed.max() <= 1
+        mutated += int(changed.sum())
+    # a redraw lands on the old code one time in eight
+    assert mutated > 0.8 * 2000 * (size - 1)
 
 
 # ------------------------------------------------------------------- evolve
@@ -776,7 +804,9 @@ def test_no_enhancement_baseline_matches_restricted_enumeration():
     for seed in (17, 18, 19):
         model, slot = small_instance(seed)
         decision = baseline_no_enhancement(slot, model)
-        util = utility_table(slot, model)
+        util = _utility_from_latency(
+            latency_table(slot, model), slot.quality[:, None, :], model
+        )
         got = objective(decision, slot, model)
         best = util[:, :, 0].max(axis=1).sum()
         if math.isinf(got):

@@ -382,6 +382,15 @@ def test_trace_shape_validation():
     with pytest.raises(TraceError):
         Trace(2, 2, 1, (bad_acc,))
 
+    def cam_slot(size):
+        cams = [camq.CamMap(np.zeros((size, size))) for _ in range(2)]
+        return SlotData(np.ones(1), np.ones((1, 1)),
+                        lowlight=(cams[0],), enhanced=((cams[1],),))
+    Trace(1, 1, 1, (cam_slot(4), cam_slot(4)))
+    # a device's CAM shape may not change from one slot to the next
+    with pytest.raises(TraceError, match=r"slot 1 device 0: .*\(4, 4\) vs \(3, 3\)"):
+        Trace(1, 1, 1, (cam_slot(4), cam_slot(3)))
+
 
 # ------------------------------------------------------------------ synthetic
 

@@ -15,6 +15,7 @@ from camsched.sysmodel import (
     ModelConstants,
     SlotInput,
     SystemModel,
+    _utility_from_latency,
     check_feasibility,
     device_latency,
     device_utility,
@@ -22,7 +23,6 @@ from camsched.sysmodel import (
     latency_table,
     server_loads,
     transmission_latency,
-    utility_table,
 )
 
 from conftest import make_model, make_slot
@@ -322,7 +322,7 @@ def test_tables_match_scalar_paths_bit_for_bit():
         model = make_model(rng, 3, 2, 2)
         slot = make_slot(rng, model)
         lat = latency_table(slot, model)
-        util = utility_table(slot, model)
+        util = _utility_from_latency(lat, slot.quality[:, None, :], model)
         for m in range(3):
             for n in range(2):
                 for k in range(3):
