@@ -41,7 +41,6 @@ from .sched import (
     brute_force,
     evolve,
     objective,
-    penalized_fitness,
 )
 from .sim import (
     RunSummary,

@@ -6,7 +6,8 @@ one operator on packed code populations (next_generation), scoring
 individuals by total utility minus normalised constraint penalties. The
 exhaustive oracle enumerates every admissible decision for small instances,
 and two baselines bound it from below: capacity-driven greedy and no
-enhancement.
+enhancement. A decision's utility is sysmodel.check_feasibility's total;
+the GA scorer and the oracle add utilities device by device just as it does.
 """
 
 from __future__ import annotations
@@ -95,51 +96,7 @@ class BaselineResult:
 
 def objective(decision: Decision, slot: SlotInput, model: SystemModel) -> float:
     """Total utility of the decision; -inf as soon as any device is unreachable."""
-    decision.validate_against(model)
-    rows = np.arange(decision.num_devices)
-    latencies = latency_table(slot, model)[rows, decision.servers, decision.algorithms]
-    return _total_utility(latencies, decision, slot, model)
-
-
-def _total_utility(
-    latencies: np.ndarray, decision: Decision, slot: SlotInput, model: SystemModel
-) -> float:
-    """objective() from the decision's per-device latencies."""
-    q = slot.quality[np.arange(decision.num_devices), decision.algorithms]
-    vals = _utility_from_latency(latencies, q, model)
-    if np.isneginf(vals).any():
-        return -math.inf
-    return float(np.sum(vals))
-
-
-def _penalty_term(coefficient: float, amount: float) -> float:
-    # guards 0 * inf, which would otherwise poison the fitness with NaN
-    if coefficient == 0.0 or amount == 0.0:
-        return 0.0
-    return coefficient * amount
-
-
-def penalized_fitness(
-    decision: Decision, slot: SlotInput, model: SystemModel, ga: GaConfig
-) -> tuple[float, float, bool]:
-    """(fitness, raw utility, feasible) with normalised additive penalties.
-
-    Overloads are scaled by pool capacity and deadline excess by the deadline,
-    so one penalty unit means "violated by 100% of the budget" for both.
-    """
-    report = check_feasibility(decision, slot, model)
-    raw = _total_utility(report.latencies, decision, slot, model)
-    caps = np.maximum(model.capacity_matrix, CAPACITY_EPS)
-    cap_amount = float(np.sum(report.overloads / caps))
-    lat_amount = float(
-        np.sum(report.latency_excess / model.constants.max_latency_s)
-    )
-    fitness = (
-        raw
-        - _penalty_term(ga.penalty_capacity, cap_amount)
-        - _penalty_term(ga.penalty_latency, lat_amount)
-    )
-    return fitness, raw, report.feasible
+    return check_feasibility(decision, slot, model).total_utility
 
 
 def _selection_weights(fitnesses: Sequence[float]) -> list[float] | None:
@@ -303,10 +260,8 @@ def evolve(
 
     best_idx = max(range(size), key=fits.__getitem__)
     decision = model.decode(pop[:, best_idx])
-    # keep the table-path fitness: the scalar re-evaluation can differ in the
-    # last ulp on penalized individuals, which would break final == history[-1]
-    _, raw, feasible = penalized_fitness(decision, slot, model, ga)
-    return Individual(decision, fits[best_idx], raw, feasible), history
+    report = check_feasibility(decision, slot, model)
+    return Individual(decision, fits[best_idx], report.total_utility, report.feasible), history
 
 
 def brute_force(
@@ -396,9 +351,8 @@ def brute_force(
 
     if best_codes is None:
         return OracleResult(None, None, total, feasible_count)
-    decision = model.decode(best_codes)
-    # canonical re-evaluation so the stored optimum matches objective() exactly
-    return OracleResult(decision, objective(decision, slot, model), total, feasible_count)
+    # best_val sums device by device from 0.0, so it is objective() exactly
+    return OracleResult(model.decode(best_codes), best_val, total, feasible_count)
 
 
 def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:

@@ -22,7 +22,7 @@ from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
 # this module's attribute, so the name stays bound
-from .sysmodel import Decision, SlotInput, SystemModel, check_feasibility, device_latency, device_utility
+from .sysmodel import Decision, SlotInput, SystemModel, check_feasibility, device_latency
 
 SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
 
@@ -231,29 +231,22 @@ def run_slot(
 
     # a rejected device is not served: no quality, infinite latency, -inf utility
     report = check_feasibility(decision, slot, model)
-    qualities = [
-        0.0 if m in rejected else float(quality[m, k])
-        for m, k in enumerate(decision.algorithms)
-    ]
-    latencies = [
-        math.inf if m in rejected else lat
-        for m, lat in enumerate(report.latencies.tolist())
-    ]
-    weight = model.constants.latency_weight
-    utilities = [device_utility(q, lat, weight) for q, lat in zip(qualities, latencies)]
-    total = sum(utilities)
-    feasible = report.feasible and not rejected
+    served = np.ones(model.num_devices, dtype=bool)
+    served[list(rejected)] = False
+    qualities = np.where(served, quality[np.arange(len(served)), decision.algorithms], 0.0)
+    latencies = np.where(served, report.latencies, math.inf)
+    utilities = np.where(served, report.utilities, -math.inf)
 
     commit_windows(trace, slot_data, state, decision, rejected, filtered)
     return SlotMetrics(
         slot=t,
         decision=decision,
         rejected=rejected,
-        qualities=tuple(qualities),
-        latencies=tuple(latencies),
-        utilities=tuple(utilities),
-        total_utility=total,
-        feasible=feasible,
+        qualities=tuple(qualities.tolist()),
+        latencies=tuple(latencies.tolist()),
+        utilities=tuple(utilities.tolist()),
+        total_utility=-math.inf if rejected else report.total_utility,
+        feasible=report.feasible and not rejected,
         scheduler_seconds=elapsed,
     )
 
@@ -350,6 +343,8 @@ class SynthSpec:
                 raise ValidationError(f"{name} range must satisfy 0 <= lo <= hi")
         if not 0.0 <= self.accuracy_floor <= 1.0:
             raise ValidationError("accuracy floor must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValidationError(f"generator seed must be non-negative, got {self.seed}")
 
 
 def _upsample(coarse: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A slot decision assigns every device exactly one (server, algorithm) pair;
 algorithm 0 ships the raw chunk. Latency is transmission plus enhancement plus
-a fixed scheduling overhead, utility trades assessed quality against latency,
-and feasibility checks per-server capacity pools and the per-device deadline.
+a fixed scheduling overhead, and utility trades assessed quality against
+latency. check_feasibility scores every decision once: per-server capacity
+pools, the per-device deadline, and the utility summed device by device.
 """
 
 from __future__ import annotations
@@ -270,18 +271,6 @@ class Decision:
     def genes(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.servers, self.algorithms))
 
-    def server_one_hot(self, num_servers: int) -> np.ndarray:
-        """(M, N) 0/1 matrix with one 1 per row."""
-        out = np.zeros((self.num_devices, num_servers), dtype=np.int64)
-        out[np.arange(self.num_devices), list(self.servers)] = 1
-        return out
-
-    def algorithm_one_hot(self, num_algorithms: int) -> np.ndarray:
-        """(M, K+1) 0/1 matrix with one 1 per row, column 0 = no enhancement."""
-        out = np.zeros((self.num_devices, num_algorithms + 1), dtype=np.int64)
-        out[np.arange(self.num_devices), list(self.algorithms)] = 1
-        return out
-
     def validate_against(self, model: SystemModel) -> None:
         if self.num_devices != model.num_devices:
             raise ValidationError(
@@ -373,18 +362,18 @@ def server_loads(decision: Decision, model: SystemModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the capacity and deadline checks for one decision."""
+    """One decision scored: capacity and deadline verdicts plus its utility."""
 
     feasible: bool
     capacity_ok: bool
     latency_ok: bool
-    overloads: np.ndarray        # (N, 2) max(0, load - capacity)
-    latency_excess: np.ndarray   # (M,) max(0, latency - deadline)
     loads: np.ndarray            # (N, 2) raw reserved service
     latencies: np.ndarray        # (M,) per-device latency
+    utilities: np.ndarray        # (M,) per-device utility, -inf if unreachable
+    total_utility: float         # utilities added device after device
 
     def __post_init__(self):
-        for name in ("overloads", "latency_excess", "loads", "latencies"):
+        for name in ("loads", "latencies", "utilities"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -393,23 +382,28 @@ class FeasibilityReport:
 def check_feasibility(
     decision: Decision, slot: SlotInput, model: SystemModel
 ) -> FeasibilityReport:
-    """Exact capacity-pool and deadline verdicts, no tolerance applied."""
+    """The one scorer of a decision: exact capacity-pool and deadline
+    verdicts, no tolerance applied, and its per-device and total utility."""
     loads = server_loads(decision, model)  # validates the decision
-    caps = model.capacity_matrix
-    overloads = np.maximum(loads - caps, 0.0)
     rows = np.arange(decision.num_devices)
     latencies = latency_table(slot, model)[rows, decision.servers, decision.algorithms]
-    excess = np.maximum(latencies - model.constants.max_latency_s, 0.0)
-    capacity_ok = bool((loads <= caps).all())
+    utilities = _utility_from_latency(
+        latencies, slot.quality[rows, decision.algorithms], model
+    )
+    # strictly device after device from 0.0, as the GA scorer and the oracle add
+    total = 0.0
+    for u in utilities.tolist():
+        total += u
+    capacity_ok = bool((loads <= model.capacity_matrix).all())
     latency_ok = bool((latencies <= model.constants.max_latency_s).all())
     return FeasibilityReport(
         feasible=capacity_ok and latency_ok,
         capacity_ok=capacity_ok,
         latency_ok=latency_ok,
-        overloads=overloads,
-        latency_excess=excess,
         loads=loads,
         latencies=latencies,
+        utilities=utilities,
+        total_utility=total,
     )
 
 

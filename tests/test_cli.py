@@ -380,6 +380,25 @@ def test_cli_schedule_prints_the_simulate_slot_record(tmp_path, capsys, case):
         assert records["capacity"]["rejected"] == [2]
 
 
+@pytest.mark.parametrize("args", [
+    ["gen-trace", "--seed", "-1"],
+    ["oracle", "--oracle-limit", "0"],
+    ["schedule", "--scheduler", "oracle", "--oracle-limit", "-5"],
+], ids=["negative-seed", "oracle-limit-0", "schedule-oracle-limit-negative"])
+def test_cli_bad_override_is_one_error_line(tmp_path, capsys, args):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    target = ["--out", str(tmp_path / "again")]
+    if args[0] != "gen-trace":
+        target = ["--trace", str(tmp_path / "t" / "trace.json")]
+    code = run_cli(args + ["--config", str(cfg)] + target)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ("seed" if "--seed" in args else "--oracle-limit") in err
+
+
 class Overwrite(NamedTuple):
     """A mutation that replaces one file of the trace directory with raw bytes."""
 

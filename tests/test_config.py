@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from camsched import cli
 from camsched.config import emit_config, parse_config
-from camsched.errors import ConfigError
+from camsched.errors import ConfigError, ValidationError
+from camsched.sim import SynthSpec
 
 
 def show_config(tmp_path, capsys, doc):
@@ -106,7 +107,7 @@ ONE_ALGORITHM = [{"kind": "gpu", "demand_per_bit": 1e-7, "service_rate": 4.0}]
 # bounds or None for a key without bounds)
 SCALAR_KEYS = {
     "devices": ((), 2.5, 0),
-    "seed": ((), "7", None),
+    "seed": ((), "7", -1),
     "scheduler": ((), 3, "bogus"),
     "oracle_limit": ((), 1.0, 0),
     "latency_weight": ((), "0.5", -0.1),
@@ -140,7 +141,7 @@ SCALAR_KEYS = {
     "synth.accuracy_floor": (("synth",), "x", 1.5),
     "synth.accuracy_gain": (("synth",), False, None),
     "synth.accuracy_noise": (("synth",), [0.1], -0.1),
-    "synth.seed": (("synth",), 2.0, None),
+    "synth.seed": (("synth",), 2.0, -1),
 }
 
 
@@ -186,6 +187,16 @@ def test_every_scalar_key_is_in_the_matrix():
                 assert set(entry) <= listed
         else:
             assert key in listed
+
+
+def test_negative_generator_seed_is_one_error_line(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="seed"):
+        SynthSpec(seed=-1)
+    # only the generator needs the bound: the GA takes any integer seed
+    assert parse_config('{"seed": -1, "synth": {"seed": 0}}').ga.rng_seed == -1
+    code, out, err = show_config(tmp_path, capsys, {"seed": -1})
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ------------------------------------------------------------------ fuzz

@@ -1,5 +1,6 @@
 """Scheduler tests: objective, the GA operator, brute-force oracle, baselines."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -16,9 +17,9 @@ from camsched.sched import (
     baseline_no_enhancement,
     brute_force,
     evolve,
+    _population_fitness,
     next_generation,
     objective,
-    penalized_fitness,
 )
 from camsched.sysmodel import (
     Decision,
@@ -113,12 +114,22 @@ def test_objective_matches_reference_fuzz():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-# ---------------------------------------------------------- penalized fitness
+# ------------------------------------------------------------ packed fitness
+
+def packed_fitness(decision, slot, model, ga):
+    """The scorer evolve runs, on a one-column population of code n*(K+1)+k,
+    with the decision's (raw utility, feasible) from check_feasibility."""
+    ka = model.num_algorithms + 1
+    codes = np.array([[n * ka + k] for n, k in decision.genes()])
+    score = _population_fitness(slot, model, dataclasses.replace(ga, population_size=1))
+    report = check_feasibility(decision, slot, model)
+    return float(score(codes)[0]), report.total_utility, report.feasible
+
 
 def test_fitness_equals_objective_when_feasible():
     model = free_enhancer_model()
     slot = slot_for(model, [20e6], 20e6, [[0.0, 1.0]])
-    fitness, raw, feasible = penalized_fitness(
+    fitness, raw, feasible = packed_fitness(
         Decision((0,), (1,)), slot, model, GaConfig()
     )
     assert feasible
@@ -129,7 +140,7 @@ def test_fitness_latency_penalty_example():
     # excess 0.4 s against a 4 s deadline at weight 100 -> raw minus 10
     model = free_enhancer_model()
     slot = slot_for(model, [4.4e6], 1e6, [[0.0, 1.0]])
-    fitness, raw, feasible = penalized_fitness(
+    fitness, raw, feasible = packed_fitness(
         Decision((0,), (0,)), slot, model, GaConfig()
     )
     assert not feasible
@@ -143,7 +154,7 @@ def test_fitness_capacity_penalty_example():
     profiles = (EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([5.0])),)
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     slot = slot_for(model, [0.0, 0.0], 20e6, [[0.0, 1.0], [0.0, 1.0]])
-    fitness, raw, feasible = penalized_fitness(
+    fitness, raw, feasible = packed_fitness(
         Decision((0, 0), (1, 1)), slot, model, GaConfig()
     )
     assert not feasible
@@ -158,7 +169,7 @@ def test_fitness_below_objective_when_infeasible():
         model = make_model(rng, 3, 2, 2)
         slot = make_slot(rng, model)
         decision = random_decision(random.Random(int(rng.integers(1 << 30))), model)
-        fitness, raw, feasible = penalized_fitness(decision, slot, model, ga)
+        fitness, raw, feasible = packed_fitness(decision, slot, model, ga)
         if feasible:
             assert fitness == raw
         elif math.isfinite(raw):
@@ -173,8 +184,8 @@ def test_fitness_is_pure():
     model, slot = small_instance(3)
     ga = GaConfig()
     decision = Decision((0, 1, 0, 1), (1, 0, 2, 1))
-    first = penalized_fitness(decision, slot, model, ga)
-    second = penalized_fitness(decision, slot, model, ga)
+    first = packed_fitness(decision, slot, model, ga)
+    second = packed_fitness(decision, slot, model, ga)
     assert first == second
 
 

@@ -1,14 +1,16 @@
 """Simulation loop and synthetic trace generator tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from camsched import camq, sim
+from camsched.config import build_model, build_quality_state, parse_config
 from camsched.errors import TraceError, ValidationError
 from camsched.camq import QualityState, cam_difference, filter_cam, filtered_difference
-from camsched.sched import GaConfig, brute_force
+from camsched.sched import GaConfig, brute_force, evolve, objective
 from camsched.sim import (
     SCHEDULER_CHOICES,
     SlotData,
@@ -133,6 +135,33 @@ def test_unknown_scheduler_rejected():
     trace = quality_trace(model, 1)
     with pytest.raises(ValidationError):
         run_slot(0, trace, QualityState(2, 1), model, scheduler="annealing")
+
+
+@pytest.mark.parametrize("seed", [3, 7777])
+@pytest.mark.parametrize("devices", [10, 300], ids=["cam-m10", "quality-m300"])
+def test_every_total_is_the_one_report_sum_at_scale(devices, seed):
+    # from M = 8 up a pairwise sum and a device-by-device sum part ways, so
+    # every total a run reports must be check_feasibility's, bit for bit
+    config = parse_config(json.dumps({"devices": devices, "seed": seed}))
+    model = build_model(config)
+    trace = (generate_synthetic(config.synth) if devices == 10
+             else quality_trace(model, num_slots=5, seed=seed))
+    for scheduler in ("ga", "capacity", "none"):
+        state = build_quality_state(config)
+        for t, data in enumerate(trace.slots):
+            quality, _ = sim.assess_quality(trace, data, state, config.cam_threshold)
+            slot = SlotInput(data.datasize_bits, data.bandwidth_bps, quality)
+            metrics = run_slot(t, trace, state, model, scheduler, config.ga,
+                               config.cam_threshold)
+            if not metrics.rejected:
+                want = objective(metrics.decision, slot, model)
+                assert metrics.total_utility.hex() == want.hex()
+            if scheduler == "ga":
+                best, _ = evolve(slot, model, config.ga)
+                assert best.decision == metrics.decision
+                assert best.raw_utility.hex() == objective(best.decision, slot, model).hex()
+                if best.feasible:
+                    assert best.fitness.hex() == best.raw_utility.hex()
 
 
 # ----------------------------------------------------------------------- run
