@@ -20,26 +20,11 @@ import json
 import sys
 
 from . import fileio, sched, sim
-from .config import (
-    RunConfig,
-    build_model,
-    build_quality_state,
-    emit_config,
-    parse_config,
-    parse_config_file,
-)
+from .config import RunConfig, build_model, build_quality_state, emit_config, parse_config_file
 from .errors import CamSchedError
-from .fileio import emit_metrics, load_cam
+from .fileio import emit_metrics
 from .sim import generate_synthetic
-from .sysmodel import SlotInput
-
-__all__ = [
-    "main",
-    "parse_config",
-    "emit_config",
-    "load_cam",
-    "emit_metrics",
-]
+from .sysmodel import SlotInput, check_dims
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -111,6 +96,15 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+def _load_trace(path: str, config: RunConfig):
+    """(trace, model): the trace at `path` and the model of `config`, checked
+    to agree before any command replays the trace."""
+    trace = fileio.load_trace(path)
+    model = build_model(config)
+    check_dims(trace, model)
+    return trace, model
+
+
 def _replay_to(trace: sim.Trace, config: RunConfig, index: int):
     """(state, rest of the replay) once the slots before `index` are replayed.
 
@@ -128,7 +122,7 @@ def _replay_to(trace: sim.Trace, config: RunConfig, index: int):
 
 def _write_records(records, out: str | None) -> None:
     """Compact JSON lines to `out`, or to stdout when no path is given."""
-    text = "\n".join(json.dumps(r, separators=(",", ":")) for r in records) + "\n"
+    text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -144,8 +138,7 @@ def _cmd_simulate(args) -> int:
     out_path = args.out or config.metrics_path
     if out_path is None:
         raise CamSchedError("simulate needs --out or a config metrics_path")
-    trace = fileio.load_trace(trace_path)
-    model = build_model(config)
+    trace, model = _load_trace(trace_path, config)
     state = build_quality_state(config)
     metrics, summary = sim.run(
         trace,
@@ -170,8 +163,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_schedule(args) -> int:
     config = _load_config(args)
-    trace = fileio.load_trace(args.trace)
-    model = build_model(config)
+    trace, model = _load_trace(args.trace, config)
     state, _ = _replay_to(trace, config, args.slot)
     metrics = sim.run_slot(
         args.slot, trace, state, model, config.scheduler, config.ga,
@@ -184,8 +176,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
-    trace = fileio.load_trace(args.trace)
-    model = build_model(config)
+    trace, model = _load_trace(args.trace, config)
     _, stream = _replay_to(trace, config, args.slot)
     data = trace.slots[args.slot]
     slot = SlotInput(data.datasize_bits, data.bandwidth_bps, next(stream))
@@ -214,7 +205,7 @@ def _cmd_gen_trace(args) -> int:
 
 def _cmd_assess(args) -> int:
     config = _load_config(args)
-    trace = fileio.load_trace(args.trace)
+    trace, _ = _load_trace(args.trace, config)
     replay = sim.replay(trace, build_quality_state(config), config.cam_threshold)
     _write_records(
         (

@@ -78,17 +78,15 @@ def _slot_to_manifest(slot: SlotData, t: int) -> dict:
     if slot.quality is not None:
         entry["quality"] = [[round9(v) for v in row] for row in slot.quality.tolist()]
     else:
-        low_refs = []
-        enh_refs = []
-        for m in range(len(slot.lowlight)):
-            low_refs.append(f"cams/slot{t:04d}_dev{m:02d}_low.cam")
-            enh_refs.append(
-                [
-                    f"cams/slot{t:04d}_dev{m:02d}_alg{k + 1}.cam"
-                    for k in range(len(slot.enhanced[m]))
-                ]
-            )
-        entry["cams"] = {"lowlight": low_refs, "enhanced": enh_refs}
+        # the one place CAM file names are made; save_trace writes to them
+        prefix = f"cams/slot{t:04d}_dev"
+        entry["cams"] = {
+            "lowlight": [f"{prefix}{m:02d}_low.cam" for m in range(len(slot.lowlight))],
+            "enhanced": [
+                [f"{prefix}{m:02d}_alg{k}.cam" for k in range(1, len(per_alg) + 1)]
+                for m, per_alg in enumerate(slot.enhanced)
+            ],
+        }
     if slot.accuracy is not None:
         entry["accuracy"] = [
             [round9(v) for v in row] for row in slot.accuracy.tolist()
@@ -111,19 +109,15 @@ def save_trace(trace: Trace, out_dir: str) -> str:
         "algorithms": trace.num_algorithms,
         "slots": [_slot_to_manifest(slot, t) for t, slot in enumerate(trace.slots)],
     }
-    for t, slot in enumerate(trace.slots):
+    # each CAM goes to the file its manifest entry names
+    for slot, entry in zip(trace.slots, manifest["slots"]):
         if slot.lowlight is None:
             continue
-        for m in range(trace.num_devices):
-            save_cam(
-                slot.lowlight[m],
-                os.path.join(out_dir, f"cams/slot{t:04d}_dev{m:02d}_low.cam"),
-            )
-            for k, cam in enumerate(slot.enhanced[m]):
-                save_cam(
-                    cam,
-                    os.path.join(out_dir, f"cams/slot{t:04d}_dev{m:02d}_alg{k + 1}.cam"),
-                )
+        names = entry["cams"]
+        for m, low in enumerate(slot.lowlight):
+            save_cam(low, os.path.join(out_dir, names["lowlight"][m]))
+            for cam, name in zip(slot.enhanced[m], names["enhanced"][m]):
+                save_cam(cam, os.path.join(out_dir, name))
     path = os.path.join(out_dir, "trace.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=1)
@@ -137,25 +131,49 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
-def _floats(doc, key: str, where: str) -> np.ndarray:
-    try:
-        return np.asarray(_field(doc, key, where), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{where} key {key!r} is not a numeric array") from exc
-
-
 def _load_cams(base: str, value, where: str) -> tuple[CamMap, ...]:
     """The CAM files a manifest list names; a malformed file is a TraceError."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TraceError(f"{where} must be a list of CAM file names")
     try:
         return tuple(load_cam(os.path.join(base, ref)) for ref in value)
-    except ValidationError as exc:
+    except ValueError as exc:  # a malformed file, or a NUL byte in its name
         raise TraceError(f"{where}: {exc}") from exc
 
 
+def _slot_data(base: str, entry) -> SlotData:
+    """One manifest slot entry as it is laid out; SlotData checks its values."""
+    datasize = _field(entry, "datasize_bits", "entry")
+    for key in ("quality", "accuracy"):
+        # present but null is not the same as absent
+        if key in entry and entry[key] is None:
+            raise TraceError(f"entry key {key!r} is null")
+    lowlight = enhanced = None
+    if "cams" in entry:
+        refs = entry["cams"]
+        lowlight = _load_cams(base, _field(refs, "lowlight", "cams"), "cams lowlight")
+        per_device = _field(refs, "enhanced", "cams")
+        if not isinstance(per_device, list):
+            raise TraceError("cams enhanced must be a list per device")
+        enhanced = tuple(
+            _load_cams(base, names, f"cams enhanced[{m}]") for m, names in enumerate(per_device)
+        )
+    return SlotData(
+        datasize_bits=datasize,
+        bandwidth_bps=_field(entry, "bandwidth_bps", "entry"),
+        quality=entry.get("quality"),
+        lowlight=lowlight,
+        enhanced=enhanced,
+        accuracy=entry.get("accuracy"),
+    )
+
+
 def load_trace(path: str) -> Trace:
-    """Read a trace manifest; CAM references resolve relative to the manifest."""
+    """Read a trace manifest; CAM references resolve relative to the manifest.
+
+    Only the layout is read here. SlotData and Trace check every value, and
+    their errors come back naming the manifest and the slot.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
@@ -163,58 +181,22 @@ def load_trace(path: str) -> Trace:
             raise TraceError(f"{path}: manifest is not ASCII text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise TraceError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TraceError(f"{path}: manifest must be a JSON object")
     top = f"{path}: manifest"
     sizes = [_field(doc, key, top) for key in ("devices", "servers", "algorithms")]
-    try:
-        m, n, k = (int(v) for v in sizes)
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{path}: devices, servers and algorithms must be integers") from exc
-    base = os.path.dirname(os.path.abspath(path))
     entries = _field(doc, "slots", top)
     if not isinstance(entries, list):
         raise TraceError(f"{path}: slots must be a list")
+    base = os.path.dirname(os.path.abspath(path))
     slots = []
     for t, entry in enumerate(entries):
-        where = f"{path}: slot {t}"
-        if not isinstance(entry, dict):
-            raise TraceError(f"{where} must be an object")
-        if "quality" in entry and "cams" in entry:
-            raise TraceError(f"{where} carries both quality and CAMs")
-        quality = None
-        lowlight = None
-        enhanced = None
-        if "quality" in entry:
-            quality = _floats(entry, "quality", where)
-        elif "cams" in entry:
-            refs = entry["cams"]
-            lowlight = _load_cams(
-                base, _field(refs, "lowlight", f"{where} cams"), f"{where} cams lowlight"
-            )
-            per_device = _field(refs, "enhanced", f"{where} cams")
-            if not isinstance(per_device, list):
-                raise TraceError(f"{where} cams enhanced must be a list per device")
-            enhanced = tuple(
-                _load_cams(base, names, f"{where} cams enhanced[{m}]")
-                for m, names in enumerate(per_device)
-            )
-        else:
-            raise TraceError(f"{where} carries neither quality nor CAMs")
-        accuracy = None
-        if "accuracy" in entry:
-            accuracy = _floats(entry, "accuracy", where)
-        slots.append(
-            SlotData(
-                datasize_bits=_floats(entry, "datasize_bits", where),
-                bandwidth_bps=_floats(entry, "bandwidth_bps", where),
-                quality=quality,
-                lowlight=lowlight,
-                enhanced=enhanced,
-                accuracy=accuracy,
-            )
-        )
-    return Trace(m, n, k, tuple(slots))
+        try:
+            slots.append(_slot_data(base, entry))
+        except TraceError as exc:
+            raise TraceError(f"{path}: slot {t}: {exc}") from exc
+    try:
+        return Trace(*sizes, tuple(slots))
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
 
 
 def metrics_record(metrics: SlotMetrics) -> dict:

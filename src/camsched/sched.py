@@ -26,8 +26,8 @@ from .sysmodel import (
     Decision,
     SlotInput,
     SystemModel,
-    _check_slot_dims,
     _utility_from_latency,
+    check_dims,
     check_feasibility,
     latency_table,
 )
@@ -278,7 +278,7 @@ def brute_force(
     smallest gene vector, which is simply the first optimum in enumeration
     order.
     """
-    _check_slot_dims(slot, model)
+    check_dims(slot, model)
     if limit < 1:
         raise ValidationError("enumeration limit must be positive")
     m_devices = model.num_devices
@@ -363,7 +363,7 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
     it. A device whose request fits nowhere is rejected outright rather than
     downgraded, and a rejected device is not served at all this slot.
     """
-    _check_slot_dims(slot, model)
+    check_dims(slot, model)
     residual = model.capacity_matrix.copy()
     service = model.service_matrix
     pools = model.pool_index
@@ -400,7 +400,7 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
 
 def baseline_no_enhancement(slot: SlotInput, model: SystemModel) -> Decision:
     """Every device ships raw to its fastest uplink (ties to the smaller index)."""
-    _check_slot_dims(slot, model)
+    check_dims(slot, model)
     servers = tuple(
         int(np.argmax(slot.bandwidth_bps[m])) for m in range(model.num_devices)
     )

@@ -22,7 +22,8 @@ from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
 # this module's attribute, so the name stays bound
-from .sysmodel import Decision, SlotInput, SystemModel, check_feasibility, device_latency
+from .sysmodel import (Decision, SlotInput, SystemModel, check_dims, check_feasibility,
+                       check_slot_values, device_latency)
 
 SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
 
@@ -50,13 +51,25 @@ class SlotData:
         if has_cams and (self.lowlight is None or self.enhanced is None):
             raise TraceError("CAM payload needs both low-light and enhanced maps")
         for name in ("datasize_bits", "bandwidth_bps", "quality", "accuracy"):
-            arr = getattr(self, name)
-            if arr is not None:
-                object.__setattr__(self, name, np.asarray(arr, dtype=np.float64))
+            value = getattr(self, name)
+            if value is None and name in ("quality", "accuracy"):
+                continue  # absent; a missing datasize or bandwidth is not numeric
+            try:
+                arr = np.asarray(value)
+                numeric = arr.dtype.kind in "iuf"
+            except (TypeError, ValueError):  # ragged nesting
+                numeric = False
+            # strings and bools are not numbers, as in a config document
+            if not numeric:
+                raise TraceError(f"{name} is not a numeric array")
+            object.__setattr__(self, name, arr.astype(np.float64, copy=False))
 
 
 @dataclass(frozen=True)
 class Trace:
+    """Every slot of a run, checked once: integer sizes, each slot's shapes and
+    accuracy range, then check_slot_values over all slots stacked together."""
+
     num_devices: int
     num_servers: int
     num_algorithms: int
@@ -64,7 +77,9 @@ class Trace:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
-        m, n, k = self.num_devices, self.num_servers, self.num_algorithms
+        m, n, k = sizes = self.num_devices, self.num_servers, self.num_algorithms
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in sizes):
+            raise TraceError(f"device, server and algorithm counts must be integers: {sizes}")
         if m < 1 or n < 1 or k < 0:
             raise TraceError("trace needs at least one device and one server")
         shapes: dict[int, tuple[int, ...]] = {}  # each device's CAM shape
@@ -95,6 +110,21 @@ class Trace:
                 # phrased so that NaN fails the range check as well
                 if not ((slot.accuracy >= 0) & (slot.accuracy <= 1)).all():
                     raise TraceError(f"slot {t}: accuracy outside [0, 1]")
+        # one pass over every slot stacked; the slot-by-slot pass only names
+        # the slot that broke the rule
+        quality = [slot.quality for slot in self.slots if slot.quality is not None]
+        try:
+            check_slot_values(
+                np.array([slot.datasize_bits for slot in self.slots]),
+                np.array([slot.bandwidth_bps for slot in self.slots]),
+                np.array(quality) if quality else None,
+            )
+        except ValidationError:
+            for t, slot in enumerate(self.slots):
+                try:
+                    check_slot_values(slot.datasize_bits, slot.bandwidth_bps, slot.quality)
+                except ValidationError as exc:
+                    raise TraceError(f"slot {t}: {exc}") from exc
 
     @property
     def horizon(self) -> int:
@@ -282,12 +312,7 @@ def run(
     oracle_limit: int = sched.DEFAULT_ORACLE_LIMIT,
 ) -> tuple[list[SlotMetrics], RunSummary]:
     """Run the whole trace through one scheduler with a fresh or given state."""
-    if trace.num_devices != model.num_devices:
-        raise ValidationError("trace and model disagree on device count")
-    if trace.num_servers != model.num_servers:
-        raise ValidationError("trace and model disagree on server count")
-    if trace.num_algorithms != model.num_algorithms:
-        raise ValidationError("trace and model disagree on algorithm count")
+    check_dims(trace, model)
     if state is None:
         state = QualityState(trace.num_devices, trace.num_algorithms)
     metrics = [

@@ -219,14 +219,7 @@ class SlotInput:
             raise ValidationError("bandwidth must be (devices, servers)")
         if q.ndim != 2 or q.shape[0] != m or q.shape[1] < 1:
             raise ValidationError("quality must be (devices, algorithms + 1)")
-        if not np.isfinite(d).all() or (d < 0).any():
-            raise ValidationError("datasizes must be finite and non-negative")
-        if not np.isfinite(b).all() or (b < 0).any():
-            raise ValidationError("bandwidths must be finite and non-negative")
-        if not np.isfinite(q).all():
-            raise ValidationError("quality scores must be finite")
-        if (q[:, 0] != 0.0).any():
-            raise ValidationError("quality of the no-enhancement choice must be 0")
+        check_slot_values(d, b, q)
         for name, arr in (("datasize_bits", d), ("bandwidth_bps", b), ("quality", q)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -243,6 +236,36 @@ class SlotInput:
     @property
     def num_algorithms(self) -> int:
         return self.quality.shape[1] - 1
+
+
+def check_slot_values(
+    datasize_bits: np.ndarray, bandwidth_bps: np.ndarray, quality: np.ndarray | None
+) -> None:
+    """The one value rule of slot input, over any leading slot axes.
+
+    Datasizes and bandwidths are finite and non-negative; quality, when given,
+    is finite and its no-enhancement column is all zero.
+    """
+    for name, arr in (("datasizes", datasize_bits), ("bandwidths", bandwidth_bps)):
+        # phrased so that NaN fails as well
+        if not ((arr >= 0.0) & (arr < math.inf)).all():
+            raise ValidationError(f"{name} must be finite and non-negative")
+    if quality is not None:
+        if not np.isfinite(quality).all():
+            raise ValidationError("quality scores must be finite")
+        if (quality[..., 0] != 0.0).any():
+            raise ValidationError("quality of the no-enhancement choice must be 0")
+
+
+def check_dims(item, model: SystemModel) -> None:
+    """Raise unless a slot or a trace has the model's device, server and
+    algorithm counts."""
+    for what in ("device", "server", "algorithm"):
+        have, want = getattr(item, f"num_{what}s"), getattr(model, f"num_{what}s")
+        if have != want:
+            raise ValidationError(
+                f"{type(item).__name__} and model disagree on {what} count: {have} vs {want}"
+            )
 
 
 @dataclass(frozen=True)
@@ -413,7 +436,7 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     Shared precomputation for the schedulers: entry [m, n, k] is what
     device_latency would return for that gene.
     """
-    _check_slot_dims(slot, model)
+    check_dims(slot, model)
     d = slot.datasize_bits
     b = slot.bandwidth_bps
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,19 +465,3 @@ def _utility_from_latency(
     a whole latency_table, or the entries one decision picks from it."""
     weight = model.constants.latency_weight
     return np.where(np.isinf(lat), -np.inf, quality - weight * lat)
-
-
-def _check_slot_dims(slot: SlotInput, model: SystemModel) -> None:
-    if slot.num_devices != model.num_devices:
-        raise ValidationError(
-            f"slot covers {slot.num_devices} devices, model has {model.num_devices}"
-        )
-    if slot.num_servers != model.num_servers:
-        raise ValidationError(
-            f"slot covers {slot.num_servers} servers, model has {model.num_servers}"
-        )
-    if slot.num_algorithms != model.num_algorithms:
-        raise ValidationError(
-            f"slot covers {slot.num_algorithms} algorithms, model has "
-            f"{model.num_algorithms}"
-        )

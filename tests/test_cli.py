@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from camsched import cli
 from camsched.camq import CamMap
@@ -26,7 +28,8 @@ from camsched.fileio import (
     save_cam,
     save_trace,
 )
-from camsched.sim import SCHEDULER_CHOICES, SynthSpec, generate_synthetic, run
+from camsched.sim import SCHEDULER_CHOICES, SlotData, SynthSpec, Trace, generate_synthetic, run
+from test_config import SUBSTITUTES, _paths, _set
 
 
 # -------------------------------------------------------------------- config
@@ -424,6 +427,27 @@ TRACE_MUTATIONS = {
         lambda doc: Overwrite("trace.json", json.dumps(doc).encode() + b"\xff"),
     "cam-leading-0xff":
         lambda doc: Overwrite(doc["slots"][0]["cams"]["lowlight"][0], b"\xff4 4\n" + b"0 " * 16),
+    "devices-infinite": lambda doc: doc.update(devices=math.inf),
+    "devices-fractional": lambda doc: doc.update(devices=2.5),
+    "devices-string": lambda doc: doc.update(devices="2"),
+    "nan-datasize-last-slot":
+        lambda doc: doc["slots"][-1]["datasize_bits"].__setitem__(1, math.nan),
+    "infinite-datasize-last-slot":
+        lambda doc: doc["slots"][-1]["datasize_bits"].__setitem__(1, math.inf),
+    "negative-datasize-last-slot":
+        lambda doc: doc["slots"][-1]["datasize_bits"].__setitem__(1, -1.0),
+    "nan-bandwidth-last-slot":
+        lambda doc: doc["slots"][-1]["bandwidth_bps"][1].__setitem__(0, math.nan),
+    "infinite-bandwidth-last-slot":
+        lambda doc: doc["slots"][-1]["bandwidth_bps"][1].__setitem__(0, math.inf),
+    "negative-bandwidth-last-slot":
+        lambda doc: doc["slots"][-1]["bandwidth_bps"][1].__setitem__(0, -1.0),
+    "string-datasize": lambda doc: doc["slots"][0].update(datasize_bits=["1e7", "1e7"]),
+    "bool-bandwidth": lambda doc: doc["slots"][0].update(bandwidth_bps=[[True], [False]]),
+    "null-accuracy": lambda doc: doc["slots"][0].update(accuracy=None),
+    "null-datasize": lambda doc: doc["slots"][0].update(datasize_bits=None),
+    "lowlight-ref-nul-byte":
+        lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, "a\x00b.cam"),
 }
 
 
@@ -445,6 +469,154 @@ def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def write_quality_trace(tmp_path) -> str:
+    """A two-slot quality-matrix trace that fits make_small_cfg."""
+    slot = SlotData(np.full(2, 1e7), np.full((2, 1), 2e7),
+                    quality=np.array([[0.0, 1.0], [0.0, 0.5]]))
+    return save_trace(Trace(2, 1, 1, (slot, slot)), str(tmp_path / "q"))
+
+
+QUALITY_MUTATIONS = {
+    "nan-quality-last-slot": lambda doc: doc["slots"][-1]["quality"][1].__setitem__(1, math.nan),
+    "quality-column-0-last-slot":
+        lambda doc: doc["slots"][-1]["quality"][1].__setitem__(0, 0.5),
+    "string-quality": lambda doc: doc["slots"][0].update(quality=[["0", "1"], ["0", "1"]]),
+    "null-quality": lambda doc: doc["slots"][0].update(quality=None),
+}
+
+# defects that got past load_trace while it checked no values, and the slot
+# their error names (None: a trace-wide count)
+NAMED_DEFECTS = {
+    "devices-infinite": None,
+    "devices-fractional": None,
+    "devices-string": None,
+    "nan-datasize-last-slot": 1,
+    "infinite-datasize-last-slot": 1,
+    "negative-datasize-last-slot": 1,
+    "nan-bandwidth-last-slot": 1,
+    "infinite-bandwidth-last-slot": 1,
+    "negative-bandwidth-last-slot": 1,
+    "string-datasize": 0,
+    "bool-bandwidth": 0,
+    "nan-quality-last-slot": 1,
+    "quality-column-0-last-slot": 1,
+    "string-quality": 0,
+    "null-quality": 0,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_DEFECTS))
+def test_bad_trace_value_names_manifest_and_slot(tmp_path, capsys, case):
+    cfg = make_small_cfg(tmp_path)
+    if case in QUALITY_MUTATIONS:
+        manifest, mutate = write_quality_trace(tmp_path), QUALITY_MUTATIONS[case]
+    else:
+        assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        manifest, mutate = str(tmp_path / "t" / "trace.json"), TRACE_MUTATIONS[case]
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(TraceError) as raised:
+        load_trace(manifest)
+    slot = NAMED_DEFECTS[case]
+    assert str(raised.value).startswith(
+        f"{manifest}: " + ("" if slot is None else f"slot {slot}: ")), raised.value
+    # every command reports the load_trace error as its one line
+    for command in ("assess", "simulate"):
+        capsys.readouterr()
+        code = run_cli([command, "--config", str(cfg), "--trace", manifest,
+                        "--out", str(tmp_path / "out.jsonl")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {raised.value}\n")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"devices": 1}, "device count: 2 vs 1"),
+    ({"devices": 3}, "device count: 2 vs 3"),
+    ({"algorithms": 2 * ONE_GPU_SERVER["algorithms"],
+      "synth": dict(ONE_GPU_SERVER["synth"], offsets=[0.25, 0.1])},
+     "algorithm count: 1 vs 2"),
+], ids=["fewer-devices", "more-devices", "other-algorithm-count"])
+@pytest.mark.parametrize("command", ["simulate", "assess", "schedule", "oracle"])
+def test_trace_and_config_dims_are_checked_by_every_command(tmp_path, capsys, change,
+                                                           message, command):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(json.loads(cfg.read_text()), **change)))
+    capsys.readouterr()
+    args = [command, "--config", str(other), "--trace", str(tmp_path / "t" / "trace.json")]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "m.jsonl")]
+    code = run_cli(args)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: Trace and model disagree on {message}\n"
+
+
+# fits make_small_cfg, like write_quality_trace
+SMALL_CAM_TRACE = generate_synthetic(SynthSpec(
+    num_devices=2, num_servers=1, num_algorithms=1, horizon=2, cam_rows=4, cam_cols=4,
+    offsets=(0.25,)))
+# values that break a trace, weighted in ahead of the general substitutes
+TRACE_SUBSTITUTES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 0.0, 2.5, "2", True, None]),
+    SUBSTITUTES,
+)
+CAM_BYTES = st.sampled_from(list(b"-.eE+ \n0179x,\xff"))
+
+
+# derandomized: the same examples every run, among them an infinite device count
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_trace_is_one_error_line_or_strict_json(tmp_path, capsys, data):
+    if data.draw(st.booleans()):
+        manifest = write_quality_trace(tmp_path)
+    else:
+        manifest = save_trace(SMALL_CAM_TRACE, str(tmp_path / "c"))
+        cams = sorted((tmp_path / "c" / "cams").iterdir())
+        for _ in range(data.draw(st.integers(0, 2))):
+            cam = data.draw(st.sampled_from(cams))
+            body = bytearray(cam.read_bytes())
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(CAM_BYTES)
+            cam.write_bytes(bytes(body))
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    paths = [p for p in _paths(doc) if p]
+    # half the draws go to the trace-wide counts, which the slots outnumber
+    pick = st.one_of(st.sampled_from([("devices",), ("servers",), ("algorithms",)]),
+                     st.sampled_from(paths))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(pick)
+        try:
+            if data.draw(st.booleans()):
+                _set(doc, path, data.draw(TRACE_SUBSTITUTES))
+            else:
+                node = doc
+                for part in path[:-1]:
+                    node = node[part]
+                del node[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced the parent
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    cfg, out = str(make_small_cfg(tmp_path)), str(tmp_path / "out.jsonl")
+    for args in (["assess"], ["simulate", "--scheduler", "none"]):
+        capsys.readouterr()
+        code = run_cli(args + ["--config", cfg, "--trace", manifest, "--out", out])
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        elif args[0] == "assess":
+            with open(out) as fh:
+                for line in fh:
+                    json.loads(line, parse_constant=pytest.fail)
+        else:
+            load_metrics(out)  # metrics may spell an unmeetable latency Infinity
 
 
 @pytest.mark.parametrize("command,between_slots", [
