@@ -93,8 +93,9 @@ class Key:
                     f"{what} must be one of {'|'.join(self.choices)}, got {val!r}"
                 )
         elif self.kind is str:
-            if val is not None and not isinstance(val, str):
-                raise ConfigError(f"{what} must be a string path")
+            # open() raises a bare ValueError on a NUL byte in a path
+            if val is not None and (not isinstance(val, str) or "\0" in val):
+                raise ConfigError(f"{what} must be a string path without NUL bytes")
         elif self.kind is list:
             val = _numbers(val, what, len(default))
         else:

@@ -1,16 +1,21 @@
 """On-disk formats: CAM matrices, trace manifests, metrics streams.
 
-Every writer is deterministic: fixed key order, floats rounded to 9
-significant digits, one JSON record per line for metrics. Infinite latencies
-and utilities are emitted as the JSON extensions Infinity / -Infinity, which
-the stdlib json module reads back unchanged.
+Every writer is deterministic. CAMs are written as `.npy` arrays, which keep
+every float64 bit; text CAM files are still read. Manifests and metrics have
+a fixed key order and floats rounded to 9 significant digits, with one JSON
+record per line for metrics. Infinite latencies and utilities are emitted as
+the JSON extensions Infinity / -Infinity, which the stdlib json module reads
+back unchanged.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import tokenize
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,14 +33,20 @@ def round9(x: float) -> float:
 
 
 def load_cam(path: str) -> CamMap:
-    """Read a CAM file: a "rows cols" header line, then rows*cols reals.
+    """Read a CAM file; its first bytes, not its name, give the format.
 
-    Whitespace layout after the header is free-form; only the total value
-    count is checked.
+    A file that starts with the `.npy` magic holds a non-empty 2-D int, uint
+    or float array, in either byte order and either memory order. Any other
+    file is text: a "rows cols" header line, then rows*cols reals, in any
+    whitespace layout after the header.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(np.lib.format.MAGIC_PREFIX):
+        return CamMap(_npy_array(raw, path))
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        # decoded as open(path, "r", encoding="ascii") would, newlines included
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii").read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: CAM file is not ASCII text: {exc}") from exc
     lines = text.split("\n", 1)
@@ -60,12 +71,48 @@ def load_cam(path: str) -> CamMap:
     return CamMap(np.array(values).reshape(rows, cols))
 
 
+def _npy_array(raw: bytes, path: str) -> np.ndarray:
+    """The array in a `.npy` CAM file's bytes, read with np.lib.format.
+
+    np.load is never called, so no pickle or .npz path is reachable.
+    """
+    fmt = np.lib.format
+    # a read from a BytesIO stops at its end, so a header that claims a
+    # 4 GiB length allocates nothing
+    buf = io.BytesIO(raw)
+    try:
+        version = fmt.read_magic(buf)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"format version {version[0]}.{version[1]} is not 1.0 or 2.0")
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy repairs a Python 2 header with a warning
+            shape, fortran_order, dtype = read_header(buf)
+    # besides ValueError, numpy's header parse lets TypeError (an unhashable
+    # key), SyntaxError and TokenError (from its tokenizer) through
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, UserWarning) as exc:
+        reason = str(exc).partition("\n")[0]
+        raise ValidationError(f"{path}: malformed .npy header: {reason}") from exc
+    if (len(shape) != 2 or not all(type(n) is int and n >= 1 for n in shape)
+            or dtype.kind not in "iuf"):
+        raise ValidationError(
+            f"{path}: .npy CAM must be a non-empty 2-D int, uint or float array, "
+            f"got {dtype.str!r} of shape {shape}"
+        )
+    offset, size = buf.tell(), shape[0] * shape[1] * dtype.itemsize
+    if len(raw) - offset != size:
+        raise ValidationError(
+            f"{path}: .npy CAM {shape} {dtype.str!r} needs {size} data bytes, "
+            f"found {len(raw) - offset}"
+        )
+    values = np.frombuffer(raw, dtype, offset=offset)
+    return values.reshape(shape, order="F" if fortran_order else "C")
+
+
 def save_cam(cam: CamMap, path: str) -> None:
-    rows, cols = cam.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(repr(v) for v in cam.values[r].tolist()) + "\n")
+    """Write a CAM as a `.npy` array; `path` is used as it is given."""
+    with open(path, "wb") as fh:  # np.save(path) would append .npy to the name
+        np.save(fh, cam.values)
 
 
 def _slot_to_manifest(slot: SlotData, t: int) -> dict:
@@ -81,9 +128,9 @@ def _slot_to_manifest(slot: SlotData, t: int) -> dict:
         # the one place CAM file names are made; save_trace writes to them
         prefix = f"cams/slot{t:04d}_dev"
         entry["cams"] = {
-            "lowlight": [f"{prefix}{m:02d}_low.cam" for m in range(len(slot.lowlight))],
+            "lowlight": [f"{prefix}{m:02d}_low.npy" for m in range(len(slot.lowlight))],
             "enhanced": [
-                [f"{prefix}{m:02d}_alg{k}.cam" for k in range(1, len(per_alg) + 1)]
+                [f"{prefix}{m:02d}_alg{k}.npy" for k in range(1, len(per_alg) + 1)]
                 for m, per_alg in enumerate(slot.enhanced)
             ],
         }
@@ -95,7 +142,7 @@ def _slot_to_manifest(slot: SlotData, t: int) -> dict:
 
 
 def save_trace(trace: Trace, out_dir: str) -> str:
-    """Write a trace directory: trace.json plus cams/*.cam for CAM slots.
+    """Write a trace directory: trace.json plus cams/*.npy for CAM slots.
 
     Returns the manifest path. Output is byte-deterministic for a given trace.
     """

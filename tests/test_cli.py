@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from typing import NamedTuple
 
 import numpy as np
@@ -170,6 +171,93 @@ def test_cam_file_bad_header(tmp_path):
         load_cam(str(tmp_path / "h.cam"))
 
 
+def npy_file(header: str, data: bytes = b"", version: bytes = b"\x01\x00") -> bytes:
+    """A .npy file with a literal header: a 2-byte length for 1.0, 4 for later."""
+    length = len(header).to_bytes(2 if version == b"\x01\x00" else 4, "little")
+    return b"\x93NUMPY" + version + length + header.encode("latin1") + data
+
+
+def npy_header(descr, shape) -> str:
+    return f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {shape!r}, }}"
+
+
+F8_2X2 = npy_header("<f8", (2, 2))
+# the check each malformed file trips
+HEADER, ARRAY, SIZE = "malformed .npy header", "int, uint or float array", "data bytes"
+# .npy CAM files the loader must refuse, each as one ValidationError naming
+# the file; the data is the size the header implies unless the data is at fault
+MALFORMED_NPY = {
+    "unterminated-header": (HEADER, npy_file(F8_2X2[:-3], bytes(32))),
+    "object-dtype": (ARRAY, npy_file(npy_header("|O", (2, 2)), bytes(32))),
+    "bool-dtype": (ARRAY, npy_file(npy_header("|b1", (2, 2)), bytes(4))),
+    "complex-dtype": (ARRAY, npy_file(npy_header("<c16", (2, 2)), bytes(64))),
+    "structured-dtype": (ARRAY, npy_file(npy_header([("a", "<f8")], (2, 2)), bytes(32))),
+    "3d-shape": (ARRAY, npy_file(npy_header("<f8", (2, 2, 2)), bytes(64))),
+    "empty-shape": (ARRAY, npy_file(npy_header("<f8", (0, 3)))),
+    "huge-shape": (SIZE, npy_file(npy_header("<f8", (2**32, 2**32)), bytes(16))),
+    "truncated-data": (SIZE, npy_file(F8_2X2, bytes(24))),
+    "trailing-bytes": (SIZE, npy_file(F8_2X2, bytes(40))),
+    "version-3.0": (HEADER, npy_file(F8_2X2, bytes(32), version=b"\x03\x00")),
+    "magic-only": (HEADER, b"\x93NUMPY"),
+    "magic-and-version-only": (HEADER, b"\x93NUMPY\x01\x00"),
+    # what numpy's header parse raises besides a ValueError
+    "unhashable-header-key": (HEADER, npy_file("{[]: 1}", bytes(32))),
+    "indented-header": (HEADER, npy_file("x\n  y\n z", bytes(32))),
+    "python2-header": (HEADER, npy_file(F8_2X2.replace("2, 2", "2L, 2L"), bytes(32))),
+    # numpy's message for this one spans lines
+    "long-header": (HEADER, npy_file(F8_2X2 + " " * 10000, bytes(32), version=b"\x02\x00")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_malformed_npy_cam_is_one_validation_error(tmp_path, case):
+    reason, data = MALFORMED_NPY[case]
+    path = tmp_path / "bad.npy"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError) as raised:
+        load_cam(str(path))
+    message = str(raised.value)
+    assert message.startswith(f"{path}: ") and reason in message, message
+    assert "\n" not in message
+
+
+def text_cam(values: np.ndarray) -> str:
+    """The text CAM form: a "rows cols" line, then each row's values by repr."""
+    rows = [" ".join(repr(float(v)) for v in row) for row in values]
+    return f"{values.shape[0]} {values.shape[1]}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("dtype,fortran", [
+    ("<f4", False), (">f8", False), ("<f8", True), (">f4", True), ("<i4", False), (">u2", False),
+])
+def test_npy_cam_loads_the_values_of_its_text_form(tmp_path, dtype, fortran):
+    values = (np.arange(6).reshape(2, 3) * 0.375 + 0.1).astype(dtype)
+    if fortran:
+        values = np.asfortranarray(values)
+    with open(tmp_path / "c.npy", "wb") as fh:
+        np.save(fh, values)
+    (tmp_path / "c.cam").write_text(text_cam(values))
+    npy, text = load_cam(str(tmp_path / "c.npy")), load_cam(str(tmp_path / "c.cam"))
+    assert npy.values.dtype == np.float64
+    np.testing.assert_array_equal(npy.values, text.values)
+
+
+def test_text_cam_reads_any_newline_convention(tmp_path):
+    # a text CAM is still decoded with universal newlines, "\r" alone included
+    for name, body in (("crlf", b"2 2\r\n1 0\r\n0 1\r\n"), ("cr", b"2 2\r1 0\r0 1\r")):
+        (tmp_path / name).write_bytes(body)
+        np.testing.assert_array_equal(load_cam(str(tmp_path / name)).values, np.eye(2))
+
+
+def test_cam_format_comes_from_content_not_name(tmp_path):
+    values = np.array([[0.1, 0.2], [1.0 / 3.0, 7.0]])
+    save_cam(CamMap(values), str(tmp_path / "a.cam"))
+    (tmp_path / "b.npy").write_text(text_cam(values))
+    assert (tmp_path / "a.cam").read_bytes().startswith(b"\x93NUMPY")
+    for name in ("a.cam", "b.npy"):
+        np.testing.assert_array_equal(load_cam(str(tmp_path / name)).values, values)
+
+
 # ------------------------------------------------------------------- metrics
 
 def test_metrics_record_schema_exact():
@@ -330,6 +418,25 @@ def make_small_cfg(tmp_path):
     return p
 
 
+@pytest.mark.parametrize("key", ["trace_path", "metrics_path"])
+def test_nul_byte_in_config_path_is_one_error_line(tmp_path, capsys, key):
+    small = make_small_cfg(tmp_path)
+    doc = dict(json.loads(small.read_text()), **{key: "a\x00b"})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(json.dumps(doc))
+    assert run_cli(["gen-trace", "--config", str(small), "--out", str(tmp_path / "t")]) == 0
+    cfg = tmp_path / "nul.json"
+    cfg.write_text(json.dumps(doc))
+    # the key gives the path the command line leaves out
+    given = {"trace_path": ["--out", str(tmp_path / "m.jsonl")],
+             "metrics_path": ["--trace", str(tmp_path / "t" / "trace.json")]}[key]
+    capsys.readouterr()
+    code = run_cli(["simulate", "--config", str(cfg)] + given)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+
+
 def test_cli_schedule_and_oracle_agree(tmp_path, capsys):
     cfg = make_small_cfg(tmp_path)
     trace_dir = str(tmp_path / "t")
@@ -448,6 +555,10 @@ TRACE_MUTATIONS = {
     "null-datasize": lambda doc: doc["slots"][0].update(datasize_bits=None),
     "lowlight-ref-nul-byte":
         lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, "a\x00b.cam"),
+    # a malformed .npy file in place of the last slot's first enhanced map of device 1
+    **{f"npy-{case}": lambda doc, data=data:
+       Overwrite(doc["slots"][-1]["cams"]["enhanced"][1][0], data)
+       for case, (_, data) in MALFORMED_NPY.items()},
 }
 
 
@@ -533,6 +644,62 @@ def test_bad_trace_value_names_manifest_and_slot(tmp_path, capsys, case):
         assert (code, capsys.readouterr().err) == (1, f"error: {raised.value}\n")
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_malformed_npy_cam_names_manifest_slot_and_file(tmp_path, capsys, case):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = str(tmp_path / "t" / "trace.json")
+    with open(manifest) as fh:
+        change = TRACE_MUTATIONS[f"npy-{case}"](json.load(fh))
+    cam = tmp_path / "t" / change.path
+    cam.write_bytes(change.data)
+    with pytest.raises(TraceError) as raised:
+        load_trace(manifest)
+    assert str(raised.value).startswith(f"{manifest}: slot 1: cams enhanced[1]: {cam}: ")
+    for command in ("assess", "simulate"):
+        capsys.readouterr()
+        code = run_cli([command, "--config", str(cfg), "--trace", manifest,
+                        "--out", str(tmp_path / "out.jsonl")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {raised.value}\n")
+
+
+def test_text_cam_trace_simulates_to_the_same_bytes(tmp_path, capsys):
+    """A trace directory of text .cam files, as earlier versions wrote, reads
+    to the same maps as its .npy form, alone or mixed with .npy files."""
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "npy")]) == 0
+    # mixed: each low-light map as text, each enhanced map as .npy
+    for layout, all_text in (("text", True), ("mixed", False)):
+        shutil.copytree(tmp_path / "npy", tmp_path / layout)
+        doc = json.loads((tmp_path / layout / "trace.json").read_text())
+        for slot in doc["slots"]:
+            cams = slot["cams"]
+            cams["lowlight"] = [as_text_cam(tmp_path / layout, n) for n in cams["lowlight"]]
+            if all_text:
+                cams["enhanced"] = [[as_text_cam(tmp_path / layout, n) for n in names]
+                                    for names in cams["enhanced"]]
+        (tmp_path / layout / "trace.json").write_text(json.dumps(doc))
+    suffixes = {layout: {p.suffix for p in (tmp_path / layout / "cams").iterdir()}
+                for layout in ("npy", "text", "mixed")}
+    assert suffixes == {"npy": {".npy"}, "text": {".cam"}, "mixed": {".cam", ".npy"}}
+    metrics = []
+    for layout in ("npy", "text", "mixed"):
+        out = tmp_path / f"{layout}.jsonl"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out),
+                        "--trace", str(tmp_path / layout / "trace.json")]) == 0
+        metrics.append(out.read_bytes())
+    assert metrics[0] == metrics[1] == metrics[2]
+
+
+def as_text_cam(trace_dir, name: str) -> str:
+    """Rewrite one CAM of a trace directory as a text .cam file; its new name."""
+    text_name = name.removesuffix(".npy") + ".cam"
+    values = load_cam(str(trace_dir / name)).values
+    (trace_dir / name).unlink()
+    (trace_dir / text_name).write_text(text_cam(values))
+    return text_name
+
+
 @pytest.mark.parametrize("change,message", [
     ({"devices": 1}, "device count: 2 vs 1"),
     ({"devices": 3}, "device count: 2 vs 3"),
@@ -566,7 +733,7 @@ TRACE_SUBSTITUTES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 0.0, 2.5, "2", True, None]),
     SUBSTITUTES,
 )
-CAM_BYTES = st.sampled_from(list(b"-.eE+ \n0179x,\xff"))
+CAM_BYTES = st.sampled_from(list(b"-.eE+ \n0179x,\xff{}()':\x00\x93"))
 
 
 # derandomized: the same examples every run, among them an infinite device count
