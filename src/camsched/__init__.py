@@ -30,7 +30,7 @@ from .errors import (
     UnknownDeviceError,
     ValidationError,
 )
-from .fileio import emit_metrics, load_cam, load_trace, save_cam, save_trace
+from .fileio import emit_metrics, load_cam, load_trace, save_trace
 from .sched import (
     BaselineResult,
     GaConfig,

@@ -36,6 +36,19 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeMismatchError(f"CAM shapes differ: {a.shape} vs {b.shape}")
 
 
+def trusted(cls, **fields):
+    """An instance of CamMap or FilteredCam over arrays used as they are given.
+
+    It skips __post_init__'s checks and copy, so the caller must hand over a
+    read-only 2-D float64 array that already holds the class's invariant:
+    filter_cam's output, or a view of a CAM file's checked values.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class CamMap:
     """Dense activation heatmap; finite, non-negative, at least 1x1."""
@@ -93,7 +106,10 @@ def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> FilteredCam
     if not np.isfinite(threshold):
         raise ValidationError("threshold must be finite")
     vals = np.where(cam.values > threshold, cam.values, 0.0)
-    return FilteredCam(values=vals, threshold=float(threshold))
+    # a finite map and a finite threshold give a finite result whose nonzero
+    # cells lie above the threshold, so FilteredCam's checks would all pass
+    vals.setflags(write=False)
+    return trusted(FilteredCam, values=vals, threshold=float(threshold))
 
 
 def filtered_difference(enhanced: FilteredCam, lowlight: FilteredCam) -> float:

@@ -1,11 +1,11 @@
 """On-disk formats: CAM matrices, trace manifests, metrics streams.
 
 Every writer is deterministic. CAMs are written as `.npy` arrays, which keep
-every float64 bit; text CAM files are still read. Manifests and metrics have
-a fixed key order and floats rounded to 9 significant digits, with one JSON
-record per line for metrics. Infinite latencies and utilities are emitted as
-the JSON extensions Infinity / -Infinity, which the stdlib json module reads
-back unchanged.
+every float64 bit, one stack per device; single-map `.npy` and text CAM files
+are still read. Manifests and metrics have a fixed key order and floats
+rounded to 9 significant digits, with one JSON record per line for metrics.
+Infinite latencies and utilities are emitted as the JSON extensions
+Infinity / -Infinity, which the stdlib json module reads back unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .camq import CamMap
+from .camq import CamMap, trusted
 from .errors import TraceError, ValidationError
 from .sim import RunSummary, SlotData, SlotMetrics, Trace
 
@@ -33,17 +33,44 @@ def round9(x: float) -> float:
 
 
 def load_cam(path: str) -> CamMap:
-    """Read a CAM file; its first bytes, not its name, give the format.
+    """Read a CAM file that holds one 2-D map; its first bytes, not its name,
+    give the format.
 
     A file that starts with the `.npy` magic holds a non-empty 2-D int, uint
     or float array, in either byte order and either memory order. Any other
     file is text: a "rows cols" header line, then rows*cols reals, in any
     whitespace layout after the header.
     """
+    return trusted(CamMap, values=_cam_file_values(path, 2))
+
+
+def _cam_file_values(path: str, ndim: int) -> np.ndarray:
+    """The values of a CAM file as one read-only, C-order float64 array, checked
+    finite and non-negative, with every error naming the file.
+
+    `ndim` is 2 for a file that holds one map and 3 for a stack of maps; a
+    text file always holds one map.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw.startswith(np.lib.format.MAGIC_PREFIX):
-        return CamMap(_npy_array(raw, path))
+        values = _npy_array(raw, path, ndim)
+    elif ndim == 2:
+        values = _text_array(raw, path)
+    else:
+        raise ValidationError(f"{path}: a text CAM file holds one 2-D map, not a {ndim}-D stack")
+    # no copy for a C-order <f8 file; anything else is copied once, whole
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{path}: CAM values must be finite")
+    if (values < 0.0).any():
+        raise ValidationError(f"{path}: CAM values must be non-negative")
+    values.setflags(write=False)
+    return values
+
+
+def _text_array(raw: bytes, path: str) -> np.ndarray:
+    """The 2-D map in a text CAM file's bytes."""
     try:
         # decoded as open(path, "r", encoding="ascii") would, newlines included
         text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii").read()
@@ -68,11 +95,11 @@ def load_cam(path: str) -> CamMap:
         raise ValidationError(
             f"{path}: expected {rows * cols} values, found {len(values)}"
         )
-    return CamMap(np.array(values).reshape(rows, cols))
+    return np.array(values).reshape(rows, cols)
 
 
-def _npy_array(raw: bytes, path: str) -> np.ndarray:
-    """The array in a `.npy` CAM file's bytes, read with np.lib.format.
+def _npy_array(raw: bytes, path: str, ndim: int) -> np.ndarray:
+    """The `ndim`-D array in a `.npy` CAM file's bytes, read with np.lib.format.
 
     np.load is never called, so no pickle or .npz path is reachable.
     """
@@ -93,13 +120,14 @@ def _npy_array(raw: bytes, path: str) -> np.ndarray:
     except (ValueError, TypeError, SyntaxError, tokenize.TokenError, UserWarning) as exc:
         reason = str(exc).partition("\n")[0]
         raise ValidationError(f"{path}: malformed .npy header: {reason}") from exc
-    if (len(shape) != 2 or not all(type(n) is int and n >= 1 for n in shape)
+    if (len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape)
             or dtype.kind not in "iuf"):
         raise ValidationError(
-            f"{path}: .npy CAM must be a non-empty 2-D int, uint or float array, "
+            f"{path}: .npy CAM must be a non-empty {ndim}-D int, uint or float array, "
             f"got {dtype.str!r} of shape {shape}"
         )
-    offset, size = buf.tell(), shape[0] * shape[1] * dtype.itemsize
+    # Python ints: np.prod would wrap for a shape like (2**32, 2**32, 2**32)
+    offset, size = buf.tell(), math.prod(shape) * dtype.itemsize
     if len(raw) - offset != size:
         raise ValidationError(
             f"{path}: .npy CAM {shape} {dtype.str!r} needs {size} data bytes, "
@@ -110,12 +138,29 @@ def _npy_array(raw: bytes, path: str) -> np.ndarray:
 
 
 def save_cam(cam: CamMap, path: str) -> None:
-    """Write a CAM as a `.npy` array; `path` is used as it is given."""
+    """Write one CAM as a `.npy` array; `path` is used as it is given."""
     with open(path, "wb") as fh:  # np.save(path) would append .npy to the name
         np.save(fh, cam.values)
 
 
-def _slot_to_manifest(slot: SlotData, t: int) -> dict:
+def _save_stack(maps: list[np.ndarray], path: str) -> None:
+    """Write equal-shape 2-D maps as one C-order `<f8` `.npy` array of shape
+    (maps, rows, cols), map by map, so no copy of the whole stack is made."""
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(maps), *maps[0].shape)}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for values in maps:
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
+
+
+def _stack_name(device: int) -> str:
+    """The trace-directory file that holds every CAM of one device."""
+    return f"cams/dev{device:02d}.npy"
+
+
+def _slot_to_manifest(slot: SlotData, first: int) -> dict:
+    """One slot's manifest entry; a CAM slot's maps sit at `first` onwards in
+    each device's stack, low-light first, then k = 1..K."""
     entry: dict = {
         "datasize_bits": [round9(v) for v in slot.datasize_bits.tolist()],
         "bandwidth_bps": [
@@ -125,12 +170,10 @@ def _slot_to_manifest(slot: SlotData, t: int) -> dict:
     if slot.quality is not None:
         entry["quality"] = [[round9(v) for v in row] for row in slot.quality.tolist()]
     else:
-        # the one place CAM file names are made; save_trace writes to them
-        prefix = f"cams/slot{t:04d}_dev"
         entry["cams"] = {
-            "lowlight": [f"{prefix}{m:02d}_low.npy" for m in range(len(slot.lowlight))],
+            "lowlight": [[_stack_name(m), first] for m in range(len(slot.lowlight))],
             "enhanced": [
-                [f"{prefix}{m:02d}_alg{k}.npy" for k in range(1, len(per_alg) + 1)]
+                [[_stack_name(m), first + k] for k in range(1, len(per_alg) + 1)]
                 for m, per_alg in enumerate(slot.enhanced)
             ],
         }
@@ -142,29 +185,33 @@ def _slot_to_manifest(slot: SlotData, t: int) -> dict:
 
 
 def save_trace(trace: Trace, out_dir: str) -> str:
-    """Write a trace directory: trace.json plus cams/*.npy for CAM slots.
+    """Write a trace directory: trace.json, plus one CAM stack per device,
+    cams/devMM.npy, when the trace has CAM slots.
 
-    Returns the manifest path. Output is byte-deterministic for a given trace.
+    Device m's stack is a C-order <f8 array of shape (maps, rows, cols) that
+    holds, for each CAM slot in turn, the low-light map and then the enhanced
+    maps for k = 1..K. Returns the manifest path. Output is byte-deterministic
+    for a given trace.
     """
     os.makedirs(out_dir, exist_ok=True)
-    needs_cams = any(slot.lowlight is not None for slot in trace.slots)
-    if needs_cams:
+    entries, cam_slots = [], []
+    for slot in trace.slots:
+        entries.append(_slot_to_manifest(slot, len(cam_slots) * (1 + trace.num_algorithms)))
+        if slot.lowlight is not None:
+            cam_slots.append(slot)
+    if cam_slots:
         os.makedirs(os.path.join(out_dir, "cams"), exist_ok=True)
+        for m in range(trace.num_devices):
+            # the order _slot_to_manifest indexes
+            _save_stack([cam.values for slot in cam_slots
+                         for cam in (slot.lowlight[m], *slot.enhanced[m])],
+                        os.path.join(out_dir, _stack_name(m)))
     manifest = {
         "devices": trace.num_devices,
         "servers": trace.num_servers,
         "algorithms": trace.num_algorithms,
-        "slots": [_slot_to_manifest(slot, t) for t, slot in enumerate(trace.slots)],
+        "slots": entries,
     }
-    # each CAM goes to the file its manifest entry names
-    for slot, entry in zip(trace.slots, manifest["slots"]):
-        if slot.lowlight is None:
-            continue
-        names = entry["cams"]
-        for m, low in enumerate(slot.lowlight):
-            save_cam(low, os.path.join(out_dir, names["lowlight"][m]))
-            for cam, name in zip(slot.enhanced[m], names["enhanced"][m]):
-                save_cam(cam, os.path.join(out_dir, name))
     path = os.path.join(out_dir, "trace.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=1)
@@ -178,17 +225,57 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
-def _load_cams(base: str, value, where: str) -> tuple[CamMap, ...]:
-    """The CAM files a manifest list names; a malformed file is a TraceError."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TraceError(f"{where} must be a list of CAM file names")
+class _CamFiles:
+    """The CAM files of one trace directory, each read and checked once.
+
+    A manifest reference is a file name, for a file that holds one 2-D map,
+    or a [file, index] pair, for map `index` of a file that holds a 3-D
+    stack. A stack's maps are read-only views of its one checked array.
+    """
+
+    def __init__(self, base: str):
+        self.base = base
+        self.maps: dict[str, CamMap] = {}
+        self.stacks: dict[str, np.ndarray] = {}
+
+    def map(self, ref) -> CamMap:
+        if isinstance(ref, str):
+            path = os.path.join(self.base, ref)
+            if path not in self.maps:
+                self.maps[path] = load_cam(path)
+            return self.maps[path]
+        name, index = ref
+        path = os.path.join(self.base, name)
+        if path not in self.stacks:
+            self.stacks[path] = _cam_file_values(path, 3)
+        stack = self.stacks[path]
+        # a JSON true is a Python bool, which is an int
+        if type(index) is not int or not 0 <= index < len(stack):
+            raise ValidationError(
+                f"{path}: CAM index {index!r} is not an integer in 0..{len(stack) - 1}"
+            )
+        return trusted(CamMap, values=stack[index])
+
+
+def _is_cam_ref(ref) -> bool:
+    return isinstance(ref, str) or (
+        isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)
+    )
+
+
+def _load_cams(files: _CamFiles, value, where: str) -> tuple[CamMap, ...]:
+    """The CAMs a manifest list references; a malformed file is a TraceError."""
+    if not isinstance(value, list) or not all(_is_cam_ref(ref) for ref in value):
+        raise TraceError(f"{where} must be a list of CAM references, each a file "
+                         "name or a [file, index] pair")
     try:
-        return tuple(load_cam(os.path.join(base, ref)) for ref in value)
-    except ValueError as exc:  # a malformed file, or a NUL byte in its name
+        return tuple(files.map(ref) for ref in value)
+    # a malformed or missing file, a bad index, or a NUL byte in a file name
+    except (ValueError, OSError) as exc:
         raise TraceError(f"{where}: {exc}") from exc
 
 
-def _slot_data(base: str, entry) -> SlotData:
+def _slot_data(files: _CamFiles, entry) -> SlotData:
     """One manifest slot entry as it is laid out; SlotData checks its values."""
     datasize = _field(entry, "datasize_bits", "entry")
     for key in ("quality", "accuracy"):
@@ -198,12 +285,12 @@ def _slot_data(base: str, entry) -> SlotData:
     lowlight = enhanced = None
     if "cams" in entry:
         refs = entry["cams"]
-        lowlight = _load_cams(base, _field(refs, "lowlight", "cams"), "cams lowlight")
+        lowlight = _load_cams(files, _field(refs, "lowlight", "cams"), "cams lowlight")
         per_device = _field(refs, "enhanced", "cams")
         if not isinstance(per_device, list):
             raise TraceError("cams enhanced must be a list per device")
         enhanced = tuple(
-            _load_cams(base, names, f"cams enhanced[{m}]") for m, names in enumerate(per_device)
+            _load_cams(files, refs, f"cams enhanced[{m}]") for m, refs in enumerate(per_device)
         )
     return SlotData(
         datasize_bits=datasize,
@@ -218,8 +305,9 @@ def _slot_data(base: str, entry) -> SlotData:
 def load_trace(path: str) -> Trace:
     """Read a trace manifest; CAM references resolve relative to the manifest.
 
-    Only the layout is read here. SlotData and Trace check every value, and
-    their errors come back naming the manifest and the slot.
+    Only the layout is read here, and each CAM file's values. SlotData and
+    Trace check every other value, and their errors come back naming the
+    manifest and the slot.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -233,11 +321,11 @@ def load_trace(path: str) -> Trace:
     entries = _field(doc, "slots", top)
     if not isinstance(entries, list):
         raise TraceError(f"{path}: slots must be a list")
-    base = os.path.dirname(os.path.abspath(path))
+    files = _CamFiles(os.path.dirname(os.path.abspath(path)))
     slots = []
     for t, entry in enumerate(entries):
         try:
-            slots.append(_slot_data(base, entry))
+            slots.append(_slot_data(files, entry))
         except TraceError as exc:
             raise TraceError(f"{path}: slot {t}: {exc}") from exc
     try:

@@ -299,6 +299,15 @@ def test_prop_filter_idempotent(values, gamma):
     np.testing.assert_array_equal(once.values, twice.values)
 
 
+@given(cam_values, st.floats(-5.0, 5.0))
+def test_prop_filter_output_passes_the_filtered_cam_checks(values, gamma):
+    # filter_cam builds its result without FilteredCam's checks and copy
+    out = filter_cam(CamMap(values), gamma)
+    checked = FilteredCam(out.values, out.threshold)
+    np.testing.assert_array_equal(checked.values, out.values)
+    assert out.values.dtype == np.float64 and not out.values.flags.writeable
+
+
 @given(cam_values, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_prop_filter_monotone_in_threshold(values, g1, g2):
     lo, hi = min(g1, g2), max(g1, g2)

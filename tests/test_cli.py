@@ -346,6 +346,60 @@ def test_trace_round_trip_cam_payload(tmp_path):
                 )
 
 
+def test_save_trace_writes_one_cam_stack_per_device(tmp_path):
+    spec = SynthSpec(num_devices=3, num_servers=1, num_algorithms=2, horizon=3,
+                     cam_rows=5, cam_cols=4, offsets=(0.3, 0.1), seed=21)
+    cam_trace = generate_synthetic(spec)
+    # a quality slot between CAM slots takes no room in the stacks
+    quality = SlotData(np.full(3, 1e7), np.full((3, 1), 2e7), quality=np.zeros((3, 3)))
+    slots = (cam_trace.slots[0], quality, *cam_trace.slots[1:])
+    manifest = save_trace(Trace(3, 1, 2, slots), str(tmp_path / "t"))
+    cams = tmp_path / "t" / "cams"
+    assert sorted(p.name for p in cams.iterdir()) == ["dev00.npy", "dev01.npy", "dev02.npy"]
+    for m in range(3):
+        with open(cams / f"dev{m:02d}.npy", "rb") as fh:
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh) == ((9, 5, 4), False, np.dtype("<f8"))
+    hexes = lambda cam: [v.hex() for v in cam.values.ravel().tolist()]
+    for saved, back in zip(slots, load_trace(manifest).slots):
+        assert (saved.lowlight is None) == (back.lowlight is None)
+        if saved.lowlight is None:
+            continue
+        for m in range(3):
+            assert hexes(back.lowlight[m]) == hexes(saved.lowlight[m])
+            assert [hexes(c) for c in back.enhanced[m]] == [hexes(c) for c in saved.enhanced[m]]
+            assert not back.lowlight[m].values.flags.writeable
+
+
+def as_single_map_files(trace_dir) -> None:
+    """Rewrite a trace directory that save_trace wrote into the layout earlier
+    versions wrote: one .npy file per map, named by slot, device and map, and
+    a manifest that names each file."""
+    stacks = {}
+
+    def single_map(ref, name):
+        stack, index = ref
+        if stack not in stacks:
+            stacks[stack] = np.load(trace_dir / stack)
+        save_cam(CamMap(stacks[stack][index]), str(trace_dir / name))
+        return name
+
+    doc = json.loads((trace_dir / "trace.json").read_text())
+    for t, slot in enumerate(doc["slots"]):
+        if "cams" in slot:
+            cams, prefix = slot["cams"], f"cams/slot{t:04d}_dev"
+            cams["lowlight"] = [single_map(ref, f"{prefix}{m:02d}_low.npy")
+                                for m, ref in enumerate(cams["lowlight"])]
+            cams["enhanced"] = [[single_map(ref, f"{prefix}{m:02d}_alg{k}.npy")
+                                 for k, ref in enumerate(refs, 1)]
+                                for m, refs in enumerate(cams["enhanced"])]
+    for stack in stacks:
+        (trace_dir / stack).unlink()
+    with open(trace_dir / "trace.json", "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def test_load_trace_missing_file(tmp_path):
     with pytest.raises((CamSchedError, OSError)):
         load_trace(str(tmp_path / "nope" / "trace.json"))
@@ -516,6 +570,69 @@ class Overwrite(NamedTuple):
     data: bytes
 
 
+def set_lowlight_ref(ref, overwrite: Overwrite | None = None):
+    """A mutation that makes `ref` the reference of slot 0's low-light map of
+    device 1, and writes `overwrite` when one is given."""
+    def mutate(doc):
+        doc["slots"][0]["cams"]["lowlight"][1] = ref
+        return overwrite
+    return mutate
+
+
+def set_lowlight_index(index):
+    """A mutation that gives slot 0's low-light map of device 1 another stack index."""
+    return lambda doc: doc["slots"][0]["cams"]["lowlight"][1].__setitem__(1, index)
+
+
+class CamRefDefect(NamedTuple):
+    """A broken CAM reference or CAM stack, and the error it gives: slot 0,
+    `cams lowlight`, `path` and `reason`."""
+
+    mutate: object   # applied to the manifest, as a TRACE_MUTATIONS entry
+    path: str        # relative to the trace directory
+    reason: str
+
+
+STACK = "cams/dev01.npy"
+F8_STACK = npy_header("<f8", (4, 4, 4))
+# make_small_cfg's device 1 has one stack of 2 slots x 2 maps of 4x4, and
+# slot 0 is the first slot that references it
+CAM_REF_DEFECTS = {
+    "missing-cam-file": CamRefDefect(
+        set_lowlight_ref("cams/missing.npy"), "cams/missing.npy", "No such file"),
+    "missing-cam-stack": CamRefDefect(
+        set_lowlight_ref(["cams/missing.npy", 0]), "cams/missing.npy", "No such file"),
+    "stack-as-file-name": CamRefDefect(
+        set_lowlight_ref(STACK), STACK, "non-empty 2-D int, uint or float array"),
+    "npy-map-as-stack": CamRefDefect(
+        set_lowlight_ref(["cams/map.npy", 0], Overwrite("cams/map.npy", npy_file(
+            npy_header("<f8", (4, 4)), bytes(128)))),
+        "cams/map.npy", "non-empty 3-D int, uint or float array"),
+    "text-map-as-stack": CamRefDefect(
+        set_lowlight_ref(["cams/map.cam", 0], Overwrite("cams/map.cam", b"4 4\n" + b"0 " * 16)),
+        "cams/map.cam", "text CAM file holds one 2-D map"),
+    "stack-index-past-end": CamRefDefect(set_lowlight_index(4), STACK, "CAM index 4 "),
+    "stack-index-negative": CamRefDefect(set_lowlight_index(-1), STACK, "CAM index -1 "),
+    "stack-index-bool": CamRefDefect(set_lowlight_index(True), STACK, "CAM index True "),
+    "stack-index-float": CamRefDefect(set_lowlight_index(1.0), STACK, "CAM index 1.0 "),
+    "stack-index-string": CamRefDefect(set_lowlight_index("1"), STACK, "CAM index '1' "),
+    "stack-index-null": CamRefDefect(set_lowlight_index(None), STACK, "CAM index None "),
+    "stack-truncated-data": CamRefDefect(
+        lambda doc: Overwrite(STACK, npy_file(F8_STACK, bytes(504))), STACK, "data bytes"),
+    "stack-trailing-bytes": CamRefDefect(
+        lambda doc: Overwrite(STACK, npy_file(F8_STACK, bytes(520))), STACK, "data bytes"),
+    # np.prod of this shape wraps to 0, which would match the empty data
+    "stack-huge-shape": CamRefDefect(
+        lambda doc: Overwrite(STACK, npy_file(npy_header("<f8", (2**32,) * 3))),
+        STACK, "data bytes"),
+    "stack-unterminated-header": CamRefDefect(
+        lambda doc: Overwrite(STACK, npy_file(F8_STACK[:-3], bytes(512))), STACK, HEADER),
+    "stack-object-dtype": CamRefDefect(
+        lambda doc: Overwrite(STACK, npy_file(npy_header("|O", (4, 4, 4)), bytes(512))),
+        STACK, ARRAY),
+}
+
+
 TRACE_MUTATIONS = {
     "missing-datasize": lambda doc: doc["slots"][0].pop("datasize_bits"),
     "missing-lowlight": lambda doc: doc["slots"][0]["cams"].pop("lowlight"),
@@ -559,13 +676,19 @@ TRACE_MUTATIONS = {
     **{f"npy-{case}": lambda doc, data=data:
        Overwrite(doc["slots"][-1]["cams"]["enhanced"][1][0], data)
        for case, (_, data) in MALFORMED_NPY.items()},
+    **{case: defect.mutate for case, defect in CAM_REF_DEFECTS.items()},
 }
+# the mutations that overwrite one single-map CAM file; they run on a trace
+# directory rewritten into that layout
+SINGLE_MAP_MUTATIONS = {"cam-leading-0xff", *(f"npy-{case}" for case in MALFORMED_NPY)}
 
 
 @pytest.mark.parametrize("mutation", sorted(TRACE_MUTATIONS))
 def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    if mutation in SINGLE_MAP_MUTATIONS:
+        as_single_map_files(tmp_path / "t")
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
     change = TRACE_MUTATIONS[mutation](doc)
@@ -648,6 +771,7 @@ def test_bad_trace_value_names_manifest_and_slot(tmp_path, capsys, case):
 def test_malformed_npy_cam_names_manifest_slot_and_file(tmp_path, capsys, case):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    as_single_map_files(tmp_path / "t")
     manifest = str(tmp_path / "t" / "trace.json")
     with open(manifest) as fh:
         change = TRACE_MUTATIONS[f"npy-{case}"](json.load(fh))
@@ -663,11 +787,76 @@ def test_malformed_npy_cam_names_manifest_slot_and_file(tmp_path, capsys, case):
         assert (code, capsys.readouterr().err) == (1, f"error: {raised.value}\n")
 
 
+def assert_one_trace_error(tmp_path, capsys, cfg, manifest: str, message: str) -> None:
+    """load_trace fails with `message`, and assess and simulate print exactly
+    it as their one error line."""
+    with pytest.raises(TraceError) as raised:
+        load_trace(manifest)
+    assert str(raised.value) == message
+    for command in ("assess", "simulate"):
+        capsys.readouterr()
+        code = run_cli([command, "--config", str(cfg), "--trace", manifest,
+                        "--out", str(tmp_path / "out.jsonl")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case", sorted(CAM_REF_DEFECTS))
+def test_cam_reference_defect_names_manifest_slot_list_and_file(tmp_path, capsys, case):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = str(tmp_path / "t" / "trace.json")
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    defect = CAM_REF_DEFECTS[case]
+    change = defect.mutate(doc)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    if change is not None:
+        (tmp_path / "t" / change.path).write_bytes(change.data)
+    with pytest.raises(TraceError) as raised:
+        load_trace(manifest)
+    message = str(raised.value)
+    assert message.startswith(f"{manifest}: slot 0: cams lowlight: "), message
+    assert str(tmp_path / "t" / defect.path) in message and defect.reason in message, message
+    assert "\n" not in message
+    assert_one_trace_error(tmp_path, capsys, cfg, manifest, message)
+
+
+@pytest.mark.parametrize("value,reason", [(-1.0, "non-negative"), (math.nan, "finite"),
+                                          (-math.inf, "finite")])
+@pytest.mark.parametrize("kind", ["stack", "npy", "text"])
+def test_cam_value_error_names_the_file(tmp_path, capsys, kind, value, reason):
+    cfg = make_small_cfg(tmp_path)
+    trace_dir = tmp_path / "t"
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(trace_dir)]) == 0
+    manifest = str(trace_dir / "trace.json")
+    if kind == "stack":
+        # a bad value in slot 1's maps; the first slot to reference the stack is named
+        name, slot = "cams/dev01.npy", 0
+        stack = np.load(trace_dir / name)
+        stack[2, 1, 3] = value
+        np.save(trace_dir / name, stack)
+    else:
+        as_single_map_files(trace_dir)
+        name, slot = "cams/slot0001_dev01_low.npy", 1
+        values = load_cam(str(trace_dir / name)).values.copy()
+        values[1, 3] = value
+        if kind == "npy":
+            np.save(trace_dir / name, values)
+        else:  # a text map under the .npy name; its content gives the format
+            (trace_dir / name).write_text(text_cam(values))
+    message = (f"{manifest}: slot {slot}: cams lowlight: {trace_dir / name}: "
+               f"CAM values must be {reason}")
+    assert_one_trace_error(tmp_path, capsys, cfg, manifest, message)
+
+
 def test_text_cam_trace_simulates_to_the_same_bytes(tmp_path, capsys):
     """A trace directory of text .cam files, as earlier versions wrote, reads
     to the same maps as its .npy form, alone or mixed with .npy files."""
     cfg = make_small_cfg(tmp_path)
-    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "npy")]) == 0
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "stack")]) == 0
+    shutil.copytree(tmp_path / "stack", tmp_path / "npy")
+    as_single_map_files(tmp_path / "npy")
     # mixed: each low-light map as text, each enhanced map as .npy
     for layout, all_text in (("text", True), ("mixed", False)):
         shutil.copytree(tmp_path / "npy", tmp_path / layout)
@@ -689,6 +878,20 @@ def test_text_cam_trace_simulates_to_the_same_bytes(tmp_path, capsys):
                         "--trace", str(tmp_path / layout / "trace.json")]) == 0
         metrics.append(out.read_bytes())
     assert metrics[0] == metrics[1] == metrics[2]
+    # save_trace's per-device stacks, alone or mixed with single-map files
+    shutil.copytree(tmp_path / "stack", tmp_path / "stack-mixed")
+    doc = json.loads((tmp_path / "stack-mixed" / "trace.json").read_text())
+    for t, slot in enumerate(doc["slots"]):
+        for m, (name, index) in enumerate(slot["cams"]["lowlight"]):
+            slot["cams"]["lowlight"][m] = f"cams/slot{t}_dev{m}_low.cam"
+            values = np.load(tmp_path / "stack-mixed" / name)[index]
+            (tmp_path / "stack-mixed" / slot["cams"]["lowlight"][m]).write_text(text_cam(values))
+    (tmp_path / "stack-mixed" / "trace.json").write_text(json.dumps(doc))
+    for layout in ("stack", "stack-mixed"):
+        out = tmp_path / f"{layout}.jsonl"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out),
+                        "--trace", str(tmp_path / layout / "trace.json")]) == 0
+        assert out.read_bytes() == metrics[0]
 
 
 def as_text_cam(trace_dir, name: str) -> str:
@@ -793,6 +996,7 @@ def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command,
                                                       between_slots):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    as_single_map_files(tmp_path / "t")
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
     # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map, or
