@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import SearchSpaceError, ValidationError
 from .sysmodel import (
     Decision,
+    FeasibilityReport,
     SlotInput,
     SystemModel,
     _utility_from_latency,
@@ -70,12 +71,22 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class Individual:
-    """An evaluated decision: search fitness plus the raw unpenalised utility."""
+    """An evaluated decision: its search fitness and its check_feasibility
+    report, which holds the raw unpenalised utility and the verdicts."""
 
     decision: Decision
     fitness: float
-    raw_utility: float
-    feasible: bool
+    # left out of ==: it follows from the decision for a given slot, and
+    # its arrays do not compare to one bool
+    report: FeasibilityReport = field(compare=False)
+
+    @property
+    def raw_utility(self) -> float:
+        return self.report.total_utility
+
+    @property
+    def feasible(self) -> bool:
+        return self.report.feasible
 
 
 @dataclass(frozen=True)
@@ -113,11 +124,19 @@ def _selection_weights(fitnesses: Sequence[float]) -> list[float] | None:
     return [0.0 if math.isinf(f) else f - lowest + shift for f in fitnesses]
 
 
-def _spin(cum: list[float] | None, total: float, size: int, rng: random.Random) -> int:
-    if cum is None or total <= 0.0:
-        return rng.randrange(size)
-    idx = bisect_right(cum, rng.random() * total)
-    return min(idx, size - 1)
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Column totals of a 2-D array: 0.0 plus each row in turn, bit-identical
+    to a left-to-right loop over the rows that starts from 0.0.
+
+    np.add.reduce starts from its identity 0.0 but sums pairwise along the
+    fast axis, so it adds row after row only when the rows are C-contiguous
+    and hold more than one column. Any other layout takes the accumulate,
+    which always adds in order but starts from the first row; adding 0.0
+    turns the -0.0 that start can leave into the 0.0 a start from 0.0 gives.
+    """
+    if x.shape[1] > 1 and x.flags.c_contiguous:
+        return np.add.reduce(x, axis=0)
+    return np.cumsum(x, axis=0)[-1] + 0.0
 
 
 def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
@@ -127,8 +146,10 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
     is a device-major (M, P) code array with P = ga.population_size. The
     deadline penalty separates per device, so it is folded into the per-gene
     base score; only the capacity coupling depends on the whole genome.
-    Every sum runs in device order, then pool order, so each individual's
-    fitness is bit-identical to adding its genes one by one.
+    Both totals, over devices and over pools, are row reductions of an
+    (rows, P) array through _row_sum, so each individual's fitness is
+    bit-identical to adding its genes one by one in device order, then its
+    pool overloads in pool order.
     """
     load_slot, service = model.code_loads
     m_devices = model.num_devices
@@ -143,8 +164,7 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
         base = np.where(excess > 0.0, util - ga.penalty_latency * excess, util)
     else:
         base = util
-    # + 0.0 maps -0.0 to 0.0, as a sum started from 0.0 does with its first term
-    base = base.reshape(-1) + 0.0
+    base = base.reshape(-1)
     rows = np.arange(m_devices)[:, None] * num_codes
     caps = model.capacity_matrix.reshape(-1)
     num_pools = len(caps)
@@ -157,8 +177,8 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
     lam_cap = ga.penalty_capacity
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        # accumulate, unlike np.sum, adds strictly device after device
-        total = np.cumsum(base[pop + rows], axis=0)[-1]
+        # row reductions add strictly device after device, unlike np.sum
+        total = _row_sum(base[pop + rows])
         if lam_cap > 0.0:
             # bincount adds in input order, so each pool sums in device order
             loads = np.bincount(
@@ -169,10 +189,11 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
             over = loads - cap_col
             np.maximum(over, 0.0, out=over)
             over *= inv_col
-            pen = np.cumsum(over, axis=0)[-1]
-            hit = pen > 0.0
-            np.multiply(pen, lam_cap, out=pen, where=hit)
-            np.subtract(total, pen, out=total, where=hit)
+            # pen >= 0 is finite and total is never -0.0, so subtracting a
+            # zero penalty leaves total's bits as they are
+            pen = _row_sum(over)
+            pen *= lam_cap
+            total -= pen
         return total
 
     return fitness
@@ -194,38 +215,70 @@ def next_generation(
     the rest from the second, the cut uniform in 1..M-1, and otherwise it
     copies the first. With probability mutation_prob one uniformly chosen
     gene is then redrawn uniformly from the `num_codes` codes. The draws are
-    taken one child after the next in exactly that order.
+    taken one child after the next in exactly that order. Each integer draw
+    is inlined from CPython's randrange: `getrandbits(n.bit_length())`
+    redrawn while it is n or more, so `rng` yields, and ends in, exactly what
+    the same sequence of random() and randrange() calls would give.
     """
     m_devices, size = pop.shape
-    best_idx = max(range(size), key=fits.__getitem__)
+    best_idx = fits.index(max(fits))
     weights = _selection_weights(fits)
-    if weights is None:
-        cum, total = None, 0.0
-    else:
+    uniform = weights is None
+    if not uniform:
         cum = list(itertools.accumulate(weights))
         total = cum[-1]
+        uniform = total <= 0.0
+    rand = rng.random
+    bits = rng.getrandbits
+    px, pm = ga.crossover_prob, ga.mutation_prob
+    crossable = m_devices > 1
+    last = size - 1
+    # randrange(n) draws n.bit_length() bits; randrange(1, M) is 1 + randrange(M - 1)
+    k_size, k_cut = size.bit_length(), (m_devices - 1).bit_length()
+    k_row, k_code = m_devices.bit_length(), num_codes.bit_length()
     # column c of the next population takes genes [0, cuts[c]) from
     # parent firsts[c] and the rest from seconds[c]
     firsts, seconds, cuts = [best_idx], [best_idx], [m_devices]
-    mut_cols: list[int] = []
-    mut_rows: list[int] = []
+    mut_at: list[int] = []  # flat (row-major) positions of the mutated genes
     mut_codes: list[int] = []
     for col in range(1, size):
-        firsts.append(_spin(cum, total, size, rng))
-        seconds.append(_spin(cum, total, size, rng))
-        if rng.random() < ga.crossover_prob and m_devices > 1:
-            cuts.append(rng.randrange(1, m_devices))
+        if uniform:
+            first = bits(k_size)
+            while first >= size:
+                first = bits(k_size)
+            second = bits(k_size)
+            while second >= size:
+                second = bits(k_size)
+        else:
+            # searching cum[:last] clamps a spin that rounds up to total
+            first = bisect_right(cum, rand() * total, 0, last)
+            second = bisect_right(cum, rand() * total, 0, last)
+        firsts.append(first)
+        seconds.append(second)
+        if rand() < px and crossable:
+            cut = bits(k_cut)
+            while cut >= m_devices - 1:
+                cut = bits(k_cut)
+            cuts.append(cut + 1)
         else:
             cuts.append(m_devices)
-        if rng.random() < ga.mutation_prob:
+        if rand() < pm:
             # the new code is drawn before the position it lands on
-            mut_codes.append(rng.randrange(num_codes))
-            mut_rows.append(rng.randrange(m_devices))
-            mut_cols.append(col)
+            code = bits(k_code)
+            while code >= num_codes:
+                code = bits(k_code)
+            row = bits(k_row)
+            while row >= m_devices:
+                row = bits(k_row)
+            mut_codes.append(code)
+            mut_at.append(row * size + col)
     rows = np.arange(m_devices)[:, None]
-    pop = np.where(rows < cuts, pop[:, firsts], pop[:, seconds])
-    if mut_cols:
-        pop[mut_rows, mut_cols] = mut_codes
+    # gene (m, c) is gene m of parent column parents[m, c]
+    parents = np.where(rows < cuts, firsts, seconds)
+    parents += rows * size
+    pop = pop.take(parents)
+    if mut_at:
+        pop.put(mut_at, mut_codes)
     return pop
 
 
@@ -247,9 +300,16 @@ def evolve(
     m_devices = model.num_devices
     num_codes = len(model.code_loads[0])
 
-    pop = np.array(
-        [[rng.randrange(num_codes) for _ in range(m_devices)] for _ in range(size)]
-    ).T
+    # individual by individual, device by device: randrange(num_codes), inlined
+    bits, k_code = rng.getrandbits, num_codes.bit_length()
+    draws = []
+    for _ in range(size * m_devices):
+        code = bits(k_code)
+        while code >= num_codes:
+            code = bits(k_code)
+        draws.append(code)
+    # C-contiguous (M, P), so the scorer's row sums take np.add.reduce
+    pop = np.array(draws).reshape(size, m_devices).T.copy()
     fits = fitness(pop).tolist()
     history: list[float] = []
 
@@ -258,10 +318,9 @@ def evolve(
         pop = next_generation(pop, fits, ga, rng, num_codes)
         fits = fitness(pop).tolist()
 
-    best_idx = max(range(size), key=fits.__getitem__)
+    best_idx = fits.index(max(fits))
     decision = model.decode(pop[:, best_idx])
-    report = check_feasibility(decision, slot, model)
-    return Individual(decision, fits[best_idx], report.total_utility, report.feasible), history
+    return Individual(decision, fits[best_idx], check_feasibility(decision, slot, model)), history
 
 
 def brute_force(

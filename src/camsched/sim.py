@@ -240,10 +240,11 @@ def run_slot(
     slot = SlotInput(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
 
     rejected: frozenset[int] = frozenset()
+    report = None  # the GA's answer arrives already scored
     started = time.perf_counter()
     if scheduler == "ga":
         best, _history = sched.evolve(slot, model, ga_config)
-        decision = best.decision
+        decision, report = best.decision, best.report
     elif scheduler == "oracle":
         result = sched.brute_force(slot, model, oracle_limit)
         if result.decision is None:
@@ -259,8 +260,9 @@ def run_slot(
         decision = sched.baseline_no_enhancement(slot, model)
     elapsed = time.perf_counter() - started
 
+    if report is None:
+        report = check_feasibility(decision, slot, model)
     # a rejected device is not served: no quality, infinite latency, -inf utility
-    report = check_feasibility(decision, slot, model)
     served = np.ones(model.num_devices, dtype=bool)
     served[list(rejected)] = False
     qualities = np.where(served, quality[np.arange(len(served)), decision.algorithms], 0.0)

@@ -247,6 +247,44 @@ class _RefSlotTables:
         return total
 
 
+def _ref_next_generation(pop, fits, ga, rng, num_codes, fitness):
+    """The next list population (one genome per individual) and its
+    fitnesses. A child that copies a parent untouched reuses the parent's
+    fitness; every other child is scored by `fitness`."""
+    size = len(pop)
+    m_devices = len(pop[0])
+    best_idx = max(range(size), key=fits.__getitem__)
+    weights = _ref_selection_weights(fits)
+    if weights is None:
+        cum, total = None, 0.0
+    else:
+        cum = list(itertools.accumulate(weights))
+        total = cum[-1]
+    next_pop = [pop[best_idx]]
+    next_fits = [fits[best_idx]]
+    for _ in range(size - 1):
+        i1 = _ref_spin(cum, total, size, rng)
+        i2 = _ref_spin(cum, total, size, rng)
+        child = pop[i1]
+        changed = False
+        if rng.random() < ga.crossover_prob and m_devices > 1:
+            cut = rng.randrange(1, m_devices)
+            child = pop[i1][:cut] + pop[i2][cut:]
+            changed = True
+        if rng.random() < ga.mutation_prob:
+            if not changed:
+                child = child[:]
+            child[rng.randrange(m_devices)] = rng.randrange(num_codes)
+            changed = True
+        if changed:
+            next_pop.append(child)
+            next_fits.append(fitness(child))
+        else:
+            next_pop.append(pop[i1])
+            next_fits.append(fits[i1])
+    return next_pop, next_fits
+
+
 def ref_evolve(slot, model, ga):
     """(decision, fitness, raw utility, feasible, history) of the list GA."""
     rng = random.Random(ga.rng_seed)
@@ -262,40 +300,21 @@ def ref_evolve(slot, model, ga):
     history = []
 
     for _ in range(ga.generations):
-        best_idx = max(range(len(fits)), key=fits.__getitem__)
-        history.append(fits[best_idx])
-        weights = _ref_selection_weights(fits)
-        if weights is None:
-            cum, total = None, 0.0
-        else:
-            cum = list(itertools.accumulate(weights))
-            total = cum[-1]
-        next_pop = [pop[best_idx]]
-        next_fits = [fits[best_idx]]
-        for _ in range(ga.population_size - 1):
-            i1 = _ref_spin(cum, total, ga.population_size, rng)
-            i2 = _ref_spin(cum, total, ga.population_size, rng)
-            child = pop[i1]
-            changed = False
-            if rng.random() < ga.crossover_prob and m_devices > 1:
-                cut = rng.randrange(1, m_devices)
-                child = pop[i1][:cut] + pop[i2][cut:]
-                changed = True
-            if rng.random() < ga.mutation_prob:
-                if not changed:
-                    child = child[:]
-                child[rng.randrange(m_devices)] = rng.randrange(num_codes)
-                changed = True
-            if changed:
-                next_pop.append(child)
-                next_fits.append(tables.fitness(child))
-            else:
-                next_pop.append(pop[i1])
-                next_fits.append(fits[i1])
-        pop, fits = next_pop, next_fits
+        history.append(max(fits))
+        pop, fits = _ref_next_generation(pop, fits, ga, rng, num_codes, tables.fitness)
 
     best_idx = max(range(len(fits)), key=fits.__getitem__)
     decision = model.decode(pop[best_idx])
     raw = objective(decision, slot, model)
     feasible = check_feasibility(decision, slot, model).feasible
     return decision, fits[best_idx], raw, feasible, history
+
+
+def ref_row_sum(rows):
+    """Column totals of a list of equal-length rows: each column starts
+    from 0.0 and adds its rows one after the next."""
+    totals = [0.0] * len(rows[0])
+    for row in rows:
+        for j, value in enumerate(row):
+            totals[j] += value
+    return totals

@@ -8,6 +8,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
@@ -18,6 +21,7 @@ from camsched.sched import (
     brute_force,
     evolve,
     _population_fitness,
+    _row_sum,
     next_generation,
     objective,
 )
@@ -45,7 +49,7 @@ from conftest import (
     random_decision,
     small_instance,
 )
-from refimpl import ref_evolve, ref_objective
+from refimpl import _ref_next_generation, ref_evolve, ref_objective, ref_row_sum
 
 
 def free_enhancer_model(num_devices=1, overhead=0.0):
@@ -187,6 +191,56 @@ def test_fitness_is_pure():
     first = packed_fitness(decision, slot, model, ga)
     second = packed_fitness(decision, slot, model, ga)
     assert first == second
+
+
+# ---------------------------------------------------------- exact row sums
+
+# mantissa times a power of two: magnitudes far enough apart that
+# regrouping the additions changes the rounded total
+mixed_magnitudes = st.builds(
+    lambda mantissa, exponent: mantissa * 2.0**exponent,
+    st.floats(-1.0, 1.0), st.integers(-60, 60),
+)
+
+
+def laid_out(rows, layout):
+    x = np.array(rows, dtype=np.float64)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "transposed":
+        return np.ascontiguousarray(x.T).T
+    if layout == "strided":
+        return np.repeat(x, 2, axis=0)[::2]
+    return x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    x=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 6)),
+                 elements=mixed_magnitudes),
+    layout=st.sampled_from(("C", "F", "transposed", "strided")),
+)
+def test_row_sum_adds_rows_one_after_the_next(x, layout):
+    rows = x.tolist()
+    got = _row_sum(laid_out(rows, layout))
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref_row_sum(rows)]
+
+
+@pytest.mark.parametrize("cols,layout", [(1, "C"), (3, "F"), (3, "transposed")])
+def test_row_sum_where_numpy_reduce_sums_pairwise(cols, layout):
+    # 1 + 2**-53 rounds back to 1 at every step of the in-order sum; numpy's
+    # pairwise sum along the fast axis first adds the small terms together
+    rows = [[1.0] * cols] + [[2.0**-53] * cols] * 39
+    x = laid_out(rows, layout)
+    assert (np.add.reduce(x, axis=0) != 1.0).all()
+    assert _row_sum(x).tolist() == ref_row_sum(rows) == [1.0] * cols
+
+
+@pytest.mark.parametrize("cols,layout", [(1, "C"), (2, "C"), (2, "F"), (2, "strided")])
+def test_row_sum_starts_from_zero(cols, layout):
+    # 0.0 + -0.0 is 0.0, as in a loop that starts its total at 0.0
+    rows = [[-0.0] * cols] * 3
+    assert [v.hex() for v in _row_sum(laid_out(rows, layout)).tolist()] == ["0x0.0p+0"] * cols
 
 
 # ------------------------------------------------------------- GA operator
@@ -355,6 +409,60 @@ def test_mutate_changes_at_most_one_gene():
         mutated += int(changed.sum())
     # a redraw lands on the old code one time in eight
     assert mutated > 0.8 * 2000 * (size - 1)
+
+
+# Each case names (devices, population, codes, fitnesses, crossover_prob,
+# mutation_prob). Population, device and code counts sit on both sides of a
+# power of two, where randrange's rejection loop starts or stops redrawing.
+NEXT_GENERATION_CASES = {
+    "all-minus-inf": (4, 6, 20, "-inf", 0.8, 0.1),
+    "all-equal": (4, 6, 20, "equal", 0.8, 0.1),
+    "some-minus-inf": (5, 9, 20, "mixed", 0.8, 0.1),
+    "paper-default": (10, 50, 20, "random", 0.8, 0.1),
+    "one-device": (1, 7, 20, "random", 1.0, 1.0),
+    "one-individual": (3, 1, 20, "random", 1.0, 1.0),
+    "never-cross-or-mutate": (6, 10, 20, "random", 0.0, 0.0),
+    "always-cross-and-mutate": (6, 10, 20, "random", 1.0, 1.0),
+    "cross-only": (6, 10, 20, "random", 1.0, 0.0),
+    "mutate-only": (6, 10, 20, "random", 0.0, 1.0),
+    "codes-1": (5, 5, 1, "random", 1.0, 1.0),
+    "codes-2": (5, 5, 2, "random", 1.0, 1.0),
+    "codes-8": (5, 5, 8, "random", 1.0, 1.0),
+    "codes-9": (5, 5, 9, "random", 1.0, 1.0),
+    "devices-2": (2, 8, 20, "random", 1.0, 1.0),
+    "devices-4": (4, 8, 20, "random", 1.0, 1.0),
+    "uniform-size-8": (3, 8, 20, "-inf", 1.0, 1.0),
+    "uniform-size-9": (3, 9, 20, "-inf", 1.0, 1.0),
+}
+
+
+def case_fitnesses(kind, size, rng):
+    if kind == "-inf":
+        return [-math.inf] * size
+    if kind == "equal":
+        return [0.25] * size
+    if kind == "mixed":
+        return [rng.choice([-math.inf, rng.gauss(0.0, 1.0)]) for _ in range(size)]
+    return [rng.gauss(0.0, 1.0) for _ in range(size)]
+
+
+@pytest.mark.parametrize("case", sorted(NEXT_GENERATION_CASES))
+def test_next_generation_matches_list_reference(case):
+    # same children from the same draws, and the stream left where
+    # random() and randrange() calls would leave it
+    m_devices, size, num_codes, kind, px, pm = NEXT_GENERATION_CASES[case]
+    ga = GaConfig(population_size=size, crossover_prob=px, mutation_prob=pm)
+    inputs = random.Random(case)
+    for seed in range(40):
+        pop = np.array([[inputs.randrange(num_codes) for _ in range(size)]
+                        for _ in range(m_devices)])
+        fits = case_fitnesses(kind, size, inputs)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = next_generation(pop, fits, ga, rng, num_codes)
+        want, _ = _ref_next_generation(pop.T.tolist(), fits, ga, ref_rng, num_codes,
+                                       lambda genome: 0.0)
+        assert got.T.tolist() == want, seed
+        assert rng.getstate() == ref_rng.getstate(), seed
 
 
 # ------------------------------------------------------------------- evolve

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from camsched import camq, sim
+from camsched import camq, sched, sim, sysmodel
 from camsched.config import build_model, build_quality_state, parse_config
 from camsched.errors import TraceError, ValidationError
 from camsched.camq import QualityState, cam_difference, filter_cam, filtered_difference
@@ -386,6 +386,31 @@ def test_quality_slot_filters_nothing(monkeypatch):
     run_slot(0, trace, state, model, "none")
     next(sim.replay(trace, state, camq.DEFAULT_THRESHOLD))
     assert filters == []
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
+def test_slot_scores_its_decision_once(monkeypatch, scheduler):
+    # the GA hands run_slot the report it scored its answer with
+    model = tiny_model()
+    trace = quality_trace(model, num_slots=2, seed=4)
+    calls = []
+    original = sysmodel.check_feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (sysmodel, sched, sim):
+        monkeypatch.setattr(module, "check_feasibility", counted)
+    state = QualityState(2, 1)
+    for t in range(trace.horizon):
+        del calls[:]
+        metrics = run_slot(t, trace, state, model, scheduler)
+        assert len(calls) == 1
+        slot = SlotInput(trace.slots[t].datasize_bits, trace.slots[t].bandwidth_bps,
+                         trace.slots[t].quality)
+        if not metrics.rejected:
+            assert metrics.total_utility == original(metrics.decision, slot, model).total_utility
 
 
 # ------------------------------------------------------------ trace validation
