@@ -9,7 +9,6 @@ activations churn from chunk to chunk scores low even if the gain is large.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,12 +144,79 @@ def temporal_variation(
     return max(total, floor)
 
 
+# float64 cells a scoring step works on at once: its scratch array stays in
+# cache, and a state's first slot touches few fresh pages for it
+_CHUNK_CELLS = 1 << 14
+
+
+class _Windows:
+    """Ring storage for the CAM windows of every pair whose maps have one shape.
+
+    Row r is one (device, algorithm) pair, its maps flattened to rows*cols
+    cells. The ring has depth + 1 columns, each a (rows, cells) array: row
+    r's stored entries sit in columns head[r] - fill[r] .. head[r] - 1
+    (mod depth + 1), oldest first, each with the threshold it was filtered
+    at in thresholds[r]. Column head[r] takes the map being assessed, so
+    committing it only advances the head. A column per array keeps each
+    window position contiguous across rows, and no allocation larger than
+    one column. Rows are only ever added: a pair that moves to another shape
+    before storing anything leaves its empty row behind.
+    """
+
+    def __init__(self, shape: tuple[int, int], depth: int):
+        self.shape = shape
+        self.cells = shape[0] * shape[1]
+        self.ring = [np.zeros((0, self.cells)) for _ in range(depth + 1)]
+        self.thresholds = np.zeros((0, depth + 1))
+        self.head = np.zeros(0, dtype=np.intp)
+        self.fill = np.zeros(0, dtype=np.intp)
+        self._work = np.empty((0, self.cells))
+
+    def add(self, count: int) -> int:
+        """Append `count` empty rows; return the first one's index."""
+        first, width = len(self.fill), len(self.ring)
+        for c, column in enumerate(self.ring):
+            self.ring[c] = np.zeros((first + count, self.cells))
+            self.ring[c][:first] = column
+        self.thresholds = np.concatenate([self.thresholds, np.zeros((count, width))])
+        self.head = np.concatenate([self.head, np.zeros(count, dtype=np.intp)])
+        self.fill = np.concatenate([self.fill, np.zeros(count, dtype=np.intp)])
+        return first
+
+    def work(self, rows: int) -> np.ndarray:
+        """A (rows, cells) scratch array, reused from slot to slot."""
+        if len(self._work) < rows:
+            self._work = np.empty((rows, self.cells))
+        return self._work[:rows]
+
+    def align(self, rows) -> int:
+        """Rotate the rings of `rows` to one common head, and return it.
+
+        A rotation keeps every entry's age, so only per-pair commits in an
+        uneven order ever need one.
+        """
+        heads = self.head[rows]
+        head = int(heads[0])
+        for row in np.arange(len(self.head))[rows][heads != head]:
+            shift = head - self.head[row]
+            entries = [column[row].copy() for column in self.ring]
+            for c, entry in enumerate(entries):
+                self.ring[(c + shift) % len(self.ring)][row] = entry
+            self.thresholds[row] = np.roll(self.thresholds[row], shift)
+            self.head[row] = head
+        return head
+
+
 class QualityState:
     """Sliding windows that back the quality score.
 
     Holds, per (device, algorithm), the last ``window_depth`` filtered enhanced
     CAMs, and per device the last ``window_depth`` accuracy feedback values.
-    Single-writer: one simulation loop mutates it via :func:`commit_slot`.
+    The CAM windows of all pairs with one map shape share one ring, built
+    at the first assessment or commit of each pair, so a slot reads and
+    writes them with a few numpy calls; the accuracy windows are one
+    (devices, window_depth) array, newest value in the last column.
+    Single-writer: one simulation loop mutates it.
     """
 
     def __init__(
@@ -180,13 +246,10 @@ class QualityState:
         self.default_accuracy = float(default_accuracy)
         self.denom_floor = float(denom_floor)
         self.quality_cap = float(quality_cap)
-        self._cams: list[list[deque]] = [
-            [deque(maxlen=window_depth) for _ in range(num_algorithms)]
-            for _ in range(num_devices)
-        ]
-        self._accuracy: list[deque] = [
-            deque(maxlen=window_depth) for _ in range(num_devices)
-        ]
+        self._windows: dict[tuple[int, int], _Windows] = {}          # per CAM shape
+        self._homes: dict[tuple[int, int], tuple[_Windows, int]] = {}  # pair -> row
+        self._accuracy = np.zeros((self.num_devices, self.window_depth))
+        self._accuracy_fill = np.zeros(self.num_devices, dtype=np.intp)
 
     def _check_device(self, device: int) -> None:
         if not 0 <= device < self.num_devices:
@@ -198,22 +261,198 @@ class QualityState:
                 f"algorithm {algorithm} outside 1..{self.num_algorithms}"
             )
 
+    def _rows(self, pairs: Sequence[tuple[int, int]], shape: tuple[int, int]):
+        """(windows, rows) of `pairs`, whose maps have `shape`; a pair seen for
+        the first time gets a row.
+
+        A pair that already stores maps of another shape is a ShapeMismatchError.
+        """
+        windows = self._windows.get(shape)
+        if windows is None:
+            windows = self._windows[shape] = _Windows(shape, self.window_depth)
+        rows, new = [], []
+        for pair in pairs:
+            home = self._homes.get(pair)
+            if home is not None and home[0] is not windows:
+                other, row = home
+                if other.fill[row]:
+                    raise ShapeMismatchError(f"CAM shapes differ: {shape} vs {other.shape}")
+                home = None
+            if home is None:
+                new.append(pair)
+                rows.append(len(windows.fill) + len(new) - 1)
+            else:
+                rows.append(home[1])
+        if new:
+            first = windows.add(len(new))
+            for i, pair in enumerate(new):
+                self._homes[pair] = (windows, first + i)
+        return windows, rows
+
     def cam_window(self, device: int, algorithm: int) -> tuple[FilteredCam, ...]:
+        """The pair's stored filtered CAMs, oldest first, as copies."""
         self._check_device(device)
         self._check_algorithm(algorithm)
-        return tuple(self._cams[device][algorithm - 1])
+        home = self._homes.get((device, algorithm))
+        if home is None:
+            return ()
+        windows, row = home
+        head, fill = windows.head[row], windows.fill[row]
+        entries = []
+        for col in (head - fill + np.arange(fill)) % (self.window_depth + 1):
+            values = windows.ring[col][row].reshape(windows.shape).copy()
+            values.setflags(write=False)
+            entries.append(trusted(FilteredCam, values=values,
+                                   threshold=float(windows.thresholds[row, col])))
+        return tuple(entries)
 
     def accuracy_window(self, device: int) -> tuple[float, ...]:
         self._check_device(device)
-        return tuple(self._accuracy[device])
+        fill = self._accuracy_fill[device]
+        return tuple(self._accuracy[device, self.window_depth - fill:].tolist())
+
+
+def _rolling_accuracies(state: QualityState) -> np.ndarray:
+    """Every device's mean stored accuracy feedback, summed oldest first; the
+    default for a device before any arrives.
+
+    The columns a device has not filled yet hold 0.0 and come first, so
+    adding every column in turn gives the sum of its window exactly.
+    """
+    total = np.zeros(state.num_devices)
+    for column in state._accuracy.T:
+        total += column
+    fill = state._accuracy_fill
+    return np.where(fill > 0, total / np.maximum(fill, 1), state.default_accuracy)
 
 
 def rolling_accuracy(state: QualityState, device: int) -> float:
     """Mean of the device's stored accuracy feedback; the default before any arrives."""
-    window = state.accuracy_window(device)
-    if not window:
-        return state.default_accuracy
-    return sum(window) / len(window)
+    state._check_device(device)
+    return float(_rolling_accuracies(state)[device])
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The pairs devices x algorithms of one slot whose maps share a shape,
+    device-major. Their filtered enhanced maps sit in column `head` of their
+    ring rows; `lowlight` holds each device's flattened filtered map."""
+
+    windows: _Windows
+    rows: slice | np.ndarray
+    head: int
+    num_algorithms: int
+    lowlight: tuple[np.ndarray, ...]
+
+
+# a slot's assessed pairs per CAM shape, for commit_maps
+SlotMaps = tuple[_Block, ...]
+
+
+def _block(state, shape, devices, algorithms, enhanced, lowlight=()) -> _Block:
+    """Write filtered maps of `shape` into the head column of their pairs'
+    rings: one per pair from the iterable `enhanced`, device-major, and
+    `lowlight` per device when the block is to be scored."""
+    windows, rows = state._rows([(d, a) for d in devices for a in algorithms], shape)
+    first = rows[0]
+    # consecutive rows select a view, so reading them makes no copy
+    select = (slice(first, first + len(rows)) if rows == list(range(first, first + len(rows)))
+              else np.array(rows))
+    head = windows.align(select)
+    for row, fc in zip(rows, enhanced):
+        if fc.shape != shape:
+            raise ShapeMismatchError(f"CAM shapes differ: {fc.shape} vs {shape}")
+        windows.ring[head][row] = fc.values.reshape(-1)
+        windows.thresholds[row, head] = fc.threshold
+    return _Block(windows, select, head, len(algorithms),
+                  tuple(fc.values.reshape(-1) for fc in lowlight))
+
+
+def _score(state: QualityState, block: _Block, accuracy: np.ndarray) -> np.ndarray:
+    """Quality of every pair in the block, in its order; `accuracy` holds the
+    rolling accuracy of each of the block's devices.
+
+    The accuracy-weighted filtered difference over the variation against the
+    pair's window, summed oldest entry first, floored and clamped. Devices
+    are taken a few at a time and the variation one window position at a
+    time, so the scratch array holds _CHUNK_CELLS cells or one device's maps.
+    """
+    windows, rows, head, k = block.windows, block.rows, block.head, block.num_algorithms
+    depth = state.window_depth
+    ring, cells = windows.ring, windows.cells
+    enhanced, fill = ring[head][rows], windows.fill[rows]
+    numerator, total = np.empty(len(fill)), np.zeros(len(fill))
+    per_chunk = max(1, _CHUNK_CELLS // (k * cells))
+    work = windows.work(min(per_chunk, len(block.lowlight)) * k)
+    for first in range(0, len(block.lowlight), per_chunk):
+        lows = block.lowlight[first:first + per_chunk]
+        lo, hi = first * k, (first + len(lows)) * k
+        enh, buf = enhanced[lo:hi], work[:hi - lo]
+        for d, low in enumerate(lows):
+            np.subtract(enh[d * k:(d + 1) * k], low, out=buf[d * k:(d + 1) * k])
+        numerator[lo:hi] = buf.sum(-1)
+        past = slice(rows.start + lo, rows.start + hi) if isinstance(rows, slice) else rows[lo:hi]
+        for age in range(depth - int(fill[lo:hi].max()), depth):
+            np.subtract(enh, ring[(head - depth + age) % (depth + 1)][past], out=buf)
+            np.abs(buf, out=buf)
+            total[lo:hi] += np.where(fill[lo:hi] >= depth - age, buf.sum(-1), 0.0)
+    denom = np.maximum(total, state.denom_floor)
+    score = np.repeat(accuracy, k) * numerator / denom
+    return np.minimum(np.maximum(score, -state.quality_cap), state.quality_cap)
+
+
+def _commit(state: QualityState, block: _Block) -> None:
+    """Make each pair's assessed map its newest window entry."""
+    windows, rows = block.windows, block.rows
+    windows.head[rows] = (block.head + 1) % (state.window_depth + 1)
+    windows.fill[rows] = np.minimum(windows.fill[rows] + 1, state.window_depth)
+
+
+def slot_quality(
+    state: QualityState,
+    lowlight: Sequence[CamMap],
+    enhanced: Sequence[Sequence[CamMap]],
+    threshold: float = DEFAULT_THRESHOLD,
+) -> tuple[np.ndarray, SlotMaps]:
+    """One slot's (devices, K+1) quality matrix against the current windows.
+
+    `lowlight` holds one map per device and `enhanced[m]` one per algorithm
+    k = 1..K, every map of a device in one shape. Each map is filtered once,
+    straight into its pair's ring, and all pairs of a shape are scored
+    together. What comes back for :func:`commit_maps` is valid until the
+    state changes otherwise.
+    """
+    m, k = len(lowlight), len(enhanced[0])
+    if len(enhanced) != m or any(len(per_alg) != k for per_alg in enhanced):
+        raise ValidationError("need one low-light map and K enhanced maps per device")
+    lows = [filter_cam(cam, threshold) for cam in lowlight]
+    quality = np.zeros((m, k + 1))
+    if not k:
+        return quality, ()
+    state._check_device(m - 1)
+    state._check_algorithm(k)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for device, low in enumerate(lows):
+        by_shape.setdefault(low.shape, []).append(device)
+    algorithms = list(range(1, k + 1))
+    accuracy = _rolling_accuracies(state)
+    blocks = []
+    for shape, devices in by_shape.items():
+        # filtered one at a time, so only one enhanced map is alive outside the rings
+        block = _block(state, shape, devices, algorithms,
+                       (filter_cam(cam, threshold) for d in devices for cam in enhanced[d]),
+                       [lows[d] for d in devices])
+        scores = _score(state, block, accuracy[devices])
+        quality[np.ix_(devices, algorithms)] = scores.reshape(len(devices), k)
+        blocks.append(block)
+    return quality, tuple(blocks)
+
+
+def commit_maps(state: QualityState, maps: SlotMaps) -> None:
+    """Advance the windows of every pair in a slot past the maps
+    :func:`slot_quality` assessed."""
+    for block in maps:
+        _commit(state, block)
 
 
 def enhancement_quality(
@@ -247,19 +486,22 @@ def filtered_quality(
     """Quality score from maps that are already filtered.
 
     The accuracy-weighted filtered difference divided by the windowed temporal
-    variation, clamped to +/- quality_cap; algorithm 0 scores exactly 0. A
-    slot filters each map once and scores every algorithm from those maps.
+    variation, clamped to +/- quality_cap; algorithm 0 scores exactly 0. It
+    is :func:`slot_quality` for one pair.
     """
     if algorithm == 0:
         return 0.0
     state._check_device(device)
     state._check_algorithm(algorithm)
-    numerator = filtered_difference(filtered_enhanced, filtered_lowlight)
-    history = state.cam_window(device, algorithm)
-    denom = temporal_variation(filtered_enhanced, history, state.denom_floor)
-    score = rolling_accuracy(state, device) * numerator / denom
-    cap = state.quality_cap
-    return min(max(score, -cap), cap)
+    _check_same_shape(filtered_enhanced.values, filtered_lowlight.values)
+    if filtered_enhanced.threshold != filtered_lowlight.threshold:
+        raise ValidationError(
+            f"filter thresholds differ: {filtered_enhanced.threshold} vs "
+            f"{filtered_lowlight.threshold}"
+        )
+    block = _block(state, filtered_enhanced.shape, [device], [algorithm],
+                   [filtered_enhanced], [filtered_lowlight])
+    return float(_score(state, block, np.array([rolling_accuracy(state, device)]))[0])
 
 
 def record_accuracy(state: QualityState, device: int, accuracy: float) -> None:
@@ -267,7 +509,10 @@ def record_accuracy(state: QualityState, device: int, accuracy: float) -> None:
     state._check_device(device)
     if not 0.0 <= accuracy <= 1.0:
         raise ValidationError(f"accuracy {accuracy} outside [0, 1]")
-    state._accuracy[device].append(float(accuracy))
+    window = state._accuracy[device]
+    window[:-1] = window[1:]
+    window[-1] = accuracy
+    state._accuracy_fill[device] = min(state._accuracy_fill[device] + 1, state.window_depth)
 
 
 def commit_slot(
@@ -284,9 +529,7 @@ def commit_slot(
     """
     state._check_device(device)
     state._check_algorithm(algorithm)
-    window = state._cams[device][algorithm - 1]
-    if window:
-        _check_same_shape(filtered_enhanced.values, window[-1].values)
-    window.append(filtered_enhanced)
+    _commit(state, _block(state, filtered_enhanced.shape, [device], [algorithm],
+                          [filtered_enhanced]))
     if accuracy_feedback is not None:
         record_accuracy(state, device, accuracy_feedback)

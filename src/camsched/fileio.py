@@ -214,8 +214,8 @@ def save_trace(trace: Trace, out_dir: str) -> str:
     }
     path = os.path.join(out_dir, "trace.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+        # one line: json.dump, or any indent, runs the pure-Python encoder
+        fh.write(json.dumps(manifest) + "\n")
     return path
 
 

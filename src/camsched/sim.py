@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import camq, sched
-from .camq import CamMap, FilteredCam, QualityState
+from .camq import CamMap, QualityState, SlotMaps
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
@@ -26,10 +26,6 @@ from .sysmodel import (Decision, SlotInput, SystemModel, check_dims, check_feasi
                        check_slot_values, device_latency)
 
 SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
-
-# a CAM slot's filtered enhanced maps: per device, per algorithm k=1..K
-FilteredMaps = tuple[tuple[FilteredCam, ...], ...]
-
 
 @dataclass(frozen=True)
 class SlotData:
@@ -157,24 +153,16 @@ class RunSummary:
 
 def assess_quality(
     trace: Trace, slot: SlotData, state: QualityState, threshold: float
-) -> tuple[np.ndarray, FilteredMaps | None]:
+) -> tuple[np.ndarray, SlotMaps | None]:
     """Assessment stage: the slot's (M, K+1) quality against the current windows.
 
-    Every CAM of the slot is filtered once, and each (device, algorithm) pair
-    is scored from those maps. The filtered enhanced maps come back with the
+    Every CAM of the slot is filtered once, and all (device, algorithm) pairs
+    are scored from those maps together. The assessed maps come back with the
     quality matrix for :func:`commit_windows`; a quality-matrix slot has none.
     """
     if slot.quality is not None:
         return slot.quality, None
-    q = np.zeros((trace.num_devices, trace.num_algorithms + 1))
-    filtered = []
-    for m, (lowlight, enhanced) in enumerate(zip(slot.lowlight, slot.enhanced)):
-        low = camq.filter_cam(lowlight, threshold)
-        per_alg = tuple(camq.filter_cam(cam, threshold) for cam in enhanced)
-        for alg, enh in enumerate(per_alg, start=1):
-            q[m, alg] = camq.filtered_quality(state, m, alg, enh, low)
-        filtered.append(per_alg)
-    return q, tuple(filtered)
+    return camq.slot_quality(state, slot.lowlight, slot.enhanced, threshold)
 
 
 def commit_windows(
@@ -183,7 +171,7 @@ def commit_windows(
     state: QualityState,
     decision: Decision | None,
     rejected: frozenset[int],
-    filtered: FilteredMaps | None,
+    filtered: SlotMaps | None,
 ) -> None:
     """Commit stage: advance the windows past the slot with the maps
     :func:`assess_quality` filtered for it.
@@ -193,9 +181,7 @@ def commit_windows(
     a pure assessment replay where nothing ran).
     """
     if filtered is not None:
-        for m, per_alg in enumerate(filtered):
-            for alg, enh in enumerate(per_alg, start=1):
-                camq.commit_slot(state, m, alg, enh)
+        camq.commit_maps(state, filtered)
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):
             if m in rejected:
@@ -374,11 +360,12 @@ class SynthSpec:
             raise ValidationError(f"generator seed must be non-negative, got {self.seed}")
 
 
-def _upsample(coarse: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Bilinear resize of a coarse grid onto (rows, cols)."""
-    cr, cc = coarse.shape
+def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:
+    """Bilinear resize of coarse grids (..., cr, cc) into `out` (..., rows, cols)."""
+    (cr, cc), (rows, cols) = coarse.shape[-2:], out.shape[-2:]
     if cr == rows and cc == cols:
-        return coarse.copy()
+        np.copyto(out, coarse)
+        return
     r = np.linspace(0.0, cr - 1.0, rows)
     c = np.linspace(0.0, cc - 1.0, cols)
     r0 = np.clip(np.floor(r).astype(int), 0, cr - 1)
@@ -387,54 +374,76 @@ def _upsample(coarse: np.ndarray, rows: int, cols: int) -> np.ndarray:
     c1 = np.clip(c0 + 1, 0, cc - 1)
     wr = (r - r0)[:, None]
     wc = (c - c0)[None, :]
-    top = coarse[np.ix_(r0, c0)] * (1 - wc) + coarse[np.ix_(r0, c1)] * wc
-    bottom = coarse[np.ix_(r1, c0)] * (1 - wc) + coarse[np.ix_(r1, c1)] * wc
-    return top * (1 - wr) + bottom * wr
+    r0, r1 = r0[:, None], r1[:, None]
+    # top * (1 - wr) + bottom * wr, every product formed in place
+    top = out
+    np.multiply(coarse[..., r0, c0], 1 - wc, out=top)
+    right = coarse[..., r0, c1]
+    right *= wc
+    top += right
+    bottom = coarse[..., r1, c0]
+    bottom *= 1 - wc
+    right = coarse[..., r1, c1]
+    right *= wc
+    bottom += right
+    top *= 1 - wr
+    bottom *= wr
+    top += bottom
 
 
 def generate_synthetic(spec: SynthSpec) -> Trace:
-    """Deterministic CAM trace: same SynthSpec, same bytes."""
+    """Deterministic CAM trace: same SynthSpec, same bytes.
+
+    Each slot's maps are one (M, K+1, rows, cols) stack, low-light first;
+    each device draws its K noise maps and then its K accuracy noises in one
+    call, the order the random stream has always had.
+    """
     rng = np.random.default_rng(spec.seed)
     m, k, horizon = spec.num_devices, spec.num_algorithms, spec.horizon
     rows, cols = spec.cam_rows, spec.cam_cols
+    cells = k * rows * cols
     cr = max(1, round(rows * spec.smoothness))
     cc = max(1, round(cols * spec.smoothness))
     scenes = rng.uniform(0.15, 0.55, size=(m, cr, cc))
+    offsets = np.array(spec.offsets, dtype=np.float64)
+    expected = spec.accuracy_floor + spec.accuracy_gain * offsets  # accuracy before noise
 
     slots = []
     for _t in range(horizon):
         scenes = np.clip(
             scenes + rng.normal(0.0, spec.drift, size=scenes.shape), 0.0, 0.8
         )
-        lowlight = []
-        enhanced = []
-        accuracy = np.zeros((m, k + 1))
+        maps = np.empty((m, k + 1, rows, cols))
+        _upsample(scenes, maps[:, 0])
+        np.clip(maps[:, 0], 0.0, None, out=maps[:, 0])
+        np.add(maps[:, :1], offsets[:, None, None], out=maps[:, 1:])
+        accuracy = np.empty((m, k + 1))
+        accuracy[:, 0] = spec.accuracy_floor
         for dev in range(m):
-            low = np.clip(_upsample(scenes[dev], rows, cols), 0.0, None)
-            lowlight.append(CamMap(low))
-            per_alg = []
-            for alg in range(1, k + 1):
-                noise = rng.normal(0.0, spec.cam_noise, size=(rows, cols))
-                per_alg.append(
-                    CamMap(np.clip(low + spec.offsets[alg - 1] + noise, 0.0, None))
-                )
-            enhanced.append(tuple(per_alg))
-            accuracy[dev, 0] = spec.accuracy_floor
-            for alg in range(1, k + 1):
-                acc = (
-                    spec.accuracy_floor
-                    + spec.accuracy_gain * spec.offsets[alg - 1]
-                    + rng.normal(0.0, spec.accuracy_noise)
-                )
-                accuracy[dev, alg] = min(max(acc, 0.0), 1.0)
+            # 0 + sigma * z is exactly what Generator.normal(0, sigma) returns
+            z = rng.standard_normal(cells + k)
+            z[:cells] *= spec.cam_noise
+            z[cells:] *= spec.accuracy_noise
+            z += 0.0
+            maps[dev, 1:] += z[:cells].reshape(k, rows, cols)
+            accuracy[dev, 1:] = expected + z[cells:]
+        np.clip(maps[:, 1:], 0.0, None, out=maps[:, 1:])
+        np.clip(accuracy[:, 1:], 0.0, 1.0, out=accuracy[:, 1:])
+        # clipping left no negative value, but an overflow or NaN survives it
+        if not np.isfinite(maps).all():
+            raise ValidationError("CAM values must be finite")
+        maps.setflags(write=False)
         datasize = rng.uniform(*spec.datasize_bits, size=m)
         bandwidth = rng.uniform(*spec.bandwidth_bps, size=(m, spec.num_servers))
         slots.append(
             SlotData(
                 datasize_bits=datasize,
                 bandwidth_bps=bandwidth,
-                lowlight=tuple(lowlight),
-                enhanced=tuple(enhanced),
+                lowlight=tuple(camq.trusted(CamMap, values=maps[dev, 0]) for dev in range(m)),
+                enhanced=tuple(
+                    tuple(camq.trusted(CamMap, values=cam) for cam in maps[dev, 1:])
+                    for dev in range(m)
+                ),
                 accuracy=accuracy,
             )
         )

@@ -13,22 +13,28 @@ from camsched.camq import (
     FilteredCam,
     QualityState,
     cam_difference,
+    commit_maps,
     commit_slot,
     enhancement_quality,
     filter_cam,
     filtered_difference,
     record_accuracy,
     rolling_accuracy,
+    slot_quality,
     temporal_variation,
 )
+from camsched import sim
 from camsched.errors import ShapeMismatchError, UnknownDeviceError, ValidationError
 
 from refimpl import (
+    ref_assess_quality,
     ref_cam_difference,
+    ref_commit_windows,
     ref_filter,
     ref_quality,
     ref_temporal_variation,
 )
+from test_sim import cam_trace, gpu_roster_model, hex_matrix, hex_windows
 
 
 def cam(rows):
@@ -265,6 +271,98 @@ def test_unknown_device_and_algorithm():
         state.cam_window(0, 0)
     with pytest.raises(UnknownDeviceError):
         state.cam_window(0, 2)
+
+
+# ------------------------------------------------------------ ring windows
+
+def test_window_entry_outlives_the_ring_storage_it_was_read_from():
+    state = QualityState(num_devices=1, num_algorithms=1, window_depth=2)
+    commit_slot(state, 0, 1, filter_cam(cam([[0.5, 0.9]]), 0.4))
+    first = state.cam_window(0, 1)[0]
+    # three more commits and assessments evict the entry and rewrite every
+    # ring column it could have shared storage with
+    for v in (0.6, 0.7, 0.8):
+        enhancement_quality(state, 0, 1, cam([[v, 0.1]]), cam([[0.2, 0.2]]))
+        commit_slot(state, 0, 1, filter_cam(cam([[v, v]]), 0.4))
+    assert first.values.tolist() == [[0.5, 0.9]]
+    assert first.threshold == 0.4 and not first.values.flags.writeable
+    assert [fc.values.tolist() for fc in state.cam_window(0, 1)] == [[[0.7, 0.7]], [[0.8, 0.8]]]
+
+
+def test_window_entries_keep_their_threshold():
+    state = QualityState(num_devices=1, num_algorithms=1, window_depth=3)
+    for gamma in (0.1, 0.4, 0.7, 0.2):
+        commit_slot(state, 0, 1, filter_cam(cam([[0.8]]), gamma))
+    assert [fc.threshold for fc in state.cam_window(0, 1)] == [0.4, 0.7, 0.2]
+
+
+def test_window_shape_is_per_pair():
+    # two algorithms of one device may store maps of different shapes
+    state = QualityState(num_devices=1, num_algorithms=2)
+    commit_slot(state, 0, 1, filter_cam(cam([[0.9, 0.5]]), 0.4))
+    commit_slot(state, 0, 2, filter_cam(cam([[0.9], [0.5]]), 0.4))
+    commit_slot(state, 0, 2, filter_cam(cam([[0.7], [0.8]]), 0.4))
+    assert [fc.shape for fc in state.cam_window(0, 1)] == [(1, 2)]
+    assert [fc.shape for fc in state.cam_window(0, 2)] == [(2, 1), (2, 1)]
+    # but one pair keeps the shape of what it stores
+    with pytest.raises(ShapeMismatchError):
+        commit_slot(state, 0, 1, filter_cam(cam([[0.9], [0.5]]), 0.4))
+    with pytest.raises(ShapeMismatchError):
+        enhancement_quality(state, 0, 2, cam([[0.9, 0.5]]), cam([[0.1, 0.1]]))
+    assert [len(state.cam_window(0, a)) for a in (1, 2)] == [1, 2]
+    # a pair assessed at one shape but holding nothing yet may store another
+    fresh = QualityState(num_devices=1, num_algorithms=1)
+    assert enhancement_quality(fresh, 0, 1, cam([[0.9, 0.5]]), cam([[0.1, 0.1]])) == 10.0
+    commit_slot(fresh, 0, 1, filter_cam(cam([[0.9]]), 0.4))
+    assert [fc.values.tolist() for fc in fresh.cam_window(0, 1)] == [[[0.9]]]
+
+
+@pytest.mark.parametrize("shapes, depth", [
+    (((3, 5), (2, 2), (3, 5)), 3),
+    (((1, 1),) * 3, 1),
+    (((64, 64),) * 3, 2),  # scored a device at a time
+], ids=["mixed-depth3", "1x1-depth1", "64x64-depth2"])
+@pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
+def test_uneven_per_pair_windows_then_slots_match_the_per_pair_reference(shapes, depth, feedback):
+    """Pairs committed one by one in a scrambled order, each a different
+    number of times, leave windows with different fills and heads and ring
+    rows out of slot order; slots assessed and committed together on that
+    state must match the pair-by-pair reference bit for bit."""
+    trace = cam_trace(shapes, 4, feedback, seed=11, num_algorithms=3)
+    m, k = trace.num_devices, trace.num_algorithms
+    model = gpu_roster_model(m, k)
+    rng = np.random.default_rng(3)
+    state, ref = (QualityState(m, k, window_depth=depth, default_accuracy=0.7)
+                  for _ in range(2))
+    pairs = [(d, a) for d in range(m) for a in range(1, k + 1)]
+    stored = {pair: [] for pair in pairs}
+    for i in rng.permutation(len(pairs)):
+        d, a = pairs[i]
+        for _ in range(int(rng.integers(0, 2 * depth + 2))):
+            fc = filter_cam(CamMap(rng.uniform(0.0, 1.0, shapes[d])), 0.4)
+            feedback_value = float(rng.uniform()) if rng.random() < 0.5 else None
+            for s in (state, ref):
+                commit_slot(s, d, a, fc, feedback_value)
+            stored[(d, a)] = (stored[(d, a)] + [fc.values.tolist()])[-depth:]
+    assert {pair: [fc.values.tolist() for fc in state.cam_window(*pair)]
+            for pair in pairs} == stored
+    seen = {}
+    for t, slot in enumerate(trace.slots):
+        want = ref_assess_quality(trace, slot, ref, 0.4)
+        got, _ = sim.assess_quality(trace, slot, state, 0.4)
+        assert hex_matrix(got) == hex_matrix(want)
+        metrics = sim.run_slot(t, trace, state, model, "capacity", threshold=0.4)
+        ref_commit_windows(trace, slot, ref, metrics.decision, metrics.rejected, 0.4)
+        assert hex_windows(state, seen) == hex_windows(ref, seen)
+
+
+def test_slot_without_algorithms_scores_only_raw_shipping():
+    state = QualityState(num_devices=2, num_algorithms=0)
+    quality, maps = slot_quality(state, [cam([[0.9]]), cam([[0.5, 0.6]])], [(), ()])
+    assert quality.tolist() == [[0.0], [0.0]] and maps == ()
+    commit_maps(state, maps)
+    with pytest.raises(UnknownDeviceError):
+        state.cam_window(0, 1)
 
 
 # ------------------------------------------------------------- properties

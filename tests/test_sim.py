@@ -282,13 +282,13 @@ def hex_matrix(q):
 
 
 def hex_windows(state, seen):
-    """Every stored window entry, bit for bit. An entry is immutable, so its
-    rendering is kept in `seen` (with the entry, so its id stays unique)."""
+    """Every stored window entry, bit for bit. A window read returns fresh
+    copies, so renderings are kept in `seen` keyed by the entry's bytes."""
     def render(f):
-        if id(f) not in seen:
-            hexed = (f.shape, f.threshold.hex(), [v.hex() for v in f.values.ravel().tolist()])
-            seen[id(f)] = (f, hexed)
-        return seen[id(f)][1]
+        key = (f.shape, f.threshold.hex(), f.values.tobytes())
+        if key not in seen:
+            seen[key] = (f.shape, f.threshold.hex(), [v.hex() for v in f.values.ravel().tolist()])
+        return seen[key]
 
     cams = [
         [[render(f) for f in state.cam_window(m, k)] for k in range(1, state.num_algorithms + 1)]
