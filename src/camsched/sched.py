@@ -4,10 +4,11 @@ The genetic scheduler searches the full assignment space with elitism,
 roulette selection, single-point crossover and single-gene mutation, all in
 one operator on packed code populations (next_generation), scoring
 individuals by total utility minus normalised constraint penalties. The
-exhaustive oracle enumerates every admissible decision for small instances,
-and two baselines bound it from below: capacity-driven greedy and no
-enhancement. A decision's utility is sysmodel.check_feasibility's total;
-the GA scorer and the oracle add utilities device by device just as it does.
+exact oracle enumerates every admissible decision for small instances, or
+solves the slot device by device when no pool can overfill, and two
+baselines bound it from below: capacity-driven greedy and no enhancement.
+A decision's utility is sysmodel.check_feasibility's total; the GA scorer
+and the oracle add utilities device by device just as it does.
 """
 
 from __future__ import annotations
@@ -326,15 +327,19 @@ def evolve(
 def brute_force(
     slot: SlotInput, model: SystemModel, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> OracleResult:
-    """Enumerate every admissible decision and return the best feasible one.
+    """Return the best feasible decision over every admissible one.
 
     Exact but exponential: the space holds (N * (K+1))**M decisions and the
     call refuses to start past `limit`; `enumerated` reports that full space.
-    Only admissible codes are enumerated: a code that misses the deadline
+    Only admissible codes count: a code that misses the deadline
     (unreachable or unrunnable ones included) or alone overfills its pool is
     in no feasible decision, so dropping it changes neither the optimum nor
-    `feasible_count`. Ties on the objective go to the lexicographically
-    smallest gene vector, which is simply the first optimum in enumeration
+    `feasible_count`. A pool is slack when even each device's heaviest kept
+    code, added in device order, fits it; float addition is monotone, so no
+    decision overfills a slack pool and its capacity check is dropped. When
+    every pool is slack the slot separates by device and is solved without
+    enumerating (_separable_optimum). Ties on the objective go to the
+    lexicographically smallest gene vector, the first optimum in enumeration
     order.
     """
     check_dims(slot, model)
@@ -365,6 +370,16 @@ def brute_force(
     ]
     if any(len(codes) == 0 for codes in kept):
         return OracleResult(None, None, total, 0)
+
+    # the largest load any decision puts on each pool, summed as below
+    peak = np.zeros(len(caps))
+    for codes in kept:
+        peak = peak + code_load[codes].max(axis=0)
+    live = peak > caps
+    if not live.any():
+        return _separable_optimum(util, kept, total, model)
+    caps = caps[live]
+    code_load = code_load[:, live]
 
     # the trailing devices from `split` on form one broadcast block of at most
     # _ORACLE_CHUNK decisions (always at least the last device); the leading
@@ -412,6 +427,34 @@ def brute_force(
         return OracleResult(None, None, total, feasible_count)
     # best_val sums device by device from 0.0, so it is objective() exactly
     return OracleResult(model.decode(best_codes), best_val, total, feasible_count)
+
+
+def _separable_optimum(
+    util: np.ndarray, kept: list[np.ndarray], total: int, model: SystemModel
+) -> OracleResult:
+    """brute_force's answer when no capacity check can fail.
+
+    Every admissible decision is feasible, and by monotonicity the largest
+    left-to-right sum takes each device's best utility. The walk picks, device
+    by device, the smallest code that can still reach that sum, which is the
+    first optimum in enumeration order even where rounding lets a code below
+    a device's best tie with it.
+    """
+    best = [util[m, codes].max() for m, codes in enumerate(kept)]
+    target = 0.0
+    for b in best:
+        target += b
+    prefix = 0.0
+    chosen = []
+    for m, codes in enumerate(kept):
+        reach = prefix + util[m, codes]
+        for b in best[m + 1:]:
+            reach = reach + b
+        c = int(codes[np.flatnonzero(reach == target)[0]])
+        chosen.append(c)
+        prefix += util[m, c]
+    feasible_count = math.prod(len(codes) for codes in kept)
+    return OracleResult(model.decode(chosen), float(target), total, feasible_count)
 
 
 def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:

@@ -1,18 +1,21 @@
-"""Pinned outputs of the CAM path.
+"""Pinned outputs of the CAM path and of the quality-matrix runs.
 
 `gen-trace` must write the same CAM stacks and the same manifest values, and
 `camsched simulate` the same metrics bytes on the CAM workloads' configs, as
-the per-map generator and scorer they were recorded with. A faster CAM path
-may change how the work is done, never these bytes.
+the per-map generator and scorer they were recorded with. On quality-matrix
+traces, `simulate` and `oracle` must print what the full enumeration of every
+pool's capacity did. A faster path may change how the work is done, never
+these bytes.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from camsched import cli
-from camsched.config import DEFAULT_ALGORITHMS
+from camsched import cli, fileio, sim
+from camsched.config import DEFAULT_ALGORITHMS, parse_config
 
 
 def sha256(data: bytes) -> str:
@@ -284,3 +287,113 @@ def test_simulate_metrics_are_pinned(tmp_path, workload, seed):
         assert cli.main(argv) == 0
         got[f"{workload}/{seed}/{scheduler}"] = sha256(metrics.read_bytes())
     assert got == {key: METRICS_PINS[key] for key in got}
+
+
+# ----------------------------------------------------- quality-matrix traces
+
+def quality_trace(cfg, seed):
+    """The benchmark's quality-matrix trace, with no CAMs: each device draws a
+    scene difficulty per slot, and algorithm k scores in proportion to its
+    brightness offset, with +/-10% noise."""
+    rng = np.random.default_rng([seed, 0x5157])
+    m, n, k = cfg.num_devices, len(cfg.servers), len(cfg.algorithms)
+    offsets = np.asarray(cfg.synth.offsets, dtype=np.float64)
+    ratio = (offsets / offsets.max())[None, :]
+    slots = []
+    for _ in range(cfg.synth.horizon):
+        quality = np.zeros((m, k + 1))
+        scene = rng.uniform(1.0, 3.0, size=(m, 1))
+        quality[:, 1:] = scene * ratio * rng.uniform(0.9, 1.1, size=(m, k))
+        slots.append(sim.SlotData(
+            datasize_bits=rng.uniform(*cfg.synth.datasize_bits, size=m),
+            bandwidth_bps=rng.uniform(*cfg.synth.bandwidth_bps, size=(m, n)),
+            quality=quality,
+        ))
+    return sim.Trace(m, n, k, tuple(slots))
+
+
+def quality_run(tmp_path, doc, seed):
+    """Config file and saved quality trace of a workload config at `seed`."""
+    doc = dict(doc, seed=seed, ga={"seed": 1})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
+    trace = quality_trace(parse_config(cfg.read_text(encoding="ascii")), seed)
+    return cfg, fileio.save_trace(trace, str(tmp_path / "trace"))
+
+
+# the configs of the benchmark's two quality-matrix workloads; on oracle-m4 no
+# pool can overfill, so its oracle never enumerates
+QUALITY_WORKLOADS = {
+    "oracle-m4": ({"devices": 4, "scheduler": "oracle", "synth": {"horizon": 20}},
+                  ("default", "ga", "capacity", "none", "oracle")),
+    "fleet-m300": ({"devices": 300, "scheduler": "ga", "synth": {"horizon": 5}},
+                   ("default", "ga", "capacity", "none")),
+}
+
+QUALITY_METRICS_PINS = {
+    "oracle-m4/3/default": "eb965317c4176c85a95d8580299b0fd40a3511a2ab16ca988e60e646c6e1152e",
+    "oracle-m4/3/ga": "eb965317c4176c85a95d8580299b0fd40a3511a2ab16ca988e60e646c6e1152e",
+    "oracle-m4/3/capacity": "5fa6f2ae8dbc25140f5a8132add0204bf4de00dc507b13726497599b6d0c259f",
+    "oracle-m4/3/none": "65415ff42c9f7f8b3a394edfdddd26170d89e822e1a6f0144d7deede9f33eccd",
+    "oracle-m4/3/oracle": "eb965317c4176c85a95d8580299b0fd40a3511a2ab16ca988e60e646c6e1152e",
+    "oracle-m4/7777/default": "2db9522561771a1442634173ebc8c15d6a211d8d75436d859746532aaf15eed3",
+    "oracle-m4/7777/ga": "2db9522561771a1442634173ebc8c15d6a211d8d75436d859746532aaf15eed3",
+    "oracle-m4/7777/capacity": "98e462aed9eb67874dec30046917b816ebda6970652a0eebc51d6fe76ae7e12c",
+    "oracle-m4/7777/none": "b60a5a4a0c95a3a640e5704e43c98f8d91c24c93937bc716f4824ad52d7ed045",
+    "oracle-m4/7777/oracle": "2db9522561771a1442634173ebc8c15d6a211d8d75436d859746532aaf15eed3",
+    "fleet-m300/3/default": "6a260b0a8270ea063b7c36bd895590cfe61f5fbf3d3b5f17af4940b1f4b787f2",
+    "fleet-m300/3/ga": "6a260b0a8270ea063b7c36bd895590cfe61f5fbf3d3b5f17af4940b1f4b787f2",
+    "fleet-m300/3/capacity": "8e48ff1d23615a4f7fb8bf7652453d18180ff6bdf6ae6956340313441c2caf16",
+    "fleet-m300/3/none": "bd201b0f6d9210b4ead1e57d21b513926067d143aecc880aaec3818d74e1ea50",
+    "fleet-m300/7777/default": "f891be2d166280234c313ff06aa66b0716b5acf2c286c3d3f2788c802c714acf",
+    "fleet-m300/7777/ga": "f891be2d166280234c313ff06aa66b0716b5acf2c286c3d3f2788c802c714acf",
+    "fleet-m300/7777/capacity": "fda3094cc3e9d814659e108903d42eaa71d81735743af52df365a8cd26399b4a",
+    "fleet-m300/7777/none": "d5bb47348e349f278f00de703bd7cfd5f581fde94c0b4d2ba404516ff6d783f8",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(QUALITY_WORKLOADS))
+@pytest.mark.parametrize("seed", [3, 7777])
+def test_quality_trace_metrics_are_pinned(tmp_path, workload, seed):
+    doc, schedulers = QUALITY_WORKLOADS[workload]
+    cfg, manifest = quality_run(tmp_path, doc, seed)
+    got = {}
+    for scheduler in schedulers:
+        metrics = tmp_path / f"{scheduler}.jsonl"
+        argv = ["simulate", "--config", str(cfg), "--trace", manifest, "--out", str(metrics)]
+        if scheduler != "default":
+            argv += ["--scheduler", scheduler]
+        assert cli.main(argv) == 0
+        got[f"{workload}/{seed}/{scheduler}"] = sha256(metrics.read_bytes())
+    assert got == {key: QUALITY_METRICS_PINS[key] for key in got}
+
+
+# slot -> sha256 of the `camsched oracle --slot` record, oracle-m4 at seed 3
+ORACLE_RECORD_PINS = {
+    0: "b3f4548ba6c931c0029348918118b68af19de1cdc1c292ab5858b109a7ece6c9",
+    9: "f20572a79ff1d72c45504cfbdc9b30d34a1b354eec55d8b629f735196351096f",
+    19: "d1ecb42abbd7aae3dde3b84760a3149649d016330a8a33b128d230fba2d98045",
+}
+
+
+@pytest.mark.parametrize("slot", sorted(ORACLE_RECORD_PINS))
+def test_oracle_record_is_pinned(tmp_path, slot):
+    cfg, manifest = quality_run(tmp_path, QUALITY_WORKLOADS["oracle-m4"][0], 3)
+    out = tmp_path / "oracle.jsonl"
+    assert cli.main(["oracle", "--config", str(cfg), "--trace", manifest,
+                     "--slot", str(slot), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == ORACLE_RECORD_PINS[slot]
+
+
+def test_oracle_limit_holds_where_no_pool_can_overfill(tmp_path, capsys):
+    # 20**4 decisions; the slot is solved without enumerating, yet the limit
+    # still counts the full space
+    cfg, manifest = quality_run(tmp_path, QUALITY_WORKLOADS["oracle-m4"][0], 3)
+    argv = ["oracle", "--config", str(cfg), "--trace", manifest, "--slot", "0"]
+    assert cli.main(argv + ["--oracle-limit", "160000"]) == 0
+    assert json.loads(capsys.readouterr().out)["enumerated"] == 160000
+    assert cli.main(argv + ["--oracle-limit", "159999"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "159999" in err

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from camsched import sched as sched_module
 from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
     BaselineResult,
@@ -820,7 +821,60 @@ ORACLE_CASES = {
          [0.0, 0.6, 1.4], [0.0, 1.2, 1.1], [0.0, 0.6, 0.7]],
         max_latency_s=10.0,
     ),
+    # every pool slack: four devices at 1.0 each on 8.0 pools. Both
+    # algorithms on both servers tie, so the walk must take (0, 1), or (1, 1)
+    # for device 1, whose link to server 0 is dead
+    "slack-ties": lambda: oracle_case(
+        [(8.0, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [1.0, 1.0]), (KIND_CPU, [1e-7, 1e-7], [1.0, 1.0])],
+        [1e6] * 4,
+        [[1e7, 1e7], [0.0, 1e7], [1e7, 1e7], [1e7, 0.0]],
+        [[0.0, 1.0, 1.0]] * 4,
+    ),
+    # every pool slack; no data and no overhead make each utility its quality.
+    # 0.3 + 1.0 and 0.30000000000000004 + 1.0 both round to 1.3, so the
+    # first optimum takes device 0's smaller utility, not its argmax
+    "slack-rounding-tie": lambda: oracle_case(
+        [(8.0, 8.0)],
+        [(KIND_GPU, [1e-7], [1.0]), (KIND_CPU, [1e-7], [1.0])],
+        [0.0, 0.0],
+        [[1e7], [1e7]],
+        [[0.0, 0.3, 0.30000000000000004], [0.0, 1.0, 0.5]],
+        overhead=0.0,
+    ),
+    # server 0's gpu pool holds one of the three 1.0 reservations; the other
+    # three pools are slack, so only that pool is checked
+    "one-live-pool": lambda: oracle_case(
+        [(1.5, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [1.0, 1.0]), (KIND_CPU, [1e-7, 1e-7], [1.0, 1.0])],
+        [1e6] * 3,
+        [[2e7, 1e7]] * 3,
+        [[0.0, 1.5, 1.0], [0.0, 1.4, 1.2], [0.0, 1.3, 0.9]],
+    ),
+    # every pool slack; device 1 reaches only server 0, where enhancing its
+    # 4e6 bits takes 4 s, so raw shipping is its only admissible code
+    "slack-raw-only": lambda: oracle_case(
+        [(8.0, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-6, 1e-6], [1.0, 1.0])],
+        [1e6, 4e6, 1e6],
+        [[1e7, 1e7], [1e7, 0.0], [1e7, 2e7]],
+        [[0.0, 1.0], [0.0, 3.0], [0.0, 0.8]],
+    ),
+    # one device; its code (0, 1) overfills server 0's gpu pool alone, and
+    # once it is dropped every pool is slack
+    "m1": lambda: oracle_case(
+        [(0.5, 8.0), (8.0, 8.0)],
+        [(KIND_GPU, [1e-7, 1e-7], [1.0, 1.0]), (KIND_CPU, [1e-7, 1e-7], [2.0, 1.0])],
+        [1e6],
+        [[1e7, 5e6]],
+        [[0.0, 1.2, 1.1]],
+    ),
 }
+
+# the cases where no pool can overfill, which brute_force solves without
+# enumerating
+SLACK_CASES = {"unreachable", "deadline", "ties", "slack-ties", "slack-rounding-tie",
+               "slack-raw-only", "m1"}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -837,6 +891,63 @@ def test_brute_force_matches_exhaustive_reference(case):
         assert res.decision is None and res.feasible_count == 0
     if case == "at-capacity":
         assert server_loads(res.decision, model)[0, 0] == 0.6
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_case_skips_enumeration_exactly_when_every_pool_is_slack(case, monkeypatch):
+    calls = []
+    closed_form = sched_module._separable_optimum
+    monkeypatch.setattr(sched_module, "_separable_optimum",
+                        lambda *args: calls.append(args) or closed_form(*args))
+    model, slot = ORACLE_CASES[case]()
+    brute_force(slot, model)
+    assert bool(calls) == (case in SLACK_CASES)
+
+
+def test_oracle_limit_counts_the_full_space_when_every_pool_is_slack():
+    model, slot = ORACLE_CASES["slack-ties"]()
+    assert brute_force(slot, model, limit=6**4).enumerated == 6**4
+    with pytest.raises(SearchSpaceError):
+        brute_force(slot, model, limit=6**4 - 1)
+
+
+@st.composite
+def oracle_instances(draw):
+    """M <= 4, N <= 2, K <= 2 from small value sets, so loads land exactly on
+    capacity, latencies on the deadline and utilities on each other. One
+    draw in three makes every pool ample, and one link in five is dead."""
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    ample = draw(st.sampled_from([False, False, True]))
+    caps = st.just(100.0) if ample else st.sampled_from([1.0, 2.0, 0.5, 0.0])
+    servers = [draw(st.tuples(caps, caps).filter(any)) for _ in range(n)]
+    profiles = [
+        (draw(st.sampled_from([KIND_GPU, KIND_CPU])),
+         [draw(st.sampled_from([1e-7, 1e-6, 3e-6])) for _ in range(n)],
+         [draw(st.sampled_from([1.0, 0.5, 2.0, 0.0])) for _ in range(n)])
+        for _ in range(k)
+    ]
+    step = draw(st.sampled_from([None, 0.25, 0.5]))
+    quality = (st.floats(0.0, 3.0) if step is None
+               else st.integers(0, 12).map(lambda i: i * step))
+    return oracle_case(
+        servers, profiles,
+        [draw(st.sampled_from([1e6, 5e5, 2e6, 0.0])) for _ in range(m)],
+        [[draw(st.sampled_from([1e7, 1e6, 2e6, 1e7, 0.0])) for _ in range(n)] for _ in range(m)],
+        [[0.0] + [draw(quality) for _ in range(k)] for _ in range(m)],
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle_instances())
+def test_brute_force_matches_exhaustive_reference_on_random_instances(instance):
+    model, slot = instance
+    decision, objective_value, count = exhaustive_reference(slot, model)
+    res = brute_force(slot, model)
+    assert res.decision == decision
+    assert (res.objective is None) == (objective_value is None)
+    if objective_value is not None:
+        assert res.objective.hex() == objective_value.hex()
+    assert res.feasible_count == count
 
 
 # ---------------------------------------------------------------- baselines
