@@ -15,7 +15,6 @@ from .camq import (
     enhancement_quality,
     filter_cam,
     filtered_difference,
-    filtered_quality,
     record_accuracy,
     rolling_accuracy,
     temporal_variation,

@@ -465,40 +465,18 @@ def enhancement_quality(
 ) -> float:
     """Quality score for running `algorithm` on this device's current chunk.
 
-    Algorithm 0 means "send the raw chunk" and always scores exactly 0; a real
-    algorithm is scored by :func:`filtered_quality` on the two filtered maps.
+    The accuracy-weighted difference of the two filtered maps divided by the
+    windowed temporal variation, clamped to +/- quality_cap. Algorithm 0
+    means "send the raw chunk" and always scores exactly 0. It is
+    :func:`slot_quality` for one pair.
     """
     if algorithm == 0:
         return 0.0
-    return filtered_quality(
-        state, device, algorithm,
-        filter_cam(enhanced, threshold), filter_cam(lowlight, threshold),
-    )
-
-
-def filtered_quality(
-    state: QualityState,
-    device: int,
-    algorithm: int,
-    filtered_enhanced: FilteredCam,
-    filtered_lowlight: FilteredCam,
-) -> float:
-    """Quality score from maps that are already filtered.
-
-    The accuracy-weighted filtered difference divided by the windowed temporal
-    variation, clamped to +/- quality_cap; algorithm 0 scores exactly 0. It
-    is :func:`slot_quality` for one pair.
-    """
-    if algorithm == 0:
-        return 0.0
+    filtered_enhanced = filter_cam(enhanced, threshold)
+    filtered_lowlight = filter_cam(lowlight, threshold)
     state._check_device(device)
     state._check_algorithm(algorithm)
     _check_same_shape(filtered_enhanced.values, filtered_lowlight.values)
-    if filtered_enhanced.threshold != filtered_lowlight.threshold:
-        raise ValidationError(
-            f"filter thresholds differ: {filtered_enhanced.threshold} vs "
-            f"{filtered_lowlight.threshold}"
-        )
     block = _block(state, filtered_enhanced.shape, [device], [algorithm],
                    [filtered_enhanced], [filtered_lowlight])
     return float(_score(state, block, np.array([rolling_accuracy(state, device)]))[0])

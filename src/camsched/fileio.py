@@ -1,8 +1,10 @@
-"""On-disk formats: CAM matrices, trace manifests, metrics streams.
+"""On-disk formats: CAM stacks, trace manifests, metrics streams.
 
-Every writer is deterministic. CAMs are written as `.npy` arrays, which keep
-every float64 bit, one stack per device; single-map `.npy` and text CAM files
-are still read. Manifests and metrics have a fixed key order and floats
+Every writer is deterministic. A trace directory holds a `trace.json`
+manifest and, for a CAM trace, one `.npy` stack per device, `cams/devMM.npy`,
+which keeps every float64 bit; the manifest names each map as a
+[file, index] pair. save_cam and load_cam are the one writer and the one
+reader of a stack. Manifests and metrics have a fixed key order and floats
 rounded to 9 significant digits, with one JSON record per line for metrics.
 Infinite latencies and utilities are emitted as the JSON extensions
 Infinity / -Infinity, which the stdlib json module reads back unchanged.
@@ -16,13 +18,13 @@ import math
 import os
 import tokenize
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .camq import CamMap, trusted
 from .errors import TraceError, ValidationError
-from .sim import RunSummary, SlotData, SlotMetrics, Trace
+from .sim import RunSummary, SlotData, SlotMetrics, Trace, summarize
 
 
 def round9(x: float) -> float:
@@ -32,35 +34,19 @@ def round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-def load_cam(path: str) -> CamMap:
-    """Read a CAM file that holds one 2-D map; its first bytes, not its name,
-    give the format.
+def load_cam(path: str) -> np.ndarray:
+    """Read one device's CAM stack, a `.npy` file, as one read-only, C-order
+    float64 array of shape (maps, rows, cols), checked finite and non-negative.
 
-    A file that starts with the `.npy` magic holds a non-empty 2-D int, uint
-    or float array, in either byte order and either memory order. Any other
-    file is text: a "rows cols" header line, then rows*cols reals, in any
-    whitespace layout after the header.
-    """
-    return trusted(CamMap, values=_cam_file_values(path, 2))
-
-
-def _cam_file_values(path: str, ndim: int) -> np.ndarray:
-    """The values of a CAM file as one read-only, C-order float64 array, checked
-    finite and non-negative, with every error naming the file.
-
-    `ndim` is 2 for a file that holds one map and 3 for a stack of maps; a
-    text file always holds one map.
+    The file may hold a non-empty 3-D int, uint or float array, in either
+    byte order and either memory order. Every error names the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.startswith(np.lib.format.MAGIC_PREFIX):
-        values = _npy_array(raw, path, ndim)
-    elif ndim == 2:
-        values = _text_array(raw, path)
-    else:
-        raise ValidationError(f"{path}: a text CAM file holds one 2-D map, not a {ndim}-D stack")
+    if not raw.startswith(np.lib.format.MAGIC_PREFIX):
+        raise ValidationError(f"{path}: not a .npy file")
     # no copy for a C-order <f8 file; anything else is copied once, whole
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(_npy_array(raw, path), dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValidationError(f"{path}: CAM values must be finite")
     if (values < 0.0).any():
@@ -69,37 +55,8 @@ def _cam_file_values(path: str, ndim: int) -> np.ndarray:
     return values
 
 
-def _text_array(raw: bytes, path: str) -> np.ndarray:
-    """The 2-D map in a text CAM file's bytes."""
-    try:
-        # decoded as open(path, "r", encoding="ascii") would, newlines included
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii").read()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: CAM file is not ASCII text: {exc}") from exc
-    lines = text.split("\n", 1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValidationError(f"{path}: header must be 'rows cols'")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-integer CAM dimensions") from exc
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"{path}: CAM dimensions must be positive")
-    body = lines[1] if len(lines) > 1 else ""
-    try:
-        values = [float(tok) for tok in body.split()]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric CAM value") from exc
-    if len(values) != rows * cols:
-        raise ValidationError(
-            f"{path}: expected {rows * cols} values, found {len(values)}"
-        )
-    return np.array(values).reshape(rows, cols)
-
-
-def _npy_array(raw: bytes, path: str, ndim: int) -> np.ndarray:
-    """The `ndim`-D array in a `.npy` CAM file's bytes, read with np.lib.format.
+def _npy_array(raw: bytes, path: str) -> np.ndarray:
+    """The 3-D array in a `.npy` CAM file's bytes, read with np.lib.format.
 
     np.load is never called, so no pickle or .npz path is reachable.
     """
@@ -120,10 +77,10 @@ def _npy_array(raw: bytes, path: str, ndim: int) -> np.ndarray:
     except (ValueError, TypeError, SyntaxError, tokenize.TokenError, UserWarning) as exc:
         reason = str(exc).partition("\n")[0]
         raise ValidationError(f"{path}: malformed .npy header: {reason}") from exc
-    if (len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape)
+    if (len(shape) != 3 or not all(type(n) is int and n >= 1 for n in shape)
             or dtype.kind not in "iuf"):
         raise ValidationError(
-            f"{path}: .npy CAM must be a non-empty {ndim}-D int, uint or float array, "
+            f"{path}: .npy CAM must be a non-empty 3-D int, uint or float array, "
             f"got {dtype.str!r} of shape {shape}"
         )
     # Python ints: np.prod would wrap for a shape like (2**32, 2**32, 2**32)
@@ -137,15 +94,10 @@ def _npy_array(raw: bytes, path: str, ndim: int) -> np.ndarray:
     return values.reshape(shape, order="F" if fortran_order else "C")
 
 
-def save_cam(cam: CamMap, path: str) -> None:
-    """Write one CAM as a `.npy` array; `path` is used as it is given."""
-    with open(path, "wb") as fh:  # np.save(path) would append .npy to the name
-        np.save(fh, cam.values)
-
-
-def _save_stack(maps: list[np.ndarray], path: str) -> None:
-    """Write equal-shape 2-D maps as one C-order `<f8` `.npy` array of shape
-    (maps, rows, cols), map by map, so no copy of the whole stack is made."""
+def save_cam(maps: Sequence[np.ndarray], path: str) -> None:
+    """Write one device's equal-shape 2-D maps as one C-order `<f8` `.npy`
+    array of shape (maps, rows, cols), map by map, so no copy of the whole
+    stack is made; `path` is used as it is given."""
     header = {"descr": "<f8", "fortran_order": False, "shape": (len(maps), *maps[0].shape)}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
@@ -203,9 +155,9 @@ def save_trace(trace: Trace, out_dir: str) -> str:
         os.makedirs(os.path.join(out_dir, "cams"), exist_ok=True)
         for m in range(trace.num_devices):
             # the order _slot_to_manifest indexes
-            _save_stack([cam.values for slot in cam_slots
-                         for cam in (slot.lowlight[m], *slot.enhanced[m])],
-                        os.path.join(out_dir, _stack_name(m)))
+            save_cam([cam.values for slot in cam_slots
+                      for cam in (slot.lowlight[m], *slot.enhanced[m])],
+                     os.path.join(out_dir, _stack_name(m)))
     manifest = {
         "devices": trace.num_devices,
         "servers": trace.num_servers,
@@ -226,28 +178,26 @@ def _field(doc, key: str, where: str):
 
 
 class _CamFiles:
-    """The CAM files of one trace directory, each read and checked once.
+    """The CAM stacks of one trace directory, each read and checked once.
 
-    A manifest reference is a file name, for a file that holds one 2-D map,
-    or a [file, index] pair, for map `index` of a file that holds a 3-D
-    stack. A stack's maps are read-only views of its one checked array.
+    A manifest reference is a [file, index] pair, for map `index` of the
+    stack in `file`; a map is a read-only view of its stack's checked array.
     """
 
     def __init__(self, base: str):
         self.base = base
-        self.maps: dict[str, CamMap] = {}
         self.stacks: dict[str, np.ndarray] = {}
 
     def map(self, ref) -> CamMap:
-        if isinstance(ref, str):
-            path = os.path.join(self.base, ref)
-            if path not in self.maps:
-                self.maps[path] = load_cam(path)
-            return self.maps[path]
+        if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
+            # a bare file name, as the retired single-map layout wrote; named
+            # as a path, like the file of every other CAM error
+            shown = os.path.join(self.base, ref) if isinstance(ref, str) else ref
+            raise ValidationError(f"{shown!r} is not a [file, index] CAM reference")
         name, index = ref
         path = os.path.join(self.base, name)
         if path not in self.stacks:
-            self.stacks[path] = _cam_file_values(path, 3)
+            self.stacks[path] = load_cam(path)
         stack = self.stacks[path]
         # a JSON true is a Python bool, which is an int
         if type(index) is not int or not 0 <= index < len(stack):
@@ -257,20 +207,15 @@ class _CamFiles:
         return trusted(CamMap, values=stack[index])
 
 
-def _is_cam_ref(ref) -> bool:
-    return isinstance(ref, str) or (
-        isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)
-    )
-
-
 def _load_cams(files: _CamFiles, value, where: str) -> tuple[CamMap, ...]:
-    """The CAMs a manifest list references; a malformed file is a TraceError."""
-    if not isinstance(value, list) or not all(_is_cam_ref(ref) for ref in value):
-        raise TraceError(f"{where} must be a list of CAM references, each a file "
-                         "name or a [file, index] pair")
+    """The CAMs a manifest list references; a bad reference or a malformed
+    file is a TraceError."""
+    if not isinstance(value, list):
+        raise TraceError(f"{where} must be a list of [file, index] CAM references")
     try:
         return tuple(files.map(ref) for ref in value)
-    # a malformed or missing file, a bad index, or a NUL byte in a file name
+    # a bad reference, a malformed or missing file, a bad index, or a NUL
+    # byte in a file name
     except (ValueError, OSError) as exc:
         raise TraceError(f"{where}: {exc}") from exc
 
@@ -378,8 +323,6 @@ def format_metrics(
 def emit_metrics(
     metrics: Sequence[SlotMetrics], path: str, summary: RunSummary | None = None
 ) -> None:
-    from .sim import summarize
-
     if summary is None:
         summary = summarize(metrics)
     with open(path, "w", encoding="ascii") as fh:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import shutil
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camsched import cli
-from camsched.camq import CamMap
 from camsched.config import (
     build_model,
     build_quality_state,
@@ -126,49 +124,31 @@ def test_emit_parse_emit_is_byte_stable():
 # ------------------------------------------------------------------ CAM files
 
 def test_cam_file_round_trip(tmp_path):
-    cam = CamMap(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    path = str(tmp_path / "m.cam")
-    save_cam(cam, path)
-    back = load_cam(path)
-    np.testing.assert_array_equal(back.values, cam.values)
-
-
-def test_cam_file_header_example(tmp_path):
-    path = str(tmp_path / "id.cam")
-    path_obj = tmp_path / "id.cam"
-    path_obj.write_text("2 2\n1 0 0 1\n")
-    cam = load_cam(path)
-    np.testing.assert_array_equal(cam.values, [[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_cam_file_layout_agnostic(tmp_path):
-    # same four values after the header, different line structure -> same map
-    (tmp_path / "a.cam").write_text("2 2\n1 0\n0 1\n")
-    (tmp_path / "b.cam").write_text("2 2\n1 0 0 1\n")
-    (tmp_path / "c.cam").write_text("2 2\n1\n0\n0\n1")
-    a = load_cam(str(tmp_path / "a.cam"))
-    b = load_cam(str(tmp_path / "b.cam"))
-    c = load_cam(str(tmp_path / "c.cam"))
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.values, c.values)
-
-
-def test_cam_file_count_error(tmp_path):
-    (tmp_path / "bad.cam").write_text("2 2\n1 0 0\n")
-    with pytest.raises(ValidationError, match="expected 4 values, found 3"):
-        load_cam(str(tmp_path / "bad.cam"))
+    maps = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.5, 2.0], [1.0 / 3.0, 0.0]])]
+    save_cam(maps, str(tmp_path / "dev00.npy"))
+    back = load_cam(str(tmp_path / "dev00.npy"))
+    assert back.dtype == np.float64 and not back.flags.writeable
+    np.testing.assert_array_equal(back, maps)
+    # the bytes np.save writes for the same stack
+    with open(tmp_path / "np.npy", "wb") as fh:
+        np.save(fh, np.stack(maps))
+    assert (tmp_path / "dev00.npy").read_bytes() == (tmp_path / "np.npy").read_bytes()
 
 
 def test_cam_file_negative_value(tmp_path):
-    (tmp_path / "neg.cam").write_text("1 2\n-0.1 0.5\n")
-    with pytest.raises((TraceError, ValidationError)):
-        load_cam(str(tmp_path / "neg.cam"))
+    np.save(tmp_path / "neg.npy", np.array([[[-0.1, 0.5]]]))
+    with pytest.raises(ValidationError, match="must be non-negative"):
+        load_cam(str(tmp_path / "neg.npy"))
 
 
 def test_cam_file_bad_header(tmp_path):
-    (tmp_path / "h.cam").write_text("two by two\n1 0 0 1\n")
-    with pytest.raises(ValidationError):
-        load_cam(str(tmp_path / "h.cam"))
+    # a text CAM, as versions before the .npy stacks wrote, and a cut magic
+    for data in (b"2 2\n1 0 0 1\n", b"two by two\n1 0 0 1\n", b"\x93NUMP", b""):
+        path = tmp_path / "h.cam"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError) as raised:
+            load_cam(str(path))
+        assert str(raised.value) == f"{path}: not a .npy file"
 
 
 def npy_file(header: str, data: bytes = b"", version: bytes = b"\x01\x00") -> bytes:
@@ -181,31 +161,31 @@ def npy_header(descr, shape) -> str:
     return f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {shape!r}, }}"
 
 
-F8_2X2 = npy_header("<f8", (2, 2))
+F8_2X2X2 = npy_header("<f8", (2, 2, 2))
 # the check each malformed file trips
 HEADER, ARRAY, SIZE = "malformed .npy header", "int, uint or float array", "data bytes"
 # .npy CAM files the loader must refuse, each as one ValidationError naming
 # the file; the data is the size the header implies unless the data is at fault
 MALFORMED_NPY = {
-    "unterminated-header": (HEADER, npy_file(F8_2X2[:-3], bytes(32))),
-    "object-dtype": (ARRAY, npy_file(npy_header("|O", (2, 2)), bytes(32))),
-    "bool-dtype": (ARRAY, npy_file(npy_header("|b1", (2, 2)), bytes(4))),
-    "complex-dtype": (ARRAY, npy_file(npy_header("<c16", (2, 2)), bytes(64))),
-    "structured-dtype": (ARRAY, npy_file(npy_header([("a", "<f8")], (2, 2)), bytes(32))),
-    "3d-shape": (ARRAY, npy_file(npy_header("<f8", (2, 2, 2)), bytes(64))),
-    "empty-shape": (ARRAY, npy_file(npy_header("<f8", (0, 3)))),
-    "huge-shape": (SIZE, npy_file(npy_header("<f8", (2**32, 2**32)), bytes(16))),
-    "truncated-data": (SIZE, npy_file(F8_2X2, bytes(24))),
-    "trailing-bytes": (SIZE, npy_file(F8_2X2, bytes(40))),
-    "version-3.0": (HEADER, npy_file(F8_2X2, bytes(32), version=b"\x03\x00")),
+    "unterminated-header": (HEADER, npy_file(F8_2X2X2[:-3], bytes(64))),
+    "object-dtype": (ARRAY, npy_file(npy_header("|O", (2, 2, 2)), bytes(64))),
+    "bool-dtype": (ARRAY, npy_file(npy_header("|b1", (2, 2, 2)), bytes(8))),
+    "complex-dtype": (ARRAY, npy_file(npy_header("<c16", (2, 2, 2)), bytes(128))),
+    "structured-dtype": (ARRAY, npy_file(npy_header([("a", "<f8")], (2, 2, 2)), bytes(64))),
+    "2d-shape": (ARRAY, npy_file(npy_header("<f8", (2, 2)), bytes(32))),
+    "empty-shape": (ARRAY, npy_file(npy_header("<f8", (2, 0, 3)))),
+    "huge-shape": (SIZE, npy_file(npy_header("<f8", (2, 2**32, 2**32)), bytes(16))),
+    "truncated-data": (SIZE, npy_file(F8_2X2X2, bytes(56))),
+    "trailing-bytes": (SIZE, npy_file(F8_2X2X2, bytes(72))),
+    "version-3.0": (HEADER, npy_file(F8_2X2X2, bytes(64), version=b"\x03\x00")),
     "magic-only": (HEADER, b"\x93NUMPY"),
     "magic-and-version-only": (HEADER, b"\x93NUMPY\x01\x00"),
     # what numpy's header parse raises besides a ValueError
-    "unhashable-header-key": (HEADER, npy_file("{[]: 1}", bytes(32))),
-    "indented-header": (HEADER, npy_file("x\n  y\n z", bytes(32))),
-    "python2-header": (HEADER, npy_file(F8_2X2.replace("2, 2", "2L, 2L"), bytes(32))),
+    "unhashable-header-key": (HEADER, npy_file("{[]: 1}", bytes(64))),
+    "indented-header": (HEADER, npy_file("x\n  y\n z", bytes(64))),
+    "python2-header": (HEADER, npy_file(F8_2X2X2.replace("2, 2, 2", "2L, 2L, 2L"), bytes(64))),
     # numpy's message for this one spans lines
-    "long-header": (HEADER, npy_file(F8_2X2 + " " * 10000, bytes(32), version=b"\x02\x00")),
+    "long-header": (HEADER, npy_file(F8_2X2X2 + " " * 10000, bytes(64), version=b"\x02\x00")),
 }
 
 
@@ -221,41 +201,27 @@ def test_malformed_npy_cam_is_one_validation_error(tmp_path, case):
     assert "\n" not in message
 
 
-def text_cam(values: np.ndarray) -> str:
-    """The text CAM form: a "rows cols" line, then each row's values by repr."""
-    rows = [" ".join(repr(float(v)) for v in row) for row in values]
-    return f"{values.shape[0]} {values.shape[1]}\n" + "\n".join(rows) + "\n"
-
-
 @pytest.mark.parametrize("dtype,fortran", [
     ("<f4", False), (">f8", False), ("<f8", True), (">f4", True), ("<i4", False), (">u2", False),
 ])
-def test_npy_cam_loads_the_values_of_its_text_form(tmp_path, dtype, fortran):
-    values = (np.arange(6).reshape(2, 3) * 0.375 + 0.1).astype(dtype)
+def test_npy_cam_of_any_dtype_and_order_loads_as_float64(tmp_path, dtype, fortran):
+    values = (np.arange(12).reshape(2, 2, 3) * 0.375 + 0.1).astype(dtype)
     if fortran:
         values = np.asfortranarray(values)
     with open(tmp_path / "c.npy", "wb") as fh:
         np.save(fh, values)
-    (tmp_path / "c.cam").write_text(text_cam(values))
-    npy, text = load_cam(str(tmp_path / "c.npy")), load_cam(str(tmp_path / "c.cam"))
-    assert npy.values.dtype == np.float64
-    np.testing.assert_array_equal(npy.values, text.values)
-
-
-def test_text_cam_reads_any_newline_convention(tmp_path):
-    # a text CAM is still decoded with universal newlines, "\r" alone included
-    for name, body in (("crlf", b"2 2\r\n1 0\r\n0 1\r\n"), ("cr", b"2 2\r1 0\r0 1\r")):
-        (tmp_path / name).write_bytes(body)
-        np.testing.assert_array_equal(load_cam(str(tmp_path / name)).values, np.eye(2))
+    back = load_cam(str(tmp_path / "c.npy"))
+    assert back.dtype == np.float64 and back.flags.c_contiguous and not back.flags.writeable
+    np.testing.assert_array_equal(back, values.astype(np.float64))
 
 
 def test_cam_format_comes_from_content_not_name(tmp_path):
-    values = np.array([[0.1, 0.2], [1.0 / 3.0, 7.0]])
-    save_cam(CamMap(values), str(tmp_path / "a.cam"))
-    (tmp_path / "b.npy").write_text(text_cam(values))
-    assert (tmp_path / "a.cam").read_bytes().startswith(b"\x93NUMPY")
-    for name in ("a.cam", "b.npy"):
-        np.testing.assert_array_equal(load_cam(str(tmp_path / name)).values, values)
+    maps = [np.array([[0.1, 0.2], [1.0 / 3.0, 7.0]])]
+    save_cam(maps, str(tmp_path / "a.cam"))
+    np.testing.assert_array_equal(load_cam(str(tmp_path / "a.cam")), maps)
+    (tmp_path / "b.npy").write_text("2 2\n0.1 0.2\n0.3 7.0\n")
+    with pytest.raises(ValidationError, match="not a .npy file"):
+        load_cam(str(tmp_path / "b.npy"))
 
 
 # ------------------------------------------------------------------- metrics
@@ -369,35 +335,6 @@ def test_save_trace_writes_one_cam_stack_per_device(tmp_path):
             assert hexes(back.lowlight[m]) == hexes(saved.lowlight[m])
             assert [hexes(c) for c in back.enhanced[m]] == [hexes(c) for c in saved.enhanced[m]]
             assert not back.lowlight[m].values.flags.writeable
-
-
-def as_single_map_files(trace_dir) -> None:
-    """Rewrite a trace directory that save_trace wrote into the layout earlier
-    versions wrote: one .npy file per map, named by slot, device and map, and
-    a manifest that names each file."""
-    stacks = {}
-
-    def single_map(ref, name):
-        stack, index = ref
-        if stack not in stacks:
-            stacks[stack] = np.load(trace_dir / stack)
-        save_cam(CamMap(stacks[stack][index]), str(trace_dir / name))
-        return name
-
-    doc = json.loads((trace_dir / "trace.json").read_text())
-    for t, slot in enumerate(doc["slots"]):
-        if "cams" in slot:
-            cams, prefix = slot["cams"], f"cams/slot{t:04d}_dev"
-            cams["lowlight"] = [single_map(ref, f"{prefix}{m:02d}_low.npy")
-                                for m, ref in enumerate(cams["lowlight"])]
-            cams["enhanced"] = [[single_map(ref, f"{prefix}{m:02d}_alg{k}.npy")
-                                 for k, ref in enumerate(refs, 1)]
-                                for m, refs in enumerate(cams["enhanced"])]
-    for stack in stacks:
-        (trace_dir / stack).unlink()
-    with open(trace_dir / "trace.json", "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def test_load_trace_missing_file(tmp_path):
@@ -579,6 +516,15 @@ def set_lowlight_ref(ref, overwrite: Overwrite | None = None):
     return mutate
 
 
+def set_last_enhanced_ref(overwrite: Overwrite):
+    """A mutation that makes map 0 of the file `overwrite` writes the last
+    slot's first enhanced map of device 1."""
+    def mutate(doc):
+        doc["slots"][-1]["cams"]["enhanced"][1][0] = [overwrite.path, 0]
+        return overwrite
+    return mutate
+
+
 def set_lowlight_index(index):
     """A mutation that gives slot 0's low-light map of device 1 another stack index."""
     return lambda doc: doc["slots"][0]["cams"]["lowlight"][1].__setitem__(1, index)
@@ -595,22 +541,33 @@ class CamRefDefect(NamedTuple):
 
 STACK = "cams/dev01.npy"
 F8_STACK = npy_header("<f8", (4, 4, 4))
+NPY_MAP = npy_file(npy_header("<f8", (4, 4)), bytes(128))
+TEXT_MAP = b"4 4\n" + b"0 " * 16
+NOT_A_REF = "is not a [file, index] CAM reference"
 # make_small_cfg's device 1 has one stack of 2 slots x 2 maps of 4x4, and
 # slot 0 is the first slot that references it
 CAM_REF_DEFECTS = {
+    # a bare file name, as the retired single-map layout wrote, is refused
+    # whatever the file holds, or if it is missing
     "missing-cam-file": CamRefDefect(
-        set_lowlight_ref("cams/missing.npy"), "cams/missing.npy", "No such file"),
+        set_lowlight_ref("cams/missing.npy"), "cams/missing.npy", NOT_A_REF),
+    "stack-as-file-name": CamRefDefect(set_lowlight_ref(STACK), STACK, NOT_A_REF),
+    "npy-map-file-name": CamRefDefect(
+        set_lowlight_ref("cams/slot0000_dev01_low.npy",
+                         Overwrite("cams/slot0000_dev01_low.npy", NPY_MAP)),
+        "cams/slot0000_dev01_low.npy", NOT_A_REF),
+    "text-map-file-name": CamRefDefect(
+        set_lowlight_ref("cams/slot0000_dev01_low.cam",
+                         Overwrite("cams/slot0000_dev01_low.cam", TEXT_MAP)),
+        "cams/slot0000_dev01_low.cam", NOT_A_REF),
     "missing-cam-stack": CamRefDefect(
         set_lowlight_ref(["cams/missing.npy", 0]), "cams/missing.npy", "No such file"),
-    "stack-as-file-name": CamRefDefect(
-        set_lowlight_ref(STACK), STACK, "non-empty 2-D int, uint or float array"),
     "npy-map-as-stack": CamRefDefect(
-        set_lowlight_ref(["cams/map.npy", 0], Overwrite("cams/map.npy", npy_file(
-            npy_header("<f8", (4, 4)), bytes(128)))),
+        set_lowlight_ref(["cams/map.npy", 0], Overwrite("cams/map.npy", NPY_MAP)),
         "cams/map.npy", "non-empty 3-D int, uint or float array"),
     "text-map-as-stack": CamRefDefect(
-        set_lowlight_ref(["cams/map.cam", 0], Overwrite("cams/map.cam", b"4 4\n" + b"0 " * 16)),
-        "cams/map.cam", "text CAM file holds one 2-D map"),
+        set_lowlight_ref(["cams/map.cam", 0], Overwrite("cams/map.cam", TEXT_MAP)),
+        "cams/map.cam", "not a .npy file"),
     "stack-index-past-end": CamRefDefect(set_lowlight_index(4), STACK, "CAM index 4 "),
     "stack-index-negative": CamRefDefect(set_lowlight_index(-1), STACK, "CAM index -1 "),
     "stack-index-bool": CamRefDefect(set_lowlight_index(True), STACK, "CAM index True "),
@@ -650,7 +607,7 @@ TRACE_MUTATIONS = {
     "manifest-trailing-0xff":
         lambda doc: Overwrite("trace.json", json.dumps(doc).encode() + b"\xff"),
     "cam-leading-0xff":
-        lambda doc: Overwrite(doc["slots"][0]["cams"]["lowlight"][0], b"\xff4 4\n" + b"0 " * 16),
+        lambda doc: Overwrite(doc["slots"][0]["cams"]["lowlight"][0][0], b"\xff" + TEXT_MAP),
     "devices-infinite": lambda doc: doc.update(devices=math.inf),
     "devices-fractional": lambda doc: doc.update(devices=2.5),
     "devices-string": lambda doc: doc.update(devices="2"),
@@ -671,24 +628,18 @@ TRACE_MUTATIONS = {
     "null-accuracy": lambda doc: doc["slots"][0].update(accuracy=None),
     "null-datasize": lambda doc: doc["slots"][0].update(datasize_bits=None),
     "lowlight-ref-nul-byte":
-        lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, "a\x00b.cam"),
-    # a malformed .npy file in place of the last slot's first enhanced map of device 1
-    **{f"npy-{case}": lambda doc, data=data:
-       Overwrite(doc["slots"][-1]["cams"]["enhanced"][1][0], data)
+        lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, ["a\x00b.npy", 0]),
+    # a malformed .npy file holds the last slot's first enhanced map of device 1
+    **{f"npy-{case}": set_last_enhanced_ref(Overwrite("cams/bad.npy", data))
        for case, (_, data) in MALFORMED_NPY.items()},
     **{case: defect.mutate for case, defect in CAM_REF_DEFECTS.items()},
 }
-# the mutations that overwrite one single-map CAM file; they run on a trace
-# directory rewritten into that layout
-SINGLE_MAP_MUTATIONS = {"cam-leading-0xff", *(f"npy-{case}" for case in MALFORMED_NPY)}
 
 
 @pytest.mark.parametrize("mutation", sorted(TRACE_MUTATIONS))
 def test_cli_malformed_trace_is_one_error_line(tmp_path, capsys, mutation):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
-    if mutation in SINGLE_MAP_MUTATIONS:
-        as_single_map_files(tmp_path / "t")
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
     change = TRACE_MUTATIONS[mutation](doc)
@@ -771,10 +722,12 @@ def test_bad_trace_value_names_manifest_and_slot(tmp_path, capsys, case):
 def test_malformed_npy_cam_names_manifest_slot_and_file(tmp_path, capsys, case):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
-    as_single_map_files(tmp_path / "t")
     manifest = str(tmp_path / "t" / "trace.json")
     with open(manifest) as fh:
-        change = TRACE_MUTATIONS[f"npy-{case}"](json.load(fh))
+        doc = json.load(fh)
+    change = TRACE_MUTATIONS[f"npy-{case}"](doc)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
     cam = tmp_path / "t" / change.path
     cam.write_bytes(change.data)
     with pytest.raises(TraceError) as raised:
@@ -824,83 +777,29 @@ def test_cam_reference_defect_names_manifest_slot_list_and_file(tmp_path, capsys
 
 @pytest.mark.parametrize("value,reason", [(-1.0, "non-negative"), (math.nan, "finite"),
                                           (-math.inf, "finite")])
-@pytest.mark.parametrize("kind", ["stack", "npy", "text"])
+@pytest.mark.parametrize("kind", ["stack", "enhanced-stack"])
 def test_cam_value_error_names_the_file(tmp_path, capsys, kind, value, reason):
     cfg = make_small_cfg(tmp_path)
     trace_dir = tmp_path / "t"
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(trace_dir)]) == 0
     manifest = str(trace_dir / "trace.json")
+    stack = np.load(trace_dir / "cams/dev01.npy")
     if kind == "stack":
         # a bad value in slot 1's maps; the first slot to reference the stack is named
-        name, slot = "cams/dev01.npy", 0
-        stack = np.load(trace_dir / name)
+        name, slot, where = "cams/dev01.npy", 0, "cams lowlight"
         stack[2, 1, 3] = value
-        np.save(trace_dir / name, stack)
     else:
-        as_single_map_files(trace_dir)
-        name, slot = "cams/slot0001_dev01_low.npy", 1
-        values = load_cam(str(trace_dir / name)).values.copy()
-        values[1, 3] = value
-        if kind == "npy":
-            np.save(trace_dir / name, values)
-        else:  # a text map under the .npy name; its content gives the format
-            (trace_dir / name).write_text(text_cam(values))
-    message = (f"{manifest}: slot {slot}: cams lowlight: {trace_dir / name}: "
+        # slot 1's enhanced map of device 1, moved to a stack of its own
+        name, slot, where = "cams/enhanced.npy", 1, "cams enhanced[1]"
+        stack = stack[3:]
+        stack[0, 1, 3] = value
+        doc = json.loads((trace_dir / "trace.json").read_text())
+        doc["slots"][1]["cams"]["enhanced"][1] = [[name, 0]]
+        (trace_dir / "trace.json").write_text(json.dumps(doc))
+    np.save(trace_dir / name, stack)
+    message = (f"{manifest}: slot {slot}: {where}: {trace_dir / name}: "
                f"CAM values must be {reason}")
     assert_one_trace_error(tmp_path, capsys, cfg, manifest, message)
-
-
-def test_text_cam_trace_simulates_to_the_same_bytes(tmp_path, capsys):
-    """A trace directory of text .cam files, as earlier versions wrote, reads
-    to the same maps as its .npy form, alone or mixed with .npy files."""
-    cfg = make_small_cfg(tmp_path)
-    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "stack")]) == 0
-    shutil.copytree(tmp_path / "stack", tmp_path / "npy")
-    as_single_map_files(tmp_path / "npy")
-    # mixed: each low-light map as text, each enhanced map as .npy
-    for layout, all_text in (("text", True), ("mixed", False)):
-        shutil.copytree(tmp_path / "npy", tmp_path / layout)
-        doc = json.loads((tmp_path / layout / "trace.json").read_text())
-        for slot in doc["slots"]:
-            cams = slot["cams"]
-            cams["lowlight"] = [as_text_cam(tmp_path / layout, n) for n in cams["lowlight"]]
-            if all_text:
-                cams["enhanced"] = [[as_text_cam(tmp_path / layout, n) for n in names]
-                                    for names in cams["enhanced"]]
-        (tmp_path / layout / "trace.json").write_text(json.dumps(doc))
-    suffixes = {layout: {p.suffix for p in (tmp_path / layout / "cams").iterdir()}
-                for layout in ("npy", "text", "mixed")}
-    assert suffixes == {"npy": {".npy"}, "text": {".cam"}, "mixed": {".cam", ".npy"}}
-    metrics = []
-    for layout in ("npy", "text", "mixed"):
-        out = tmp_path / f"{layout}.jsonl"
-        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out),
-                        "--trace", str(tmp_path / layout / "trace.json")]) == 0
-        metrics.append(out.read_bytes())
-    assert metrics[0] == metrics[1] == metrics[2]
-    # save_trace's per-device stacks, alone or mixed with single-map files
-    shutil.copytree(tmp_path / "stack", tmp_path / "stack-mixed")
-    doc = json.loads((tmp_path / "stack-mixed" / "trace.json").read_text())
-    for t, slot in enumerate(doc["slots"]):
-        for m, (name, index) in enumerate(slot["cams"]["lowlight"]):
-            slot["cams"]["lowlight"][m] = f"cams/slot{t}_dev{m}_low.cam"
-            values = np.load(tmp_path / "stack-mixed" / name)[index]
-            (tmp_path / "stack-mixed" / slot["cams"]["lowlight"][m]).write_text(text_cam(values))
-    (tmp_path / "stack-mixed" / "trace.json").write_text(json.dumps(doc))
-    for layout in ("stack", "stack-mixed"):
-        out = tmp_path / f"{layout}.jsonl"
-        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out),
-                        "--trace", str(tmp_path / layout / "trace.json")]) == 0
-        assert out.read_bytes() == metrics[0]
-
-
-def as_text_cam(trace_dir, name: str) -> str:
-    """Rewrite one CAM of a trace directory as a text .cam file; its new name."""
-    text_name = name.removesuffix(".npy") + ".cam"
-    values = load_cam(str(trace_dir / name)).values
-    (trace_dir / name).unlink()
-    (trace_dir / text_name).write_text(text_cam(values))
-    return text_name
 
 
 @pytest.mark.parametrize("change,message", [
@@ -996,15 +895,16 @@ def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command,
                                                       between_slots):
     cfg = make_small_cfg(tmp_path)
     assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
-    as_single_map_files(tmp_path / "t")
     manifest = tmp_path / "t" / "trace.json"
     doc = json.loads(manifest.read_text())
     # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map, or
     # 3x3 maps throughout where slot 0 had 4x4 ones
+    save_cam([np.zeros((3, 3))] * 2, str(tmp_path / "t" / "cams" / "small.npy"))
     cams = doc["slots"][1]["cams"]
-    names = cams["enhanced"][1] + (cams["lowlight"][1:2] if between_slots else [])
-    for name in names:
-        save_cam(CamMap(np.zeros((3, 3))), str(tmp_path / "t" / name))
+    cams["enhanced"][1] = [["cams/small.npy", 1]]
+    if between_slots:
+        cams["lowlight"][1] = ["cams/small.npy", 0]
+    manifest.write_text(json.dumps(doc))
     capsys.readouterr()
     args = [command, "--config", str(cfg), "--trace", str(manifest)]
     if command == "simulate":

@@ -1,8 +1,12 @@
-"""The test settings themselves: a failing test must not end the session."""
+"""The tooling around the tests and the benchmark: a failing test must not
+end the session, and the benchmark's tracer patches names that still run."""
 
+import importlib
 import pathlib
 import subprocess
 import sys
+
+from camsched import fileio, sim
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,3 +38,22 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert "Falsifying example" in proc.stdout
+
+
+def test_tracer_counts_one_cam_stack_write_and_read_per_device(tmp_path, monkeypatch):
+    # the traced benchmark run imports its tracer from perfbench/ the same way
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = {(module, attr): getattr(module, attr)
+                 for _, attr, modules in tracing.LAYER_FUNCTIONS for module in modules}
+    trace = sim.generate_synthetic(sim.SynthSpec(
+        num_devices=3, num_servers=2, num_algorithms=2, horizon=2,
+        cam_rows=4, cam_cols=4, offsets=(0.3, 0.1), seed=5))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fileio.load_trace(fileio.save_trace(trace, str(tmp_path / "t")))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fileio.save_cam"] == tracer.calls["fileio.load_cam"] == 3
+    assert all(getattr(module, attr) is fn for (module, attr), fn in originals.items())
