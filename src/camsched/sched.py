@@ -8,7 +8,10 @@ exact oracle enumerates every admissible decision for small instances, or
 solves the slot device by device when no pool can overfill, and two
 baselines bound it from below: capacity-driven greedy and no enhancement.
 A decision's utility is sysmodel.check_feasibility's total; the GA scorer
-and the oracle add utilities device by device just as it does.
+and the oracle add utilities device by device just as it does. evolve and
+brute_force take the slot's latency_table from a caller that has built it
+(the simulator builds one per slot and scores the answer from it too), and
+build their own when given none.
 """
 
 from __future__ import annotations
@@ -140,8 +143,10 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=0)[-1] + 0.0
 
 
-def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
-    """Scorer of whole GA populations for the slot.
+def _population_fitness(
+    slot: SlotInput, model: SystemModel, ga: GaConfig, lat: np.ndarray
+):
+    """Scorer of whole GA populations for the slot, from its latency_table `lat`.
 
     Genes are packed as code = server * (K+1) + algorithm, and a population
     is a device-major (M, P) code array with P = ga.population_size. The
@@ -157,7 +162,6 @@ def _population_fitness(slot: SlotInput, model: SystemModel, ga: GaConfig):
     num_codes = len(load_slot)
     size = ga.population_size
 
-    lat = latency_table(slot, model)
     util = _utility_from_latency(lat, slot.quality[:, None, :], model)
     lmax = model.constants.max_latency_s
     excess = np.maximum(lat - lmax, 0.0) / lmax
@@ -284,19 +288,26 @@ def next_generation(
 
 
 def evolve(
-    slot: SlotInput, model: SystemModel, ga: GaConfig | None = None
+    slot: SlotInput,
+    model: SystemModel,
+    ga: GaConfig | None = None,
+    lat: np.ndarray | None = None,
 ) -> tuple[Individual, list[float]]:
     """Genetic search; returns the best individual ever seen and the
     per-generation best-fitness history (non-decreasing under elitism).
 
     Runs O(population * generations) evaluations on a fixed seed, so repeated
     calls with the same inputs return the same decision and history. Each
-    generation comes from next_generation and is scored as one batch.
+    generation comes from next_generation and is scored as one batch. The
+    populations and the answer's report are scored from one latency table:
+    `lat` when given, else one built here.
     """
     if ga is None:
         ga = GaConfig()
+    if lat is None:
+        lat = latency_table(slot, model)
     rng = random.Random(ga.rng_seed)
-    fitness = _population_fitness(slot, model, ga)
+    fitness = _population_fitness(slot, model, ga, lat)
     size = ga.population_size
     m_devices = model.num_devices
     num_codes = len(model.code_loads[0])
@@ -321,11 +332,15 @@ def evolve(
 
     best_idx = fits.index(max(fits))
     decision = model.decode(pop[:, best_idx])
-    return Individual(decision, fits[best_idx], check_feasibility(decision, slot, model)), history
+    report = check_feasibility(decision, slot, model, lat)
+    return Individual(decision, fits[best_idx], report), history
 
 
 def brute_force(
-    slot: SlotInput, model: SystemModel, limit: int = DEFAULT_ORACLE_LIMIT
+    slot: SlotInput,
+    model: SystemModel,
+    limit: int = DEFAULT_ORACLE_LIMIT,
+    lat: np.ndarray | None = None,
 ) -> OracleResult:
     """Return the best feasible decision over every admissible one.
 
@@ -340,41 +355,36 @@ def brute_force(
     every pool is slack the slot separates by device and is solved without
     enumerating (_separable_optimum). Ties on the objective go to the
     lexicographically smallest gene vector, the first optimum in enumeration
-    order.
+    order. `lat` is the slot's latency_table when the caller has built it;
+    without it the table is built here.
     """
     check_dims(slot, model)
     if limit < 1:
         raise ValidationError("enumeration limit must be positive")
     m_devices = model.num_devices
-    slot_of, svc_of = model.code_loads
-    num_codes = len(slot_of)
+    num_codes = len(model.fits_alone)
     total = num_codes**m_devices
     if total > limit:
         raise SearchSpaceError(
             f"{total} decisions exceed the enumeration limit of {limit}"
         )
 
-    lat = latency_table(slot, model)
+    if lat is None:
+        lat = latency_table(slot, model)
     util = _utility_from_latency(lat, slot.quality[:, None, :], model)
     util = util.reshape(m_devices, num_codes)
-    lat = lat.reshape(m_devices, num_codes)
-    caps = model.capacity_matrix.reshape(-1)
-    # dense load row of each code: its service at its load slot, 0 elsewhere
-    code_load = np.zeros((num_codes, len(caps)))
-    used = slot_of >= 0
-    code_load[used, slot_of[used]] = svc_of[used]
-    fits_alone = (code_load <= caps).all(axis=1)
-    kept = [
-        np.flatnonzero((lat[m] <= model.constants.max_latency_s) & fits_alone)
-        for m in range(m_devices)
-    ]
-    if any(len(codes) == 0 for codes in kept):
+    admissible = lat.reshape(m_devices, num_codes) <= model.constants.max_latency_s
+    admissible &= model.fits_alone
+    if not admissible.any(axis=1).all():
         return OracleResult(None, None, total, 0)
+    kept = [row.nonzero()[0] for row in admissible]
 
-    # the largest load any decision puts on each pool, summed as below
-    peak = np.zeros(len(caps))
-    for codes in kept:
-        peak = peak + code_load[codes].max(axis=0)
+    # the largest load any decision puts on each pool, 0.0 plus device after
+    # device as below; loads are non-negative and every device keeps a code,
+    # so the 0.0 standing in for a dropped code never wins a device's max
+    code_load = model.code_load_matrix
+    peak = _row_sum(np.where(admissible[:, :, None], code_load, 0.0).max(axis=1))
+    caps = model.capacity_matrix.reshape(-1)
     live = peak > caps
     if not live.any():
         return _separable_optimum(util, kept, total, model)

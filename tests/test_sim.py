@@ -390,23 +390,29 @@ def test_quality_slot_filters_nothing(monkeypatch):
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
 def test_slot_scores_its_decision_once(monkeypatch, scheduler):
-    # the GA hands run_slot the report it scored its answer with
+    # one latency table a slot, read by the scheduler and by the one
+    # check_feasibility that scores its answer
     model = tiny_model()
     trace = quality_trace(model, num_slots=2, seed=4)
     calls = []
     original = sysmodel.check_feasibility
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
 
-    for module in (sysmodel, sched, sim):
-        monkeypatch.setattr(module, "check_feasibility", counted)
+    for name, modules in (("check_feasibility", (sysmodel, sched, sim)),
+                          ("latency_table", (sysmodel, sched))):
+        wrapper = counting(name, getattr(sysmodel, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
     state = QualityState(2, 1)
     for t in range(trace.horizon):
         del calls[:]
         metrics = run_slot(t, trace, state, model, scheduler)
-        assert len(calls) == 1
+        assert sorted(calls) == ["check_feasibility", "latency_table"]
         slot = SlotInput(trace.slots[t].datasize_bits, trace.slots[t].bandwidth_bps,
                          trace.slots[t].quality)
         if not metrics.rejected:

@@ -302,6 +302,36 @@ def test_decision_validation():
         device_latency(Decision((0, 0), (0, 0)), 7, basic_slot(model), model)
 
 
+@pytest.mark.parametrize("servers, algorithms, message", [
+    ((0, 5), (0, 9), "device 1: server 5 out of range"),        # server before algorithm
+    ((0, -1), (9, 0), "device 0: algorithm 9 out of range"),    # first bad device first
+    ((0, 2**70), (0, 0), f"device 1: server {2**70} out of range"),
+    ((-1, 2**63), (0, 0), "device 0: server -1 out of range"),
+    ((1, 0), (2, -3), "device 1: algorithm -3 out of range"),
+])
+def test_decision_validation_names_the_first_bad_device(servers, algorithms, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Decision(servers, algorithms).validate_against(two_server_model())
+
+
+def test_model_code_tables():
+    # code c = n * (K+1) + k; server 0 gives algorithm 1 and 2 more service
+    # than its pools hold
+    model = two_server_model()
+    assert np.array_equal(model.code_load_matrix, [
+        [0.0, 0.0, 0.0, 0.0],
+        [4e9, 0.0, 0.0, 0.0],
+        [0.0, 2e9, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 5.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    assert model.fits_alone.tolist() == [True, False, False, True, True, True]
+    assert not model.code_load_matrix.flags.writeable and not model.fits_alone.flags.writeable
+    assert model.decode(np.array([5, 1])) == Decision((1, 0), (2, 1))
+    assert model.decode([0, 4]) == Decision((0, 1), (0, 1))
+
+
 # ----------------------------------------------------------------- the tables
 
 def test_tables_match_scalar_paths_bit_for_bit():

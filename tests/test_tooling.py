@@ -6,7 +6,9 @@ import pathlib
 import subprocess
 import sys
 
-from camsched import fileio, sim
+import pytest
+
+from camsched import config, fileio, sim
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,4 +58,29 @@ def test_tracer_counts_one_cam_stack_write_and_read_per_device(tmp_path, monkeyp
     finally:
         tracer.uninstall()
     assert tracer.calls["fileio.save_cam"] == tracer.calls["fileio.load_cam"] == 3
+    assert all(getattr(module, attr) is fn for (module, attr), fn in originals.items())
+
+
+@pytest.mark.parametrize("scheduler", sim.SCHEDULER_CHOICES)
+def test_tracer_counts_one_latency_table_and_one_score_per_slot(monkeypatch, scheduler):
+    # a table built through a name the tracer does not wrap would count 0 here
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    originals = {(module, attr): getattr(module, attr)
+                 for _, attr, modules in tracing.LAYER_FUNCTIONS for module in modules}
+    cfg = config.parse_config('{"devices": 3, "synth": {"horizon": 3}}')
+    model = config.build_model(cfg)
+    trace = workloads.quality_trace(cfg, 5)
+    state = config.build_quality_state(cfg)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for t in range(trace.horizon):
+            sim.run_slot(t, trace, state, model, scheduler)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["sim.run_slot"] == trace.horizon
+    assert tracer.calls["sysmodel.latency_table"] == trace.horizon
+    assert tracer.calls["sysmodel.check_feasibility"] == trace.horizon
     assert all(getattr(module, attr) is fn for (module, attr), fn in originals.items())
