@@ -36,11 +36,11 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def trusted(cls, **fields):
-    """An instance of CamMap or FilteredCam over arrays used as they are given.
+    """An instance of CamMap, FilteredCam or SlotInput over arrays used as is.
 
-    It skips __post_init__'s checks and copy, so the caller must hand over a
-    read-only 2-D float64 array that already holds the class's invariant:
-    filter_cam's output, or a view of a CAM file's checked values.
+    It skips __post_init__'s checks and copy, so the caller must hand over
+    read-only float64 arrays that already hold the class's invariant:
+    filter_cam's output, a CAM file's checked values, or checked slot values.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():

@@ -449,22 +449,27 @@ def _separable_optimum(
     by device, the smallest code that can still reach that sum, which is the
     first optimum in enumeration order even where rounding lets a code below
     a device's best tie with it.
+    It adds Python floats, IEEE doubles as numpy's are. max may keep a -0.0
+    where numpy's gives 0.0, but every sum starts from 0.0, so none sees it.
     """
-    best = [util[m, codes].max() for m, codes in enumerate(kept)]
+    rows = [util[m, codes].tolist() for m, codes in enumerate(kept)]
+    best = [max(row) for row in rows]
     target = 0.0
     for b in best:
         target += b
     prefix = 0.0
     chosen = []
-    for m, codes in enumerate(kept):
-        reach = prefix + util[m, codes]
-        for b in best[m + 1:]:
-            reach = reach + b
-        c = int(codes[np.flatnonzero(reach == target)[0]])
-        chosen.append(c)
-        prefix += util[m, c]
+    for m, row in enumerate(rows):
+        for i, u in enumerate(row):
+            reach = prefix + u
+            for b in best[m + 1:]:
+                reach += b
+            if reach == target:
+                break
+        chosen.append(kept[m][i])
+        prefix += u
     feasible_count = math.prod(len(codes) for codes in kept)
-    return OracleResult(model.decode(chosen), float(target), total, feasible_count)
+    return OracleResult(model.decode(chosen), target, total, feasible_count)
 
 
 def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:

@@ -5,6 +5,9 @@ raw CAM pairs (assessed on the fly) or a precomputed quality matrix. The
 synthetic generator builds CAM traces with per-algorithm brightness offsets
 over a slowly drifting scene, so stronger algorithms earn larger filtered
 differences and correlated accuracy feedback.
+
+Trace checks every stored slot value once and SlotData keeps them read-only,
+so run_slot checks only a CAM slot's newly assessed quality matrix.
 """
 
 from __future__ import annotations
@@ -58,7 +61,10 @@ class SlotData:
             # strings and bools are not numbers, as in a config document
             if not numeric:
                 raise TraceError(f"{name} is not a numeric array")
-            object.__setattr__(self, name, arr.astype(np.float64, copy=False))
+            # own, read-only arrays: a caller's ndarray is copied, a new one is not
+            arr = arr.astype(np.float64, copy=isinstance(value, np.ndarray))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,12 @@ def run_slot(
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
     quality, filtered = assess_quality(trace, slot_data, state, threshold)
-    slot = SlotInput(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
+    if slot_data.quality is None:
+        # Trace checked every stored value; a CAM slot's quality is new
+        check_slot_values(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
+        quality.setflags(write=False)
+    slot = camq.trusted(SlotInput, datasize_bits=slot_data.datasize_bits,
+                        bandwidth_bps=slot_data.bandwidth_bps, quality=quality)
     # through the module attribute, where the benchmark's tracer counts it
     lat = sysmodel.latency_table(slot, model)
 
@@ -252,21 +263,19 @@ def run_slot(
 
     if report is None:
         report = check_feasibility(decision, slot, model, lat)
-    # a rejected device is not served: no quality, infinite latency, -inf utility
-    served = np.ones(model.num_devices, dtype=bool)
-    served[list(rejected)] = False
-    qualities = np.where(served, quality[np.arange(len(served)), decision.algorithms], 0.0)
-    latencies = np.where(served, report.latencies, math.inf)
-    utilities = np.where(served, report.utilities, -math.inf)
+    qualities = quality[np.arange(model.num_devices), decision.algorithms].tolist()
+    latencies, utilities = report.latencies.tolist(), report.utilities.tolist()
+    for m in rejected:  # not served: no quality, infinite latency, -inf utility
+        qualities[m], latencies[m], utilities[m] = 0.0, math.inf, -math.inf
 
     commit_windows(trace, slot_data, state, decision, rejected, filtered)
     return SlotMetrics(
         slot=t,
         decision=decision,
         rejected=rejected,
-        qualities=tuple(qualities.tolist()),
-        latencies=tuple(latencies.tolist()),
-        utilities=tuple(utilities.tolist()),
+        qualities=tuple(qualities),
+        latencies=tuple(latencies),
+        utilities=tuple(utilities),
         total_utility=-math.inf if rejected else report.total_utility,
         feasible=report.feasible and not rejected,
         scheduler_seconds=elapsed,

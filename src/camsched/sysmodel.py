@@ -3,10 +3,10 @@
 A slot decision assigns every device exactly one (server, algorithm) pair;
 algorithm 0 ships the raw chunk. Latency is transmission plus enhancement plus
 a fixed scheduling overhead, and utility trades assessed quality against
-latency. latency_table prices every gene of a slot at once; a simulated slot
-builds it once and shares it between its scheduler and check_feasibility,
-which scores every decision once: per-server capacity pools, the per-device
-deadline, and the utility summed device by device.
+latency. latency_table prices every gene of a slot at once, over masks the
+model caches; a simulated slot builds it once for its scheduler and the
+check_feasibility that scores every decision once: per-server capacity
+pools, the per-device deadline, and the utility summed device by device.
 """
 
 from __future__ import annotations
@@ -204,6 +204,15 @@ class SystemModel:
         mat[used, load_slot[used]] = service[used]
         mat.setflags(write=False)
         return mat
+
+    @cached_property
+    def enhancement_divisor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, K+1) runnable mask, and the service rate where runnable, else 1.0."""
+        runnable = self.service_matrix > 0.0
+        divisor = np.where(runnable, self.service_matrix, 1.0)
+        runnable.setflags(write=False)
+        divisor.setflags(write=False)
+        return runnable, divisor
 
     @cached_property
     def fits_alone(self) -> np.ndarray:
@@ -472,23 +481,16 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     [m, n, k] is what device_latency would return for that gene.
     """
     check_dims(slot, model)
-    d = slot.datasize_bits
-    b = slot.bandwidth_bps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trans = np.where(
-            d[:, None] == 0.0,
-            0.0,
-            np.where(b > 0.0, d[:, None] / np.where(b > 0.0, b, 1.0), np.inf),
-        )
-    service = model.service_matrix   # (N, K+1)
-    demand = model.demand_matrix
-    runnable = service > 0.0
+    d, b = slot.datasize_bits, slot.bandwidth_bps
+    linked = b > 0.0
+    runnable, divisor = model.enhancement_divisor   # (N, K+1)
     # (demand * d) / service in that exact order so entries are bit-identical
     # to the scalar enhancement_latency; inf marks servers that cannot run k
-    work = demand[None, :, :] * d[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        enh = work / np.where(runnable, service, 1.0)[None, :, :]
-    enh = np.where(runnable[None, :, :], enh, np.inf)
+        trans = d[:, None] / np.where(linked, b, 1.0)
+        enh = model.demand_matrix * d[:, None, None] / divisor
+    trans = np.where(d[:, None] == 0.0, 0.0, np.where(linked, trans, np.inf))
+    enh = np.where(runnable, enh, np.inf)
     enh[:, :, 0] = 0.0  # algorithm 0 never runs anything
     lat = (trans[:, :, None] + model.constants.overhead_latency_s) + enh
     lat.setflags(write=False)

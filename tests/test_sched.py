@@ -843,6 +843,19 @@ ORACLE_CASES = {
         [[0.0, 0.3, 0.30000000000000004], [0.0, 1.0, 0.5]],
         overhead=0.0,
     ),
+    # every pool slack, no data and no overhead. Device 1's utilities are
+    # -0.0, 0.0 and -0.0; after the prefix 1.0 + -0.0 + 2.0, device 3's 0.3
+    # and 0.30000000000000004 both round to 3.3, so the walk takes its
+    # smaller utility late in the slot
+    "slack-late-rounding-tie": lambda: oracle_case(
+        [(8.0, 8.0)],
+        [(KIND_GPU, [1e-7], [1.0]), (KIND_CPU, [1e-7], [1.0])],
+        [0.0] * 5,
+        [[1e7]] * 5,
+        [[0.0, 1.0, 0.5], [-0.0, 0.0, -0.0], [0.0, 2.0, 0.25],
+         [0.0, 0.3, 0.30000000000000004], [0.0, 0.7, 0.1]],
+        overhead=0.0,
+    ),
     # server 0's gpu pool holds one of the three 1.0 reservations; the other
     # three pools are slack, so only that pool is checked
     "one-live-pool": lambda: oracle_case(
@@ -875,7 +888,7 @@ ORACLE_CASES = {
 # the cases where no pool can overfill, which brute_force solves without
 # enumerating
 SLACK_CASES = {"unreachable", "deadline", "ties", "slack-ties", "slack-rounding-tie",
-               "slack-raw-only", "m1"}
+               "slack-late-rounding-tie", "slack-raw-only", "m1"}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -903,6 +916,16 @@ def test_oracle_case_skips_enumeration_exactly_when_every_pool_is_slack(case, mo
     model, slot = ORACLE_CASES[case]()
     brute_force(slot, model)
     assert bool(calls) == (case in SLACK_CASES)
+
+
+def test_separable_walk_takes_the_first_optimum_past_a_late_tie():
+    model, slot = ORACLE_CASES["slack-late-rounding-tie"]()
+    util = _utility_from_latency(latency_table(slot, model), slot.quality[:, None, :], model)
+    assert [math.copysign(1.0, u) for u in util[1, 0].tolist()] == [-1.0, 1.0, -1.0]
+    res = brute_force(slot, model)
+    # device 1's first code and device 3's smaller tied utility
+    assert res.decision.algorithms == (1, 0, 1, 1, 1)
+    assert res.objective == 4.0
 
 
 def test_oracle_limit_counts_the_full_space_when_every_pool_is_slack():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from camsched import camq, sched, sim, sysmodel
+from camsched import camq, fileio, sched, sim, sysmodel
 from camsched.config import build_model, build_quality_state, parse_config
 from camsched.errors import TraceError, ValidationError
 from camsched.camq import QualityState, cam_difference, filter_cam, filtered_difference
@@ -419,7 +419,80 @@ def test_slot_scores_its_decision_once(monkeypatch, scheduler):
             assert metrics.total_utility == original(metrics.decision, slot, model).total_utility
 
 
+def test_run_slot_checks_only_the_values_trace_has_not(monkeypatch):
+    # Trace checked every stored value; a CAM slot's quality matrix is new
+    quality = quality_trace(tiny_model(), num_slots=1, seed=3)
+    cams = cam_trace(((4, 4),) * 2, 1, False, seed=3, num_algorithms=1)
+    checks = []
+    original = sysmodel.check_slot_values
+    for module in (sim, sysmodel):
+        monkeypatch.setattr(module, "check_slot_values",
+                            lambda *args: checks.append(args) or original(*args))
+    run_slot(0, quality, QualityState(2, 1), tiny_model(), "oracle")
+    assert checks == []
+    run_slot(0, cams, QualityState(2, 1), gpu_roster_model(2, 1), "oracle")
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    ((0, 1), math.nan, "finite"),
+    ((1, 0), 0.5, "no-enhancement choice must be 0"),
+], ids=["nan", "column-0"])
+def test_run_slot_rejects_a_bad_assessed_quality(monkeypatch, cell, value, message):
+    trace = cam_trace(((4, 4),) * 2, 1, False, seed=3, num_algorithms=1)
+    original = camq.slot_quality
+
+    def assessed(*args):
+        quality, maps = original(*args)
+        quality[cell] = value
+        return quality, maps
+
+    monkeypatch.setattr(camq, "slot_quality", assessed)
+    with pytest.raises(ValidationError, match=message):
+        run_slot(0, trace, QualityState(2, 1), gpu_roster_model(2, 1), "oracle")
+
+
 # ------------------------------------------------------------ trace validation
+
+def test_slot_data_keeps_read_only_copies_of_a_callers_arrays():
+    given = {"datasize_bits": np.ones(2), "bandwidth_bps": np.ones((2, 1)),
+             "quality": np.zeros((2, 2)), "accuracy": np.zeros((2, 2))}
+    data = SlotData(**given)
+    for name, arr in given.items():
+        stored = getattr(data, name)
+        assert stored is not arr and not np.shares_memory(stored, arr)
+        assert arr.flags.writeable and not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = -1.0
+        # editing the caller's array afterwards cannot get past Trace's check
+        arr[0] = -1.0
+    Trace(2, 1, 1, (data,))
+    assert data.datasize_bits.tolist() == [1.0, 1.0]
+    from_lists = SlotData([1, 2], [[1.0], [2.0]], quality=[[0, 1], [0, 2]])
+    assert not from_lists.datasize_bits.flags.writeable
+    assert from_lists.quality.dtype == np.float64
+
+
+def test_load_trace_arrays_are_not_copied_again(tmp_path, monkeypatch):
+    manifest = fileio.save_trace(quality_trace(tiny_model(), num_slots=2), str(tmp_path / "t"))
+    built = []
+    asarray = np.asarray
+
+    def spy(*args, **kwargs):
+        arr = asarray(*args, **kwargs)
+        built.append(arr)
+        return arr
+
+    monkeypatch.setattr(np, "asarray", spy)
+    trace = fileio.load_trace(manifest)
+    monkeypatch.undo()
+    # each stored array is the one SlotData built from the manifest's lists
+    for slot in trace.slots:
+        for arr in (slot.datasize_bits, slot.bandwidth_bps, slot.quality):
+            assert any(arr is b for b in built)
+            assert not arr.flags.writeable
+
+
 
 def test_slot_data_payload_is_exclusive():
     q = np.zeros((1, 2))
