@@ -10,13 +10,10 @@ import numpy as np
 from camsched.camq import (
     CamMap,
     QualityState,
-    cam_difference,
     commit_slot,
     enhancement_quality,
     filter_cam,
-    filtered_difference,
     record_accuracy,
-    temporal_variation,
 )
 
 np.set_printoptions(precision=3, suppress=True)
@@ -35,7 +32,7 @@ enhanced = CamMap(np.array([
 ]))
 
 print("raw difference (enhanced - lowlight):",
-      round(cam_difference(enhanced, lowlight), 4))
+      round(float(np.sum(enhanced.values - lowlight.values)), 4))
 
 # Filtering keeps only cells strictly above the threshold, so weak noise
 # stops contributing to the score.
@@ -46,7 +43,7 @@ print("\nenhanced after the", gamma, "filter:")
 print(fe.values)
 print("lowlight after the filter (all mass below threshold):")
 print(fl.values)
-print("filtered difference:", round(filtered_difference(fe, fl), 4))
+print("filtered difference:", round(float(np.sum(fe.values - fl.values)), 4))
 
 # The denominator is how much the filtered map moved against the recent
 # window. A static scene gives a small denominator and a big Q; a busy
@@ -63,8 +60,8 @@ window = [
         [0.05, 0.60, 0.10],
     ])), gamma),
 ]
-print("\ntemporal variation vs a 2-slot window:",
-      round(temporal_variation(fe, window), 4))
+variation = sum(float(np.sum(np.abs(fe.values - past.values))) for past in window)
+print("\ntemporal variation vs a 2-slot window:", round(variation, 4))
 
 # The same computation through the stateful assessor: commit the window,
 # record an accuracy observation, then score the new frame.

@@ -15,7 +15,6 @@ from camsched.sysmodel import (
     SlotInput,
     check_feasibility,
     device_latency,
-    device_utility,
 )
 
 config = parse_config('{"devices": 1}')
@@ -40,8 +39,8 @@ for n in range(num_servers):
     for k in range(num_algorithms + 1):
         dec = Decision((n,), (k,))
         lat = device_latency(dec, 0, slot, model)
-        util = device_utility(float(slot.quality[0, k]), lat, weight)
         report = check_feasibility(dec, slot, model)
+        util = report.utilities[0]
         if math.isinf(lat):
             verdict = "server cannot run this algorithm"
         elif not report.latency_ok:

@@ -10,14 +10,10 @@ from .camq import (
     CamMap,
     FilteredCam,
     QualityState,
-    cam_difference,
     commit_slot,
     enhancement_quality,
     filter_cam,
-    filtered_difference,
     record_accuracy,
-    rolling_accuracy,
-    temporal_variation,
 )
 from .config import RunConfig, build_model, build_quality_state, emit_config, parse_config
 from .errors import (
@@ -62,10 +58,7 @@ from .sysmodel import (
     SystemModel,
     check_feasibility,
     device_latency,
-    device_utility,
-    enhancement_latency,
     server_loads,
-    transmission_latency,
 )
 
 __version__ = "0.1.0"

@@ -30,11 +30,6 @@ def _as_matrix(values) -> np.ndarray:
     return arr
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"CAM shapes differ: {a.shape} vs {b.shape}")
-
-
 def trusted(cls, **fields):
     """An instance of CamMap, FilteredCam or SlotInput over arrays used as is.
 
@@ -94,12 +89,6 @@ class FilteredCam:
         return self.values.shape
 
 
-def cam_difference(enhanced: CamMap, lowlight: CamMap) -> float:
-    """Signed cell-wise activation gain: sum of (enhanced - lowlight)."""
-    _check_same_shape(enhanced.values, lowlight.values)
-    return float(np.sum(enhanced.values - lowlight.values))
-
-
 def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> FilteredCam:
     """Keep cells strictly above the threshold, zero the rest."""
     if not np.isfinite(threshold):
@@ -109,39 +98,6 @@ def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> FilteredCam
     # cells lie above the threshold, so FilteredCam's checks would all pass
     vals.setflags(write=False)
     return trusted(FilteredCam, values=vals, threshold=float(threshold))
-
-
-def filtered_difference(enhanced: FilteredCam, lowlight: FilteredCam) -> float:
-    """Signed difference restricted to salient activations.
-
-    Both operands must come from the same threshold, otherwise the comparison
-    is meaningless.
-    """
-    _check_same_shape(enhanced.values, lowlight.values)
-    if enhanced.threshold != lowlight.threshold:
-        raise ValidationError(
-            f"filter thresholds differ: {enhanced.threshold} vs {lowlight.threshold}"
-        )
-    return float(np.sum(enhanced.values - lowlight.values))
-
-
-def temporal_variation(
-    current: FilteredCam,
-    history: Sequence[FilteredCam],
-    floor: float = DEFAULT_DENOM_FLOOR,
-) -> float:
-    """Total absolute cell-wise movement of the current map against each stored one.
-
-    Empty history or a static scene collapses the raw sum to ~0, so the result
-    is floored to keep downstream ratios finite.
-    """
-    if floor <= 0.0:
-        raise ValidationError("variation floor must be positive")
-    total = 0.0
-    for past in history:
-        _check_same_shape(current.values, past.values)
-        total += float(np.sum(np.abs(current.values - past.values)))
-    return max(total, floor)
 
 
 # float64 cells a scoring step works on at once: its scratch array stays in
@@ -326,12 +282,6 @@ def _rolling_accuracies(state: QualityState) -> np.ndarray:
     return np.where(fill > 0, total / np.maximum(fill, 1), state.default_accuracy)
 
 
-def rolling_accuracy(state: QualityState, device: int) -> float:
-    """Mean of the device's stored accuracy feedback; the default before any arrives."""
-    state._check_device(device)
-    return float(_rolling_accuracies(state)[device])
-
-
 @dataclass(frozen=True)
 class _Block:
     """The pairs devices x algorithms of one slot whose maps share a shape,
@@ -476,10 +426,11 @@ def enhancement_quality(
     filtered_lowlight = filter_cam(lowlight, threshold)
     state._check_device(device)
     state._check_algorithm(algorithm)
-    _check_same_shape(filtered_enhanced.values, filtered_lowlight.values)
+    if enhanced.shape != lowlight.shape:
+        raise ShapeMismatchError(f"CAM shapes differ: {enhanced.shape} vs {lowlight.shape}")
     block = _block(state, filtered_enhanced.shape, [device], [algorithm],
                    [filtered_enhanced], [filtered_lowlight])
-    return float(_score(state, block, np.array([rolling_accuracy(state, device)]))[0])
+    return float(_score(state, block, _rolling_accuracies(state)[[device]])[0])
 
 
 def record_accuracy(state: QualityState, device: int, accuracy: float) -> None:

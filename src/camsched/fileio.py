@@ -327,22 +327,3 @@ def emit_metrics(
         summary = summarize(metrics)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_metrics(metrics, summary))
-
-
-def load_metrics(path: str) -> tuple[list[dict], dict]:
-    """Parse a metrics file back into (slot records, summary record)."""
-    records = []
-    summary = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "summary" in doc:
-                summary = doc["summary"]
-            else:
-                records.append(doc)
-    if summary is None:
-        raise ValidationError(f"{path}: metrics stream has no summary record")
-    return records, summary

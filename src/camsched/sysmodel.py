@@ -340,64 +340,16 @@ class Decision:
             raise ValidationError(f"device {m}: algorithm {algorithms[m]} out of range")
 
 
-def transmission_latency(datasize_bits: float, bandwidth_bps: float) -> float:
-    """Seconds to push the chunk upstream; +inf when there is data but no link."""
-    if datasize_bits < 0 or not math.isfinite(datasize_bits):
-        raise ValidationError("datasize must be finite and non-negative")
-    if bandwidth_bps < 0 or not math.isfinite(bandwidth_bps):
-        raise ValidationError("bandwidth must be finite and non-negative")
-    if datasize_bits == 0.0:
-        return 0.0
-    if bandwidth_bps == 0.0:
-        return math.inf
-    return datasize_bits / bandwidth_bps
-
-
-def enhancement_latency(
-    profile: EnhancementProfile | None, server: int, datasize_bits: float
-) -> float:
-    """Seconds the server spends enhancing. None profile = algorithm 0 = exactly 0.
-
-    A zero service rate means the server cannot run the algorithm, which
-    surfaces as infinite latency rather than a hard error.
-    """
-    if datasize_bits < 0 or not math.isfinite(datasize_bits):
-        raise ValidationError("datasize must be finite and non-negative")
-    if profile is None:
-        return 0.0
-    if not 0 <= server < len(profile.service_rate):
-        raise UnknownDeviceError(f"server {server} out of range for profile")
-    rate = profile.service_rate[server]
-    if rate == 0.0:
-        return math.inf
-    return profile.demand_per_bit[server] * datasize_bits / rate
-
-
 def device_latency(
     decision: Decision, device: int, slot: SlotInput, model: SystemModel
 ) -> float:
-    """Total slot latency of one device under the decision."""
+    """Total slot latency of one device under the decision: its entry of the
+    slot's latency_table, which also checks the slot against the model."""
     if not 0 <= device < decision.num_devices:
         raise UnknownDeviceError(f"device {device} outside decision")
     decision.validate_against(model)
-    n = decision.servers[device]
-    k = decision.algorithms[device]
-    d = float(slot.datasize_bits[device])
-    l_t = transmission_latency(d, float(slot.bandwidth_bps[device, n]))
-    profile = None if k == 0 else model.profiles[k - 1]
-    l_e = enhancement_latency(profile, n, d)
-    # grouping (transmission + overhead) first keeps the k=0/k decomposition
-    # exact: device_latency(k) == device_latency(k=0) + enhancement_latency(k)
-    return (l_t + model.constants.overhead_latency_s) + l_e
-
-
-def device_utility(quality: float, latency_s: float, latency_weight: float) -> float:
-    """Quality minus weighted latency; an unreachable assignment is -inf outright."""
-    if latency_s < 0:
-        raise ValidationError("latency must be non-negative")
-    if math.isinf(latency_s):
-        return -math.inf
-    return quality - latency_weight * latency_s
+    n, k = decision.servers[device], decision.algorithms[device]
+    return float(latency_table(slot, model)[device, n, k])
 
 
 def server_loads(decision: Decision, model: SystemModel) -> np.ndarray:
@@ -478,14 +430,15 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     """(M, N, K+1) read-only latency of every possible assignment for the slot.
 
     Shared precomputation for the schedulers and check_feasibility: entry
-    [m, n, k] is what device_latency would return for that gene.
+    [m, n, k] is transmission plus overhead, then plus enhancement, for that
+    gene. That grouping keeps the k=0/k decomposition exact: entry [m, n, k]
+    equals entry [m, n, 0] plus the enhancement time.
     """
     check_dims(slot, model)
     d, b = slot.datasize_bits, slot.bandwidth_bps
     linked = b > 0.0
     runnable, divisor = model.enhancement_divisor   # (N, K+1)
-    # (demand * d) / service in that exact order so entries are bit-identical
-    # to the scalar enhancement_latency; inf marks servers that cannot run k
+    # (demand * d) / service in that order; inf marks servers that cannot run k
     with np.errstate(divide="ignore", invalid="ignore"):
         trans = d[:, None] / np.where(linked, b, 1.0)
         enh = model.demand_matrix * d[:, None, None] / divisor

@@ -5,10 +5,12 @@ zero datasizes and dead links so the infinity/sentinel paths get exercised,
 not just the happy path.
 """
 
+import math
 import random
 
 import numpy as np
 
+from camsched.camq import QualityState, enhancement_quality
 from camsched.sysmodel import (
     Decision,
     EdgeServer,
@@ -18,7 +20,36 @@ from camsched.sysmodel import (
     ModelConstants,
     SlotInput,
     SystemModel,
+    check_feasibility,
+    latency_table,
 )
+
+
+def one_link(datasize, bandwidth, phi=0.0, s=1.0, quality=0.0):
+    """One device, one server and one algorithm, with no overhead: the slot's
+    latency_table row [transmission time, transmission plus enhancement
+    time], and the check_feasibility report of running the algorithm."""
+    model = SystemModel(
+        (EdgeServer(8.0, 4.0),),
+        (EnhancementProfile(1, KIND_GPU, np.array([phi]), np.array([s])),),
+        ModelConstants(num_devices=1, overhead_latency_s=0.0),
+    )
+    slot = SlotInput(np.array([datasize]), np.array([[bandwidth]]),
+                     np.array([[0.0, quality]]))
+    return latency_table(slot, model)[0, 0], check_feasibility(Decision((0,), (1,)), slot, model)
+
+
+def quality_numerator(enhanced, lowlight, threshold=0.0):
+    """The difference of the filtered CAMs, read off enhancement_quality.
+
+    A fresh state has an empty window and no accuracy feedback, so the
+    variation is the denominator floor, here 1.0, and the accuracy weight
+    is 1.0; an infinite cap clamps nothing. The score is then the numerator
+    bit for bit. A filter at 0.0 keeps every cell of a non-negative map, so
+    at that threshold the numerator is the raw CAM difference.
+    """
+    state = QualityState(1, 1, denom_floor=1.0, quality_cap=math.inf)
+    return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold)
 
 
 def make_model(rng, num_devices, num_servers, num_algorithms,

@@ -100,9 +100,23 @@ def ref_enhancement(phi, d, s):
 
 
 def ref_device_latency(d, b, k, phi, s, overhead):
+    # transmission plus overhead first, as the model specifies, so a gene's
+    # latency is its no-enhancement latency plus the enhancement time exactly
     lt = ref_transmission(d, b)
     le = 0.0 if k == 0 else ref_enhancement(phi, d, s)
-    return lt + le + overhead
+    return (lt + overhead) + le
+
+
+def ref_gene_latency(slot, model, m, n, k):
+    """ref_device_latency of device m on server n running algorithm k."""
+    if k == 0:
+        phi, s = 0.0, 1.0
+    else:
+        profile = model.profiles[k - 1]
+        phi = float(profile.demand_per_bit[n])
+        s = float(profile.service_rate[n])
+    return ref_device_latency(float(slot.datasize_bits[m]), float(slot.bandwidth_bps[m, n]),
+                              k, phi, s, model.constants.overhead_latency_s)
 
 
 def ref_utility(q, latency, weight):
@@ -136,16 +150,7 @@ def ref_capacity_ok(genes, model):
 
 def ref_latency_ok(genes, slot, model):
     for m, (n, k) in enumerate(genes):
-        d = float(slot.datasize_bits[m])
-        b = float(slot.bandwidth_bps[m, n])
-        if k == 0:
-            phi, s = 0.0, 1.0
-        else:
-            profile = model.profiles[k - 1]
-            phi = float(profile.demand_per_bit[n])
-            s = float(profile.service_rate[n])
-        lat = ref_device_latency(d, b, k, phi, s, model.constants.overhead_latency_s)
-        if lat > model.constants.max_latency_s:
+        if ref_gene_latency(slot, model, m, n, k) > model.constants.max_latency_s:
             return False
     return True
 
@@ -157,15 +162,7 @@ def ref_feasible(genes, slot, model):
 def ref_objective(genes, slot, model):
     total = 0.0
     for m, (n, k) in enumerate(genes):
-        d = float(slot.datasize_bits[m])
-        b = float(slot.bandwidth_bps[m, n])
-        if k == 0:
-            phi, s = 0.0, 1.0
-        else:
-            profile = model.profiles[k - 1]
-            phi = float(profile.demand_per_bit[n])
-            s = float(profile.service_rate[n])
-        lat = ref_device_latency(d, b, k, phi, s, model.constants.overhead_latency_s)
+        lat = ref_gene_latency(slot, model, m, n, k)
         u = ref_utility(float(slot.quality[m, k]), lat, model.constants.latency_weight)
         if u == -math.inf:
             return -math.inf

@@ -18,13 +18,10 @@ from camsched import cli
 from camsched.camq import (
     CamMap,
     QualityState,
-    cam_difference,
     commit_slot,
     enhancement_quality,
     filter_cam,
-    filtered_difference,
     record_accuracy,
-    temporal_variation,
 )
 from camsched.sched import (
     GaConfig,
@@ -46,16 +43,15 @@ from camsched.sysmodel import (
     SystemModel,
     check_feasibility,
     device_latency,
-    device_utility,
-    enhancement_latency,
-    transmission_latency,
 )
 
 from conftest import (
     make_model,
     make_slot,
+    one_link,
     oracle_gap_instance,
     paper_scale_instance,
+    quality_numerator,
     random_decision,
     small_instance,
 )
@@ -67,6 +63,7 @@ from refimpl import (
     ref_feasible,
     ref_filter,
     ref_filtered_difference,
+    ref_gene_latency,
     ref_latency_ok,
     ref_objective,
     ref_quality,
@@ -155,6 +152,13 @@ def quality_case_025():
     return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
 
 
+def enhancement_time(datasize, phi, s):
+    """The enhancement time in a latency_table: a gene's latency less that of
+    shipping raw on the same link."""
+    lat, _ = one_link(datasize, 1e6, phi, s)
+    return float(lat[1] - lat[0])
+
+
 def test_criterion_2_exact_arithmetic(capsys):
     """Hand cases plus 20 fuzzed cases per formula vs naive references."""
     hand = []
@@ -162,23 +166,21 @@ def test_criterion_2_exact_arithmetic(capsys):
     a = np.array([[0.5, 0.2], [0.1, 0.4]])
     b = np.array([[0.3, 0.1], [0.2, 0.1]])
     # 0.2 + 0.1 - 0.1 + 0.3
-    hand.append(("cam difference", cam_difference(CamMap(a), CamMap(b)), 0.5))
+    hand.append(("cam difference", quality_numerator(CamMap(a), CamMap(b)), 0.5))
 
-    fe = filter_cam(CamMap(np.array([[0.9, 0.1], [0.4, 0.6]])), 0.5)
-    fl = filter_cam(CamMap(np.zeros((2, 2))), 0.5)
-    hand.append(("filtered difference", filtered_difference(fe, fl), 1.5))
+    enh = CamMap(np.array([[0.9, 0.1], [0.4, 0.6]]))
+    hand.append(("filtered difference", quality_numerator(enh, CamMap(np.zeros((2, 2))), 0.5),
+                 1.5))
 
     hand.append(("quality", quality_case_025(), 0.25))
 
-    hand.append(("transmission", transmission_latency(1e6, 1e6), 1.0))
-    hand.append(("transmission zero data", transmission_latency(0.0, 5.0), 0.0))
-    hand.append(("transmission dead link", transmission_latency(1e6, 0.0), math.inf))
+    hand.append(("transmission", one_link(1e6, 1e6)[0][0], 1.0))
+    hand.append(("transmission zero data", one_link(0.0, 5.0)[0][0], 0.0))
+    hand.append(("transmission dead link", one_link(1e6, 0.0)[0][0], math.inf))
 
     prof = EnhancementProfile(1, KIND_GPU, np.array([2e-7, 4e-7]), np.array([2.0, 1.0]))
-    hand.append(("enhancement", enhancement_latency(prof, 0, 1e6), 0.1))
-    hand.append(("enhancement no worker", enhancement_latency(
-        EnhancementProfile(1, KIND_GPU, np.array([2e-7]), np.array([0.0])), 0, 1e6),
-        math.inf))
+    hand.append(("enhancement", enhancement_time(1e6, 2e-7, 2.0), 0.1))
+    hand.append(("enhancement no worker", enhancement_time(1e6, 2e-7, 0.0), math.inf))
 
     model = SystemModel(
         (EdgeServer(8.0, 4.0), EdgeServer(4.0, 8.0)),
@@ -196,8 +198,10 @@ def test_criterion_2_exact_arithmetic(capsys):
     dec = Decision((0, 1), (1, 2))
     # device 0: 1.0 + 0.2 + 0.1; device 1: 0.5 + 0.2 + 0.1
     hand.append(("device latency", device_latency(dec, 0, slot, model), 1.3))
-    hand.append(("utility", device_utility(1.0, 1.0, 0.5), 0.5))
-    hand.append(("utility unreachable", device_utility(1.0, math.inf, 0.5), -math.inf))
+    # a zero-demand algorithm over a one-second link: latency 1.0, weight 0.5
+    hand.append(("utility", one_link(1e6, 1e6, quality=1.0)[1].utilities[0], 0.5))
+    hand.append(("utility unreachable", one_link(1e6, 0.0, quality=1.0)[1].utilities[0],
+                 -math.inf))
     # (1.0 - 0.5 * 1.3) + (0.8 - 0.5 * 0.8)
     hand.append(("objective", objective(dec, slot, model), 0.75))
 
@@ -212,11 +216,11 @@ def test_criterion_2_exact_arithmetic(capsys):
         b = rng.uniform(0.0, 3.0, (4, 4))
         gamma = float(rng.uniform(0.0, 1.2))
 
-        got = cam_difference(CamMap(a), CamMap(b))
+        got = quality_numerator(CamMap(a), CamMap(b))
         if not close(got, ref_cam_difference(a.tolist(), b.tolist())):
             fuzz_bad.append(("cam difference", i))
 
-        got = filtered_difference(filter_cam(CamMap(a), gamma), filter_cam(CamMap(b), gamma))
+        got = quality_numerator(CamMap(a), CamMap(b), gamma)
         if not close(got, ref_filtered_difference(a.tolist(), b.tolist(), gamma)):
             fuzz_bad.append(("filtered difference", i))
 
@@ -242,13 +246,12 @@ def test_criterion_2_exact_arithmetic(capsys):
 
         d = float(rng.uniform(0, 5e6)) if i % 5 else 0.0
         bw = float(rng.uniform(1e5, 1e7)) if i % 4 else 0.0
-        if not close(transmission_latency(d, bw), ref_transmission(d, bw)):
+        if not close(float(one_link(d, bw)[0][0]), ref_transmission(d, bw)):
             fuzz_bad.append(("transmission", i))
 
         phi = float(rng.uniform(1e-8, 5e-6))
         s = float(rng.uniform(0.5, 6.0)) if i % 4 else 0.0
-        p = EnhancementProfile(1, KIND_GPU, np.array([phi]), np.array([s]))
-        if not close(enhancement_latency(p, 0, d), ref_enhancement(phi, d, s)):
+        if not close(enhancement_time(d, phi, s), ref_enhancement(phi, d, s)):
             fuzz_bad.append(("enhancement", i))
 
         fmodel = make_model(rng, 4, 2, 2)
@@ -268,10 +271,12 @@ def test_criterion_2_exact_arithmetic(capsys):
             if not close(device_latency(fdec, m, fslot, fmodel), want):
                 fuzz_bad.append(("device latency", i))
 
-        q = float(rng.uniform(-2, 8))
-        lat = float(rng.uniform(0, 6)) if i % 6 else math.inf
-        if not close(device_utility(q, lat, 0.5), ref_utility(q, lat, 0.5)):
-            fuzz_bad.append(("utility", i))
+        utilities = check_feasibility(fdec, fslot, fmodel).utilities
+        for m, (n, k) in enumerate(genes):
+            want = ref_utility(float(fslot.quality[m, k]), ref_gene_latency(fslot, fmodel, m, n, k),
+                               fmodel.constants.latency_weight)
+            if not close(float(utilities[m]), want):
+                fuzz_bad.append(("utility", i))
         if not close(objective(fdec, fslot, fmodel), ref_objective(genes, fslot, fmodel)):
             fuzz_bad.append(("objective", i))
 
@@ -437,9 +442,9 @@ def test_criterion_6_quality_properties(capsys):
 
     v = 0
     for _ in range(1000):
-        a = rng.uniform(0.0, 2.0, (5, 5))
-        b = rng.uniform(0.0, 2.0, (5, 5))
-        if cam_difference(CamMap(a), CamMap(b)) != -cam_difference(CamMap(b), CamMap(a)):
+        a = CamMap(rng.uniform(0.0, 2.0, (5, 5)))
+        b = CamMap(rng.uniform(0.0, 2.0, (5, 5)))
+        if quality_numerator(a, b) != -quality_numerator(b, a):
             v += 1
     counts["antisymmetry"] = v
 
@@ -464,23 +469,34 @@ def test_criterion_6_quality_properties(capsys):
             v += 1
     counts["filter monotonicity"] = v
 
+    # uncapped scores against a zero low-light map: the numerator is the
+    # filtered current map's sum, so the score shows the floored variation
     v = 0
     floor = 1e-6
+    zeros = CamMap(np.zeros((3, 3)))
     for i in range(1000):
-        cur = filter_cam(CamMap(rng.uniform(0.0, 2.0, (3, 3))), 0.4)
+        cur = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
         if i % 3 == 0:
-            history = [cur] * int(rng.integers(1, 4))  # zero raw variation
+            history = [filter_cam(cur, 0.4)] * int(rng.integers(1, 4))  # zero raw variation
         else:
             history = [
                 filter_cam(CamMap(rng.uniform(0.0, 2.0, (3, 3))), 0.4)
                 for _ in range(int(rng.integers(0, 4)))
             ]
-        tv = temporal_variation(cur, history, floor=floor)
+        state = QualityState(num_devices=1, num_algorithms=1, denom_floor=floor,
+                             quality_cap=math.inf)
+        for h in history:
+            commit_slot(state, 0, 1, h)
+        got = enhancement_quality(state, 0, 1, cur, zeros)
+        num = quality_numerator(cur, zeros, 0.4)
         raw = ref_temporal_variation(
-            cur.values.tolist(), [h.values.tolist() for h in history], 0.0
+            filter_cam(cur, 0.4).values.tolist(), [h.values.tolist() for h in history], 0.0
         )
-        if tv < floor or not close(tv, max(raw, floor), rel=1e-12):
-            v += 1
+        if i % 3 == 0:
+            bad = got != num / floor  # a static window scores exactly num / floor
+        else:
+            bad = got > num / floor or not close(got, num / max(raw, floor), rel=1e-12)
+        v += bad
     counts["denominator floor"] = v
 
     v = 0

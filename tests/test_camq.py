@@ -12,20 +12,17 @@ from camsched.camq import (
     CamMap,
     FilteredCam,
     QualityState,
-    cam_difference,
     commit_maps,
     commit_slot,
     enhancement_quality,
     filter_cam,
-    filtered_difference,
     record_accuracy,
-    rolling_accuracy,
     slot_quality,
-    temporal_variation,
 )
 from camsched import sim
 from camsched.errors import ShapeMismatchError, UnknownDeviceError, ValidationError
 
+from conftest import quality_numerator
 from refimpl import (
     ref_assess_quality,
     ref_cam_difference,
@@ -56,26 +53,27 @@ shared_shape_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
-# ---------------------------------------------------------------- cam_difference
+# ---------------------------------------------------------------- cam difference
+# the raw difference is the quality numerator at a filter of 0.0
 
 def test_difference_worked_example():
     enhanced = cam([[0.9, 0.1], [0.4, 0.6]])
     lowlight = cam([[0.5, 0.2], [0.3, 0.3]])
-    assert cam_difference(enhanced, lowlight) == pytest.approx(0.7, rel=1e-9)
+    assert quality_numerator(enhanced, lowlight) == pytest.approx(0.7, rel=1e-9)
 
 
 def test_difference_identical_maps_is_zero():
     m = cam([[0.3, 0.8], [0.1, 0.5]])
-    assert cam_difference(m, m) == 0.0
+    assert quality_numerator(m, m) == 0.0
 
 
 def test_difference_ones_vs_zeros():
-    assert cam_difference(cam(np.ones((2, 2))), cam(np.zeros((2, 2)))) == 4.0
+    assert quality_numerator(cam(np.ones((2, 2))), cam(np.zeros((2, 2)))) == 4.0
 
 
 def test_difference_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        cam_difference(cam([[1.0]]), cam([[1.0, 2.0]]))
+        quality_numerator(cam([[1.0]]), cam([[1.0, 2.0]]))
 
 
 def test_cam_map_rejects_bad_values():
@@ -120,67 +118,77 @@ def test_filter_is_strict():
 # ---------------------------------------------------- filtered difference
 
 def test_filtered_difference_positive_example():
-    enh = filter_cam(cam([[0.9, 0.1], [0.4, 0.6]]), 0.5)
-    low = filter_cam(cam([[0.1, 0.2], [0.3, 0.3]]), 0.5)
-    assert filtered_difference(enh, low) == pytest.approx(1.5, rel=1e-9)
+    enh = cam([[0.9, 0.1], [0.4, 0.6]])
+    low = cam([[0.1, 0.2], [0.3, 0.3]])
+    assert quality_numerator(enh, low, 0.5) == pytest.approx(1.5, rel=1e-9)
 
 
 def test_filtered_difference_negative_example():
-    enh = filter_cam(cam([[0.0, 0.0], [0.0, 0.0]]), 0.5)
-    low = filter_cam(cam([[0.8, 0.1], [0.2, 0.3]]), 0.5)
-    assert filtered_difference(enh, low) == pytest.approx(-0.8, rel=1e-9)
+    enh = cam([[0.0, 0.0], [0.0, 0.0]])
+    low = cam([[0.8, 0.1], [0.2, 0.3]])
+    assert quality_numerator(enh, low, 0.5) == pytest.approx(-0.8, rel=1e-9)
 
 
 def test_filtered_difference_identical_is_zero():
-    f = filter_cam(cam([[0.9, 0.2]]), 0.5)
-    assert filtered_difference(f, f) == 0.0
-
-
-def test_filtered_difference_rejects_threshold_mismatch():
-    a = filter_cam(cam([[0.9]]), 0.5)
-    b = filter_cam(cam([[0.9]]), 0.4)
-    with pytest.raises(ValidationError):
-        filtered_difference(a, b)
+    m = cam([[0.9, 0.2]])
+    assert quality_numerator(m, m, 0.5) == 0.0
 
 
 # ---------------------------------------------------- temporal variation
 
+def variation_score(current, history, floor=1e-6, threshold=0.4):
+    """Uncapped score of the map `current` against a zero low-light map, over
+    a window that stores the filtered maps `history`: the sum of the filtered
+    current map over the floored variation."""
+    state = QualityState(1, 1, denom_floor=floor, quality_cap=math.inf)
+    for past in history:
+        commit_slot(state, 0, 1, past)
+    lowlight = CamMap(np.zeros(current.shape))
+    return enhancement_quality(state, 0, 1, current, lowlight, threshold)
+
+
 def test_variation_single_entry_example():
-    current = filter_cam(cam([[1.0, 0.0]]), 0.4)
+    # numerator 1.0 over a variation of 1.0
+    current = cam([[1.0, 0.0]])
     past = filter_cam(cam([[0.0, 0.0]]), 0.4)
-    assert temporal_variation(current, [past]) == pytest.approx(1.0, rel=1e-9)
+    assert variation_score(current, [past]) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_variation_empty_history_floors():
-    current = filter_cam(cam([[1.0, 0.0]]), 0.4)
-    assert temporal_variation(current, [], floor=1e-6) == 1e-6
+    current = cam([[1.0, 0.0]])
+    assert variation_score(current, [], floor=1e-6) == 1.0 / 1e-6
 
 
 def test_variation_static_content_floors():
-    current = filter_cam(cam([[1.0, 0.7]]), 0.4)
-    history = [current] * 5
-    assert temporal_variation(current, history, floor=1e-6) == 1e-6
+    current = cam([[1.0, 0.7]])
+    history = [filter_cam(current, 0.4)] * 5
+    assert variation_score(current, history, floor=1e-6) == (1.0 + 0.7) / 1e-6
 
 
 # ------------------------------------------------------- rolling accuracy
 
+def accuracy_weight(state):
+    """A unit numerator over a unit variation floor scores the weight itself."""
+    return enhancement_quality(state, 0, 1, cam([[1.0]]), cam([[0.0]]))
+
+
 def test_rolling_accuracy_default_when_empty():
-    state = QualityState(num_devices=1, num_algorithms=2)
-    assert rolling_accuracy(state, 0) == 1.0
+    state = QualityState(num_devices=1, num_algorithms=2, denom_floor=1.0)
+    assert accuracy_weight(state) == 1.0
 
 
 def test_rolling_accuracy_mean():
-    state = QualityState(num_devices=1, num_algorithms=2)
+    state = QualityState(num_devices=1, num_algorithms=2, denom_floor=1.0)
     record_accuracy(state, 0, 0.5)
     record_accuracy(state, 0, 0.7)
-    assert rolling_accuracy(state, 0) == pytest.approx(0.6, rel=1e-9)
+    assert accuracy_weight(state) == pytest.approx(0.6, rel=1e-9)
 
 
 def test_rolling_accuracy_partial_window():
-    state = QualityState(num_devices=1, num_algorithms=2, window_depth=5)
+    state = QualityState(num_devices=1, num_algorithms=2, window_depth=5, denom_floor=1.0)
     for a in (0.9, 0.6, 0.9):
         record_accuracy(state, 0, a)
-    assert rolling_accuracy(state, 0) == pytest.approx(0.8, rel=1e-9)
+    assert accuracy_weight(state) == pytest.approx(0.8, rel=1e-9)
 
 
 def test_record_accuracy_range_error():
@@ -370,7 +378,7 @@ def test_slot_without_algorithms_scores_only_raw_shipping():
 @given(shared_shape_pairs)
 def test_prop_antisymmetry(pair):
     a, b = CamMap(pair[0]), CamMap(pair[1])
-    assert cam_difference(a, b) == -cam_difference(b, a)
+    assert quality_numerator(a, b) == -quality_numerator(b, a)
 
 
 @given(
@@ -385,8 +393,8 @@ def test_prop_antisymmetry(pair):
 )
 def test_prop_shift_invariance(triple):
     a, b, c = triple
-    base = cam_difference(CamMap(a), CamMap(b))
-    shifted = cam_difference(CamMap(a + c), CamMap(b + c))
+    base = quality_numerator(CamMap(a), CamMap(b))
+    shifted = quality_numerator(CamMap(a + c), CamMap(b + c))
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
@@ -429,18 +437,19 @@ def test_prop_filter_monotone_in_threshold(values, g1, g2):
 def test_prop_variation_floor_law(args):
     current_values, history_values = args
     floor = 1e-6
-    current = filter_cam(CamMap(current_values), 0.4)
+    current = CamMap(current_values)
     history = [filter_cam(CamMap(h), 0.4) for h in history_values]
-    tv = temporal_variation(current, history, floor=floor)
+    q = variation_score(current, history, floor=floor)
+    num = quality_numerator(current, CamMap(np.zeros_like(current_values)), 0.4)
     raw = ref_temporal_variation(
-        current.values.tolist(), [h.values.tolist() for h in history], 0.0
+        filter_cam(current, 0.4).values.tolist(), [h.values.tolist() for h in history], 0.0
     )
-    assert tv >= floor
+    # the variation is never below the floor
+    assert 0.0 <= q <= num / floor
     if raw > floor + 1e-12:
-        assert tv == pytest.approx(raw, rel=1e-12)
-        assert tv > floor
+        assert q == pytest.approx(num / raw, rel=1e-12)
     elif raw < floor - 1e-12:
-        assert tv == floor
+        assert q == num / floor
 
 
 @given(shared_shape_pairs, st.data())
@@ -471,7 +480,7 @@ def test_against_naive_reference_random_3x3():
         a = rng.uniform(0.0, 2.0, (3, 3))
         b = rng.uniform(0.0, 2.0, (3, 3))
         gamma = float(rng.uniform(0.0, 1.5))
-        assert cam_difference(CamMap(a), CamMap(b)) == pytest.approx(
+        assert quality_numerator(CamMap(a), CamMap(b)) == pytest.approx(
             ref_cam_difference(a.tolist(), b.tolist()), abs=1e-12
         )
         fa = filter_cam(CamMap(a), gamma)
@@ -479,11 +488,13 @@ def test_against_naive_reference_random_3x3():
             fa.values, np.array(ref_filter(a.tolist(), gamma)), atol=1e-12
         )
         history = [filter_cam(CamMap(rng.uniform(0, 2, (3, 3))), gamma) for _ in range(3)]
-        tv = temporal_variation(fa, history, floor=1e-6)
         tv_ref = ref_temporal_variation(
             fa.values.tolist(), [h.values.tolist() for h in history], 1e-6
         )
-        assert tv == pytest.approx(tv_ref, abs=1e-12)
+        num_ref = ref_cam_difference(fa.values.tolist(), np.zeros((3, 3)).tolist())
+        assert variation_score(CamMap(a), history, threshold=gamma) == pytest.approx(
+            num_ref / tv_ref, rel=1e-12
+        )
 
 
 def test_quality_composition_against_reference():

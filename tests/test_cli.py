@@ -21,7 +21,6 @@ from camsched.errors import CamSchedError, ConfigError, TraceError, ValidationEr
 from camsched.fileio import (
     format_metrics,
     load_cam,
-    load_metrics,
     load_trace,
     round9,
     save_cam,
@@ -29,6 +28,25 @@ from camsched.fileio import (
 )
 from camsched.sim import SCHEDULER_CHOICES, SlotData, SynthSpec, Trace, generate_synthetic, run
 from test_config import SUBSTITUTES, _paths, _set
+
+
+def load_metrics(path):
+    """Parse a metrics file back into (slot records, summary record)."""
+    records = []
+    summary = None
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            doc = json.loads(line)
+            if "summary" in doc:
+                summary = doc["summary"]
+            else:
+                records.append(doc)
+    if summary is None:
+        raise ValidationError(f"{path}: metrics stream has no summary record")
+    return records, summary
 
 
 # -------------------------------------------------------------------- config

@@ -1,7 +1,8 @@
-"""Every name the package re-exports is used by the code that ships.
+"""Every name the package re-exports, and every function and class it
+defines at top level, is used by the code that ships.
 
-A public function that only tests call is an operator that never runs: the
-suite would cover it while the program runs something else.
+A function that only tests call is an operator that never runs: the suite
+would cover it while the program runs something else.
 """
 
 import ast
@@ -61,10 +62,25 @@ def test_shipped_sources_are_found():
     assert any(name.startswith("01_") for name in names)
 
 
-def test_every_reexported_name_runs_outside_the_tests():
-    used = reachable_names(
+def shipped_reachable_names():
+    return reachable_names(
         ast.parse(path.read_text(), filename=str(path)) for path in SHIPPED
     )
+
+
+def test_every_reexported_name_runs_outside_the_tests():
     exported = reexported_names()
     assert len(exported) > 50
-    assert sorted(exported - used) == []
+    assert sorted(exported - shipped_reachable_names()) == []
+
+
+def test_every_top_level_definition_runs_outside_the_tests():
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 50
+    used = shipped_reachable_names()
+    assert [name for name in defined if name.split(":")[1] not in used] == []

@@ -36,8 +36,6 @@ from camsched.sysmodel import (
     SlotInput,
     SystemModel,
     check_feasibility,
-    device_latency,
-    device_utility,
     _utility_from_latency,
     latency_table,
     server_loads,
@@ -50,7 +48,14 @@ from conftest import (
     random_decision,
     small_instance,
 )
-from refimpl import _ref_next_generation, ref_evolve, ref_objective, ref_row_sum
+from refimpl import (
+    _ref_next_generation,
+    ref_evolve,
+    ref_gene_latency,
+    ref_objective,
+    ref_row_sum,
+    ref_utility,
+)
 
 
 def free_enhancer_model(num_devices=1, overhead=0.0):
@@ -702,9 +707,8 @@ def exhaustive_reference(slot, model):
              for k in range(model.num_algorithms + 1)]
     lmax = model.constants.max_latency_s
     weight = model.constants.latency_weight
-    lat = [[device_latency(Decision((n,) * m_devices, (k,) * m_devices), m, slot, model)
-            for n, k in genes] for m in range(m_devices)]
-    util = [[device_utility(float(slot.quality[m, k]), lat[m][g], weight)
+    lat = [[ref_gene_latency(slot, model, m, n, k) for n, k in genes] for m in range(m_devices)]
+    util = [[ref_utility(float(slot.quality[m, k]), lat[m][g], weight)
              for g, (n, k) in enumerate(genes)] for m in range(m_devices)]
     caps = {}
     for n, server in enumerate(model.servers):

@@ -9,7 +9,7 @@ import pytest
 from camsched import camq, fileio, sched, sim, sysmodel
 from camsched.config import build_model, build_quality_state, parse_config
 from camsched.errors import TraceError, ValidationError
-from camsched.camq import QualityState, cam_difference, filter_cam, filtered_difference
+from camsched.camq import QualityState
 from camsched.sched import GaConfig, brute_force, evolve, objective
 from camsched.sim import (
     SCHEDULER_CHOICES,
@@ -29,11 +29,10 @@ from camsched.sysmodel import (
     ModelConstants,
     SlotInput,
     SystemModel,
-    device_latency,
-    device_utility,
 )
 
-from refimpl import ref_assess_quality, ref_commit_windows
+from conftest import quality_numerator
+from refimpl import ref_assess_quality, ref_commit_windows, ref_gene_latency, ref_utility
 
 
 def tiny_model(num_devices=2, overhead=0.05):
@@ -87,11 +86,10 @@ def test_slot_accounting_matches_scalar_model():
     state = QualityState(2, 1)
     metrics = run_slot(0, trace, state, model, scheduler="oracle")
     data = trace.slots[0]
-    slot_input = SlotInput(data.datasize_bits, data.bandwidth_bps, data.quality)
     for m in range(2):
-        lat = device_latency(metrics.decision, m, slot_input, model)
-        k = metrics.decision.algorithms[m]
-        util = device_utility(float(data.quality[m, k]), lat, 0.5)
+        n, k = metrics.decision.servers[m], metrics.decision.algorithms[m]
+        lat = ref_gene_latency(data, model, m, n, k)
+        util = ref_utility(float(data.quality[m, k]), lat, 0.5)
         assert metrics.latencies[m] == lat
         assert metrics.utilities[m] == util
         assert metrics.qualities[m] == data.quality[m, k]
@@ -556,9 +554,7 @@ def test_synthetic_zero_offsets_zero_noise():
                     slot.enhanced[m][k].values, slot.lowlight[m].values
                 )
                 # numerator of every Q is then exactly zero
-                f_e = filter_cam(slot.enhanced[m][k], 0.4)
-                f_l = filter_cam(slot.lowlight[m], 0.4)
-                assert filtered_difference(f_e, f_l) == 0.0
+                assert quality_numerator(slot.enhanced[m][k], slot.lowlight[m], 0.4) == 0.0
 
 
 def test_synthetic_offset_ordering_statistic():
@@ -568,9 +564,7 @@ def test_synthetic_offset_ordering_statistic():
     diff = {1: [], 2: []}
     for slot in trace.slots:
         for k in (1, 2):
-            f_e = filter_cam(slot.enhanced[0][k - 1], 0.4)
-            f_l = filter_cam(slot.lowlight[0], 0.4)
-            diff[k].append(filtered_difference(f_e, f_l))
+            diff[k].append(quality_numerator(slot.enhanced[0][k - 1], slot.lowlight[0], 0.4))
     assert np.mean(diff[1]) > np.mean(diff[2])
 
 

@@ -18,15 +18,21 @@ from camsched.sysmodel import (
     _utility_from_latency,
     check_feasibility,
     device_latency,
-    device_utility,
-    enhancement_latency,
     latency_table,
     server_loads,
-    transmission_latency,
 )
 
-from conftest import make_model, make_slot
-from refimpl import ref_capacity_ok, ref_feasible, ref_latency_ok, ref_server_loads
+from camsched.config import build_model, parse_config
+from conftest import make_model, make_slot, one_link
+from refimpl import (
+    ref_capacity_ok,
+    ref_enhancement,
+    ref_feasible,
+    ref_gene_latency,
+    ref_latency_ok,
+    ref_server_loads,
+    ref_utility,
+)
 
 
 def two_server_model(overhead=0.05, max_latency=4.0, gpu_caps=(8.0, 8.0)):
@@ -67,45 +73,31 @@ def basic_slot(model, d=(20e6, 20e6), b=20e6, q=1.0):
 # ------------------------------------------------------------------- latency
 
 def test_transmission_default_bandwidth():
-    assert transmission_latency(20e6, 20e6) == 1.0
+    assert one_link(20e6, 20e6)[0][0] == 1.0
 
 
 def test_transmission_zero_datasize():
-    assert transmission_latency(0.0, 20e6) == 0.0
-    assert transmission_latency(0.0, 0.0) == 0.0
+    assert one_link(0.0, 20e6)[0][0] == 0.0
+    assert one_link(0.0, 0.0)[0][0] == 0.0
 
 
 def test_transmission_dead_link():
-    assert transmission_latency(1.0, 0.0) == math.inf
-
-
-def test_transmission_rejects_negatives():
-    with pytest.raises(ValidationError):
-        transmission_latency(-1.0, 1.0)
-    with pytest.raises(ValidationError):
-        transmission_latency(1.0, -1.0)
+    assert one_link(1.0, 0.0)[0][0] == math.inf
 
 
 def test_enhancement_worked_example():
-    profile = EnhancementProfile(
-        algorithm_id=1, kind=KIND_GPU,
-        demand_per_bit=np.array([100.0]),
-        service_rate=np.array([1e9]),
-    )
-    assert enhancement_latency(profile, 0, 1e6) == pytest.approx(0.1, rel=1e-9)
+    lat, _ = one_link(1e6, 1e7, phi=100.0, s=1e9)
+    assert lat[1] - lat[0] == pytest.approx(0.1, rel=1e-9)
 
 
 def test_enhancement_none_profile_is_zero():
-    assert enhancement_latency(None, 0, 5e6) == 0.0
+    # algorithm 0 runs no profile: its latency is the transmission time alone
+    assert one_link(5e6, 1e7, phi=100.0, s=1e9)[0][0] == 5e6 / 1e7
 
 
 def test_enhancement_incapable_server():
-    profile = EnhancementProfile(
-        algorithm_id=1, kind=KIND_CPU,
-        demand_per_bit=np.array([10.0]),
-        service_rate=np.array([0.0]),
-    )
-    assert enhancement_latency(profile, 0, 1e6) == math.inf
+    lat, _ = one_link(1e6, 1e7, phi=10.0, s=0.0)
+    assert lat[1] == math.inf
 
 
 def test_device_latency_worked_example():
@@ -138,8 +130,13 @@ def test_latency_decomposition_is_exact():
         for k in range(3):
             plain = Decision(servers=(n, 0), algorithms=(0, 0))
             full = Decision(servers=(n, 0), algorithms=(k, 0))
-            profile = None if k == 0 else model.profiles[k - 1]
-            extra = enhancement_latency(profile, n, float(slot.datasize_bits[0]))
+            if k == 0:
+                extra = 0.0
+            else:
+                profile = model.profiles[k - 1]
+                extra = ref_enhancement(float(profile.demand_per_bit[n]),
+                                        float(slot.datasize_bits[0]),
+                                        float(profile.service_rate[n]))
             want = device_latency(plain, 0, slot, model) + extra
             got = device_latency(full, 0, slot, model)
             assert want == got or (math.isinf(want) and math.isinf(got))
@@ -160,16 +157,21 @@ def test_latency_never_below_overhead():
 
 # ------------------------------------------------------------------- utility
 
+def utility(quality, latency):
+    """The model's utility of one latency at latency weight 0.5."""
+    return float(_utility_from_latency(np.float64(latency), quality, two_server_model()))
+
+
 def test_utility_worked_example():
-    assert device_utility(1.0, 1.0, 0.5) == 0.5
+    assert utility(1.0, 1.0) == 0.5
 
 
 def test_utility_zero_everything():
-    assert device_utility(0.0, 0.0, 0.5) == 0.0
+    assert utility(0.0, 0.0) == 0.0
 
 
 def test_utility_infinite_latency():
-    assert device_utility(5.0, math.inf, 0.5) == -math.inf
+    assert utility(5.0, math.inf) == -math.inf
 
 
 def test_utility_strictly_decreasing_in_latency():
@@ -179,7 +181,7 @@ def test_utility_strictly_decreasing_in_latency():
         l1, l2 = sorted(rng.uniform(0, 10, 2))
         if l1 == l2:
             continue
-        assert device_utility(q, l1, 0.5) > device_utility(q, l2, 0.5)
+        assert utility(q, l1) > utility(q, l2)
 
 
 # --------------------------------------------------------------------- loads
@@ -302,6 +304,21 @@ def test_decision_validation():
         device_latency(Decision((0, 0), (0, 0)), 7, basic_slot(model), model)
 
 
+@pytest.mark.parametrize("devices, servers, decision, what", [
+    (1, 1, Decision((2,), (0,)), "server"),     # the model's server 2 has no slot column
+    (2, 4, Decision((0,), (0,)), "device"),     # the slot has a device the model lacks
+], ids=["fewer-servers", "more-devices"])
+def test_device_latency_rejects_a_slot_of_other_dimensions(devices, servers, decision, what):
+    model = build_model(parse_config('{"devices": 1}'))  # 4 servers, 4 algorithms
+    slot = SlotInput(np.full(devices, 20e6), np.full((devices, servers), 20e6),
+                     np.zeros((devices, model.num_algorithms + 1)))
+    message = f"^SlotInput and model disagree on {what} count"
+    with pytest.raises(ValidationError, match=message):
+        device_latency(decision, 0, slot, model)
+    with pytest.raises(ValidationError, match=message):
+        check_feasibility(decision, slot, model)
+
+
 @pytest.mark.parametrize("servers, algorithms, message", [
     ((0, 5), (0, 9), "device 1: server 5 out of range"),        # server before algorithm
     ((0, -1), (9, 0), "device 0: algorithm 9 out of range"),    # first bad device first
@@ -345,30 +362,26 @@ def test_tables_match_scalar_paths_bit_for_bit():
         for m in range(3):
             for n in range(2):
                 for k in range(3):
-                    genes_servers = tuple(n if i == m else 0 for i in range(3))
-                    genes_algs = tuple(k if i == m else 0 for i in range(3))
-                    decision = Decision(genes_servers, genes_algs)
-                    want_lat = device_latency(decision, m, slot, model)
-                    want_util = device_utility(
+                    want_lat = ref_gene_latency(slot, model, m, n, k)
+                    want_util = ref_utility(
                         float(slot.quality[m, k]), want_lat,
                         model.constants.latency_weight,
                     )
-                    assert lat[m, n, k] == want_lat or (
-                        math.isinf(want_lat) and math.isinf(lat[m, n, k])
-                    )
-                    assert util[m, n, k] == want_util or (
-                        math.isinf(want_util) and math.isinf(util[m, n, k])
-                    )
+                    assert lat[m, n, k] == want_lat
+                    assert util[m, n, k] == want_util
+                    decision = Decision(tuple(n if i == m else 0 for i in range(3)),
+                                        tuple(k if i == m else 0 for i in range(3)))
+                    assert device_latency(decision, m, slot, model) == want_lat
         # the table-backed check_feasibility and server_loads against the
-        # scalar device_latency and the gene-by-gene reference sum
+        # scalar reference latency and the gene-by-gene reference sum
         for _ in range(5):
             decision = Decision(
                 tuple(int(v) for v in picks.integers(0, 2, 3)),
                 tuple(int(v) for v in picks.integers(0, 3, 3)),
             )
             report = check_feasibility(decision, slot, model)
-            for m in range(3):
-                assert report.latencies[m] == device_latency(decision, m, slot, model)
+            for m, (n, k) in enumerate(decision.genes()):
+                assert report.latencies[m] == ref_gene_latency(slot, model, m, n, k)
             want_loads = np.zeros((2, 2))
             for (n, pool), v in ref_server_loads(decision.genes(), model).items():
                 want_loads[n, pool] = v
