@@ -3,7 +3,10 @@
 The genetic scheduler searches the full assignment space with elitism,
 roulette selection, single-point crossover and single-gene mutation, all in
 one operator on packed code populations (next_generation), scoring
-individuals by total utility minus normalised constraint penalties. The
+individuals by total utility minus normalised constraint penalties. Its
+first population is one bulk draw of 32-bit words that keeps randrange's
+stream (initial_population), and its scorer builds no pool loads for a
+population whose totals are all -inf, since no penalty can lower them. The
 exact oracle enumerates every admissible decision for small instances, or
 solves the slot device by device when no pool can overfill, and two
 baselines bound it from below: capacity-driven greedy and no enhancement.
@@ -69,8 +72,9 @@ class GaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-        if self.penalty_capacity < 0 or self.penalty_latency < 0:
-            raise ValidationError("penalty coefficients must be non-negative")
+        for p in (self.penalty_capacity, self.penalty_latency):
+            if not 0 <= p < math.inf:
+                raise ValidationError("penalty coefficients must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,14 @@ def _population_fitness(
     Both totals, over devices and over pools, are row reductions of an
     (rows, P) array through _row_sum, so each individual's fitness is
     bit-identical to adding its genes one by one in device order, then its
-    pool overloads in pool order.
+    pool overloads in pool order. The (M, P) offsets of each gene's row in
+    the base scores and of its individual's pool bins are built once, so a
+    generation reads both through take on arrays of its own shape.
+
+    The capacity penalty is never negative or NaN (penalties and capacities
+    are finite), so subtracting it leaves a -inf total as it is. When every
+    individual's total is -inf the pool loads are not built at all, and
+    every score keeps its bits.
     """
     load_slot, service = model.code_loads
     m_devices = model.num_devices
@@ -170,7 +181,8 @@ def _population_fitness(
     else:
         base = util
     base = base.reshape(-1)
-    rows = np.arange(m_devices)[:, None] * num_codes
+    # gene (m, c) reads base[row_at[m, c] + code]
+    row_at = np.repeat(np.arange(m_devices) * num_codes, size).reshape(m_devices, size)
     caps = model.capacity_matrix.reshape(-1)
     num_pools = len(caps)
     cap_col = caps[:, None]
@@ -178,24 +190,24 @@ def _population_fitness(
     # pool loads come from one bincount over bins pool * P + individual;
     # algorithm 0 reserves nothing and lands in a spare last pool
     code_bin = np.where(load_slot >= 0, load_slot, num_pools) * size
-    members = np.arange(size)
+    member_at = np.tile(np.arange(size), m_devices).reshape(m_devices, size)
     lam_cap = ga.penalty_capacity
 
     def fitness(pop: np.ndarray) -> np.ndarray:
         # row reductions add strictly device after device, unlike np.sum
-        total = _row_sum(base[pop + rows])
-        if lam_cap > 0.0:
+        total = _row_sum(base.take(pop + row_at))
+        if lam_cap > 0.0 and total.max() != -math.inf:
             # bincount adds in input order, so each pool sums in device order
             loads = np.bincount(
-                (code_bin[pop] + members).reshape(-1),
-                weights=service[pop].reshape(-1),
+                (code_bin.take(pop) + member_at).reshape(-1),
+                weights=service.take(pop).reshape(-1),
                 minlength=(num_pools + 1) * size,
             )[: num_pools * size].reshape(num_pools, size)
             over = loads - cap_col
             np.maximum(over, 0.0, out=over)
             over *= inv_col
-            # pen >= 0 is finite and total is never -0.0, so subtracting a
-            # zero penalty leaves total's bits as they are
+            # pen >= 0 and total is never -0.0, so subtracting a zero
+            # penalty leaves total's bits as they are
             pen = _row_sum(over)
             pen *= lam_cap
             total -= pen
@@ -287,6 +299,34 @@ def next_generation(
     return pop
 
 
+def initial_population(
+    rng: random.Random, num_codes: int, m_devices: int, size: int
+) -> np.ndarray:
+    """The GA's first (M, P) code population: randrange(num_codes) for every
+    gene, individual by individual and device by device within each, drawn
+    in bulk.
+
+    CPython's getrandbits(k) for k <= 32 is one Mersenne Twister word
+    shifted right by 32 - k, and getrandbits(32 * n) returns the next n words
+    least significant first. So the shifted words of each round that fall
+    below num_codes, kept in order, are randrange's draws, rejections
+    included, and rng ends in the state those calls leave. A round draws one
+    word per code still missing, so no round draws past the last code. This
+    needs num_codes.bit_length() <= 32: one word per draw.
+    """
+    shift = 32 - num_codes.bit_length()
+    need = size * m_devices
+    rounds = []
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        codes = np.frombuffer(words, dtype="<u4") >> shift
+        codes = codes[codes < num_codes]
+        rounds.append(codes)
+        need -= len(codes)
+    # C-contiguous (M, P), so the scorer's row sums take np.add.reduce
+    return np.concatenate(rounds).astype(np.intp).reshape(size, m_devices).T.copy()
+
+
 def evolve(
     slot: SlotInput,
     model: SystemModel,
@@ -297,10 +337,13 @@ def evolve(
     per-generation best-fitness history (non-decreasing under elitism).
 
     Runs O(population * generations) evaluations on a fixed seed, so repeated
-    calls with the same inputs return the same decision and history. Each
-    generation comes from next_generation and is scored as one batch. The
-    populations and the answer's report are scored from one latency table:
-    `lat` when given, else one built here.
+    calls with the same inputs return the same decision and history. The
+    first population comes from initial_population, in bulk, with the
+    randrange draws a gene-by-gene loop would take (num_codes needs at most 32
+    bits); each later one comes from next_generation. Every population is
+    scored as one batch, which skips the capacity penalty while no
+    individual's total is finite. The populations and the answer's report are
+    scored from one latency table: `lat` when given, else one built here.
     """
     if ga is None:
         ga = GaConfig()
@@ -312,16 +355,7 @@ def evolve(
     m_devices = model.num_devices
     num_codes = len(model.code_loads[0])
 
-    # individual by individual, device by device: randrange(num_codes), inlined
-    bits, k_code = rng.getrandbits, num_codes.bit_length()
-    draws = []
-    for _ in range(size * m_devices):
-        code = bits(k_code)
-        while code >= num_codes:
-            code = bits(k_code)
-        draws.append(code)
-    # C-contiguous (M, P), so the scorer's row sums take np.add.reduce
-    pop = np.array(draws).reshape(size, m_devices).T.copy()
+    pop = initial_population(rng, num_codes, m_devices, size)
     fits = fitness(pop).tolist()
     history: list[float] = []
 

@@ -37,8 +37,8 @@ class EdgeServer:
     cpu_capacity: float  # compute units per second, e.g. cycles/s
 
     def __post_init__(self):
-        if self.gpu_capacity < 0 or self.cpu_capacity < 0:
-            raise ValidationError("server capacities must be non-negative")
+        if not (0 <= self.gpu_capacity < math.inf and 0 <= self.cpu_capacity < math.inf):
+            raise ValidationError("server capacities must be finite and non-negative")
         if self.gpu_capacity == 0 and self.cpu_capacity == 0:
             raise ValidationError("server needs at least one nonzero capacity pool")
 
@@ -106,6 +106,13 @@ class ModelConstants:
             raise ValidationError("latency weight must be non-negative")
         if self.max_latency_s <= 0:
             raise ValidationError("latency deadline must be positive")
+        # every device inside the deadline loses at most weight * deadline, so
+        # a finite bound keeps a feasible slot's utility total finite
+        if not math.isfinite(self.num_devices * self.latency_weight * self.max_latency_s):
+            raise ValidationError(
+                f"latency weight {self.latency_weight} times the {self.max_latency_s} s "
+                f"deadline over {self.num_devices} devices overflows"
+            )
 
 
 @dataclass(frozen=True)

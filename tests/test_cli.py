@@ -446,6 +446,22 @@ def test_nul_byte_in_config_path_is_one_error_line(tmp_path, capsys, key):
     assert key in err
 
 
+@pytest.mark.parametrize("devices,weight", [(2, 1e308), (10, 1e307)])
+def test_cli_rejects_a_latency_weight_that_overflows_the_utility(tmp_path, capsys,
+                                                                devices, weight):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": devices, "latency_weight": weight,
+                               "synth": {"horizon": 2, "cam_rows": 4, "cam_cols": 4}}))
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.jsonl"
+    code = run_cli(["simulate", "--config", str(cfg),
+                    "--trace", str(tmp_path / "t" / "trace.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "overflows" in err and not out.exists()
+
+
 def test_cli_schedule_and_oracle_agree(tmp_path, capsys):
     cfg = make_small_cfg(tmp_path)
     trace_dir = str(tmp_path / "t")

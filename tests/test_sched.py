@@ -23,6 +23,7 @@ from camsched.sched import (
     evolve,
     _population_fitness,
     _row_sum,
+    initial_population,
     next_generation,
     objective,
 )
@@ -49,11 +50,14 @@ from conftest import (
     small_instance,
 )
 from refimpl import (
+    _RefSlotTables,
     _ref_next_generation,
+    ref_capacity_ok,
     ref_evolve,
     ref_gene_latency,
     ref_objective,
     ref_row_sum,
+    ref_server_loads,
     ref_utility,
 )
 
@@ -198,6 +202,58 @@ def test_fitness_is_pure():
     first = packed_fitness(decision, slot, model, ga)
     second = packed_fitness(decision, slot, model, ga)
     assert first == second
+
+
+def scorer_instance():
+    """M = 6 on a GPU pool and a CPU pool of zero capacity, every link alive
+    but device 2's to server 1: a gene there is unreachable (-inf), and the
+    zero-capacity pools make most enhanced genes overload."""
+    model, slot = reachable_instance(6, 65, ((0.0, 6.0), (8.0, 0.0)))
+    bandwidth = slot.bandwidth_bps.copy()
+    bandwidth[2, 1] = 0.0
+    return model, SlotInput(slot.datasize_bits, bandwidth, slot.quality)
+
+
+@pytest.mark.parametrize("ga", [
+    GaConfig(), GaConfig(penalty_capacity=0.0), GaConfig(penalty_latency=0.0),
+], ids=["default", "no-capacity-penalty", "no-latency-penalty"])
+def test_population_scorer_matches_the_per_genome_reference(ga):
+    model, slot = scorer_instance()
+    ka = model.num_algorithms + 1
+    dead = ka  # server 1, algorithm 0: device 2's dead link
+    rng = np.random.default_rng(7)
+    size = 40
+    mixed = rng.integers(0, model.num_servers * ka, (model.num_devices, size))
+    mixed[2] = np.where(np.arange(size) % 3 == 0, dead, mixed[2] % ka)
+    unreachable = mixed.copy()
+    unreachable[2] = dead
+    ga = dataclasses.replace(ga, population_size=size)
+    # algorithm 2 scores 1e308 on devices 0 and 1: two of them add up to
+    # +inf, and device 2's dead link then makes the total NaN. Neither may
+    # switch the penalty off for the columns with a finite total.
+    quality = slot.quality.copy()
+    quality[:2, 2] = 1e308
+    huge = SlotInput(slot.datasize_bits, slot.bandwidth_bps, quality)
+    fits = {}
+    for s in (slot, huge):
+        ref = _RefSlotTables(s, model, ga)
+        score = _population_fitness(s, model, ga, latency_table(s, model))
+        for name, pop in (("mixed", mixed), ("unreachable", unreachable)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = score(pop).tolist()
+            want = [ref.fitness(pop[:, c].tolist()) for c in range(size)]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
+            fits[s is huge, name] = got
+    assert all(f == -math.inf for f in fits[False, "unreachable"])
+    assert {math.isnan(f) for f in fits[True, "mixed"]} == {True, False}
+    # the mixed population holds -inf columns and finite ones that overload
+    # a pool, the zero-capacity ones among them
+    genes = [model.decode(mixed[:, c]).genes()
+             for c, f in enumerate(fits[False, "mixed"]) if math.isfinite(f)]
+    assert 0 < len(genes) < size
+    overloaded = [g for g in genes if not ref_capacity_ok(g, model)]
+    zero_pools = {(0, 0), (1, 1)}
+    assert any(ref_server_loads(g, model).keys() & zero_pools for g in overloaded)
 
 
 # ---------------------------------------------------------- exact row sums
@@ -474,6 +530,19 @@ def test_next_generation_matches_list_reference(case):
 
 # ------------------------------------------------------------------- evolve
 
+@pytest.mark.parametrize("num_codes", [1, 2, 3, 5, 16, 17, 20, 33])
+def test_initial_population_is_randranges_stream(num_codes):
+    for size, m_devices in ((1, 1), (1, 7), (3, 2), (20, 30), (50, 10), (50, 300)):
+        for seed in (1, 99):
+            rng, ref = random.Random(seed), random.Random(seed)
+            pop = initial_population(rng, num_codes, m_devices, size)
+            want = [[ref.randrange(num_codes) for _ in range(m_devices)]
+                    for _ in range(size)]
+            assert pop.shape == (m_devices, size) and pop.flags.c_contiguous
+            assert pop.T.tolist() == want
+            assert rng.getstate() == ref.getstate()
+
+
 def test_evolve_single_point_space():
     servers = (EdgeServer(1.0, 1.0),)
     model = SystemModel((servers[0],), (), ModelConstants(num_devices=2))
@@ -564,6 +633,10 @@ EVOLVE_INSTANCES = {
     "devices-300": lambda: conftest_instance(300, 64),
     # overloads on a zero-capacity pool are scaled by CAPACITY_EPS
     "zero-capacity": lambda: reachable_instance(6, 65, ((0.0, 6.0), (8.0, 0.0))),
+    # under the default config the first generations are all -inf, so the
+    # scorer skips their capacity penalty, and the answer found later
+    # overloads a pool, so it pays one
+    "finite-mid-run": lambda: conftest_instance(20, 101),
 }
 
 EVOLVE_CONFIGS = (
@@ -581,6 +654,7 @@ EVOLVE_CONFIGS = (
 @pytest.mark.parametrize("case", sorted(EVOLVE_INSTANCES))
 def test_evolve_matches_list_reference(case):
     model, slot = EVOLVE_INSTANCES[case]()
+    runs = {}
     for ga in EVOLVE_CONFIGS:
         best, history = evolve(slot, model, ga)
         decision, fitness, raw, feasible, ref_history = ref_evolve(slot, model, ga)
@@ -589,10 +663,16 @@ def test_evolve_matches_list_reference(case):
         assert best.raw_utility.hex() == raw.hex(), ga
         assert best.feasible == feasible, ga
         assert [h.hex() for h in history] == [h.hex() for h in ref_history], ga
+        runs[ga] = best, history
     if case == "devices-300":
         assert history[-1] == -math.inf
     if case in ("devices-30", "zero-capacity"):
         assert math.isfinite(history[0])
+    if case == "finite-mid-run":
+        best, history = runs[GaConfig()]
+        assert history[0] == -math.inf and math.isfinite(history[-1])
+        assert not best.report.capacity_ok and best.report.latency_ok
+        assert best.fitness < best.raw_utility
 
 
 # -------------------------------------------------------------- brute force
@@ -1137,3 +1217,8 @@ def test_ga_config_validation():
         GaConfig(mutation_prob=-0.1)
     with pytest.raises(ValidationError):
         GaConfig(penalty_capacity=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            GaConfig(penalty_capacity=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            GaConfig(penalty_latency=bad)

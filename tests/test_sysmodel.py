@@ -398,6 +398,12 @@ def test_edge_server_validation():
         EdgeServer(gpu_capacity=0.0, cpu_capacity=0.0)
 
 
+@pytest.mark.parametrize("gpu,cpu", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_edge_server_rejects_a_capacity_that_is_not_finite(gpu, cpu):
+    with pytest.raises(ValidationError, match="finite"):
+        EdgeServer(gpu_capacity=gpu, cpu_capacity=cpu)
+
+
 def test_profile_validation():
     with pytest.raises(ValidationError):
         EnhancementProfile(0, KIND_GPU, np.array([1.0]), np.array([1.0]))
@@ -414,6 +420,26 @@ def test_constants_validation():
         ModelConstants(num_devices=1, latency_weight=-0.5)
     with pytest.raises(ValidationError):
         ModelConstants(num_devices=1, max_latency_s=0.0)
+
+
+@pytest.mark.parametrize("devices,weight,deadline", [
+    (2, 1e308, 4.0), (10, 1e307, 4.0), (1, math.inf, 4.0), (1, 0.0, math.inf),
+])
+def test_constants_reject_a_latency_weight_that_overflows_the_utility(devices, weight,
+                                                                     deadline):
+    with pytest.raises(ValidationError, match="overflows"):
+        ModelConstants(num_devices=devices, latency_weight=weight, max_latency_s=deadline)
+
+
+def test_a_config_whose_utility_would_overflow_builds_no_model():
+    with pytest.raises(ValidationError, match="overflows"):
+        build_model(parse_config('{"devices": 2, "latency_weight": 1e308}'))
+    # just inside the bound: two devices on time keep a finite total
+    model = build_model(parse_config('{"devices": 2, "latency_weight": 1e307}'))
+    slot = SlotInput(np.array([1e6, 1e6]), np.full((2, model.num_servers), 1e6),
+                     np.zeros((2, model.num_algorithms + 1)))
+    report = check_feasibility(Decision((0, 0), (0, 0)), slot, model)
+    assert report.latency_ok and math.isfinite(report.total_utility)
 
 
 def test_slot_input_validation():
