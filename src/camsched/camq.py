@@ -111,30 +111,27 @@ class _Windows:
     Row r is one (device, algorithm) pair, its maps flattened to rows*cols
     cells. The ring has depth + 1 columns, each a (rows, cells) array: row
     r's stored entries sit in columns head[r] - fill[r] .. head[r] - 1
-    (mod depth + 1), oldest first, each with the threshold it was filtered
-    at in thresholds[r]. Column head[r] takes the map being assessed, so
-    committing it only advances the head. A column per array keeps each
-    window position contiguous across rows, and no allocation larger than
-    one column. Rows are only ever added: a pair that moves to another shape
-    before storing anything leaves its empty row behind.
+    (mod depth + 1), oldest first. Column head[r] takes the map being
+    assessed, so committing it only advances the head. A column per array
+    keeps each window position contiguous across rows, and no allocation
+    larger than one column. Rows are only ever added: a pair that moves to
+    another shape before storing anything leaves its empty row behind.
     """
 
     def __init__(self, shape: tuple[int, int], depth: int):
         self.shape = shape
         self.cells = shape[0] * shape[1]
         self.ring = [np.zeros((0, self.cells)) for _ in range(depth + 1)]
-        self.thresholds = np.zeros((0, depth + 1))
         self.head = np.zeros(0, dtype=np.intp)
         self.fill = np.zeros(0, dtype=np.intp)
         self._work = np.empty((0, self.cells))
 
     def add(self, count: int) -> int:
         """Append `count` empty rows; return the first one's index."""
-        first, width = len(self.fill), len(self.ring)
+        first = len(self.fill)
         for c, column in enumerate(self.ring):
             self.ring[c] = np.zeros((first + count, self.cells))
             self.ring[c][:first] = column
-        self.thresholds = np.concatenate([self.thresholds, np.zeros((count, width))])
         self.head = np.concatenate([self.head, np.zeros(count, dtype=np.intp)])
         self.fill = np.concatenate([self.fill, np.zeros(count, dtype=np.intp)])
         return first
@@ -158,7 +155,6 @@ class _Windows:
             entries = [column[row].copy() for column in self.ring]
             for c, entry in enumerate(entries):
                 self.ring[(c + shift) % len(self.ring)][row] = entry
-            self.thresholds[row] = np.roll(self.thresholds[row], shift)
             self.head[row] = head
         return head
 
@@ -166,8 +162,9 @@ class _Windows:
 class QualityState:
     """Sliding windows that back the quality score.
 
-    Holds, per (device, algorithm), the last ``window_depth`` filtered enhanced
-    CAMs, and per device the last ``window_depth`` accuracy feedback values.
+    Holds, per (device, algorithm), the cell values of the last
+    ``window_depth`` filtered enhanced CAMs (all the score reads of them),
+    and per device the last ``window_depth`` accuracy feedback values.
     The CAM windows of all pairs with one map shape share one ring, built
     at the first assessment or commit of each pair, so a slot reads and
     writes them with a few numpy calls; the accuracy windows are one
@@ -245,28 +242,6 @@ class QualityState:
                 self._homes[pair] = (windows, first + i)
         return windows, rows
 
-    def cam_window(self, device: int, algorithm: int) -> tuple[FilteredCam, ...]:
-        """The pair's stored filtered CAMs, oldest first, as copies."""
-        self._check_device(device)
-        self._check_algorithm(algorithm)
-        home = self._homes.get((device, algorithm))
-        if home is None:
-            return ()
-        windows, row = home
-        head, fill = windows.head[row], windows.fill[row]
-        entries = []
-        for col in (head - fill + np.arange(fill)) % (self.window_depth + 1):
-            values = windows.ring[col][row].reshape(windows.shape).copy()
-            values.setflags(write=False)
-            entries.append(trusted(FilteredCam, values=values,
-                                   threshold=float(windows.thresholds[row, col])))
-        return tuple(entries)
-
-    def accuracy_window(self, device: int) -> tuple[float, ...]:
-        self._check_device(device)
-        fill = self._accuracy_fill[device]
-        return tuple(self._accuracy[device, self.window_depth - fill:].tolist())
-
 
 def _rolling_accuracies(state: QualityState) -> np.ndarray:
     """Every device's mean stored accuracy feedback, summed oldest first; the
@@ -313,7 +288,6 @@ def _block(state, shape, devices, algorithms, enhanced, lowlight=()) -> _Block:
         if fc.shape != shape:
             raise ShapeMismatchError(f"CAM shapes differ: {fc.shape} vs {shape}")
         windows.ring[head][row] = fc.values.reshape(-1)
-        windows.thresholds[row, head] = fc.threshold
     return _Block(windows, select, head, len(algorithms),
                   tuple(fc.values.reshape(-1) for fc in lowlight))
 
@@ -420,11 +394,11 @@ def enhancement_quality(
     means "send the raw chunk" and always scores exactly 0. It is
     :func:`slot_quality` for one pair.
     """
+    state._check_device(device)
     if algorithm == 0:
         return 0.0
     filtered_enhanced = filter_cam(enhanced, threshold)
     filtered_lowlight = filter_cam(lowlight, threshold)
-    state._check_device(device)
     state._check_algorithm(algorithm)
     if enhanced.shape != lowlight.shape:
         raise ShapeMismatchError(f"CAM shapes differ: {enhanced.shape} vs {lowlight.shape}")

@@ -301,10 +301,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _default_offsets(k: int) -> tuple[float, ...]:
-    if k == 0:
-        return ()
-    if k == 1:
-        return (0.30,)
     return tuple(round(v, 6) for v in np.linspace(0.30, 0.08, k))
 
 

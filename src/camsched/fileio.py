@@ -24,7 +24,7 @@ import numpy as np
 
 from .camq import CamMap, trusted
 from .errors import TraceError, ValidationError
-from .sim import RunSummary, SlotData, SlotMetrics, Trace, summarize
+from .sim import RunSummary, SlotData, SlotMetrics, Trace
 
 
 def round9(x: float) -> float:
@@ -320,10 +320,6 @@ def format_metrics(
     return "\n".join(lines) + "\n"
 
 
-def emit_metrics(
-    metrics: Sequence[SlotMetrics], path: str, summary: RunSummary | None = None
-) -> None:
-    if summary is None:
-        summary = summarize(metrics)
+def emit_metrics(metrics: Sequence[SlotMetrics], path: str, summary: RunSummary) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_metrics(metrics, summary))

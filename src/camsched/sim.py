@@ -158,7 +158,7 @@ class RunSummary:
 
 
 def assess_quality(
-    trace: Trace, slot: SlotData, state: QualityState, threshold: float
+    slot: SlotData, state: QualityState, threshold: float
 ) -> tuple[np.ndarray, SlotMaps | None]:
     """Assessment stage: the slot's (M, K+1) quality against the current windows.
 
@@ -202,7 +202,7 @@ def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[np.n
     After n items the state holds exactly the windows of slots 0..n-1.
     """
     for slot in trace.slots:
-        quality, filtered = assess_quality(trace, slot, state, threshold)
+        quality, filtered = assess_quality(slot, state, threshold)
         commit_windows(trace, slot, state, None, frozenset(), filtered)
         yield quality
 
@@ -230,7 +230,7 @@ def run_slot(
     if not 0 <= t < trace.horizon:
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
-    quality, filtered = assess_quality(trace, slot_data, state, threshold)
+    quality, filtered = assess_quality(slot_data, state, threshold)
     if slot_data.quality is None:
         # Trace checked every stored value; a CAM slot's quality is new
         check_slot_values(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)

@@ -461,6 +461,9 @@ def _utility_from_latency(
     lat: np.ndarray, quality: np.ndarray, model: SystemModel
 ) -> np.ndarray:
     """Utilities of latencies and the qualities that broadcast against them:
-    a whole latency_table, or the entries one decision picks from it."""
+    a whole latency_table, or the entries one decision picks from it. An
+    infinite latency is -inf; at weight 0 it is 0 * inf first, which the
+    mask drops."""
     weight = model.constants.latency_weight
-    return np.where(np.isinf(lat), -np.inf, quality - weight * lat)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(lat), -np.inf, quality - weight * lat)

@@ -52,6 +52,28 @@ def quality_numerator(enhanced, lowlight, threshold=0.0):
     return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold)
 
 
+def cam_window(state, device, algorithm):
+    """The pair's stored filtered CAM values, oldest first, as read-only copies;
+    () for a pair that has stored nothing."""
+    home = state._homes.get((device, algorithm))
+    if home is None:
+        return ()
+    windows, row = home
+    head, fill = windows.head[row], windows.fill[row]
+    entries = []
+    for col in (head - fill + np.arange(fill)) % (state.window_depth + 1):
+        values = windows.ring[col][row].reshape(windows.shape).copy()
+        values.setflags(write=False)
+        entries.append(values)
+    return tuple(entries)
+
+
+def accuracy_window(state, device):
+    """The device's stored accuracy feedback, oldest first."""
+    fill = state._accuracy_fill[device]
+    return tuple(state._accuracy[device, state.window_depth - fill:].tolist())
+
+
 def make_model(rng, num_devices, num_servers, num_algorithms,
                zero_rate_frac=0.15, max_latency_s=4.0):
     servers = []

@@ -22,7 +22,7 @@ from camsched.camq import (
 from camsched import sim
 from camsched.errors import ShapeMismatchError, UnknownDeviceError, ValidationError
 
-from conftest import quality_numerator
+from conftest import cam_window, quality_numerator
 from refimpl import (
     ref_assess_quality,
     ref_cam_difference,
@@ -247,9 +247,9 @@ def test_quality_uses_rolling_accuracy():
 def test_commit_fresh_state_size_one():
     state = QualityState(num_devices=2, num_algorithms=2)
     commit_slot(state, 0, 1, filter_cam(cam([[0.9]]), 0.4))
-    assert len(state.cam_window(0, 1)) == 1
-    assert len(state.cam_window(0, 2)) == 0
-    assert len(state.cam_window(1, 1)) == 0
+    assert len(cam_window(state, 0, 1)) == 1
+    assert len(cam_window(state, 0, 2)) == 0
+    assert len(cam_window(state, 1, 1)) == 0
 
 
 def test_commit_evicts_oldest_beyond_depth():
@@ -257,11 +257,11 @@ def test_commit_evicts_oldest_beyond_depth():
     maps = [filter_cam(cam([[0.5 + 0.1 * i]]), 0.4) for i in range(4)]
     for fc in maps[:3]:
         commit_slot(state, 0, 1, fc)
-    assert len(state.cam_window(0, 1)) == 3
+    assert len(cam_window(state, 0, 1)) == 3
     commit_slot(state, 0, 1, maps[3])
-    window = state.cam_window(0, 1)
+    window = cam_window(state, 0, 1)
     assert len(window) == 3
-    got = [fc.values[0, 0] for fc in window]
+    got = [values[0, 0] for values in window]
     assert got == [0.6, 0.7, 0.8]  # 0.5 evicted
 
 
@@ -273,12 +273,17 @@ def test_commit_accuracy_validation():
 
 def test_unknown_device_and_algorithm():
     state = QualityState(num_devices=1, num_algorithms=1)
+    fc = filter_cam(cam([[0.9]]), 0.4)
+    for device, algorithm in ((1, 1), (0, 0), (0, 2)):
+        with pytest.raises(UnknownDeviceError):
+            commit_slot(state, device, algorithm, fc)
+    # raw shipping scores 0.0 only for a device the state holds
+    for device, algorithm in ((1, 1), (0, 2), (7, 0)):
+        with pytest.raises(UnknownDeviceError):
+            enhancement_quality(state, device, algorithm, cam([[0.9]]), cam([[0.1]]))
     with pytest.raises(UnknownDeviceError):
-        state.cam_window(1, 1)
-    with pytest.raises(UnknownDeviceError):
-        state.cam_window(0, 0)
-    with pytest.raises(UnknownDeviceError):
-        state.cam_window(0, 2)
+        record_accuracy(state, 1, 0.5)
+    assert cam_window(state, 0, 1) == () and state._accuracy_fill.tolist() == [0]
 
 
 # ------------------------------------------------------------ ring windows
@@ -286,22 +291,14 @@ def test_unknown_device_and_algorithm():
 def test_window_entry_outlives_the_ring_storage_it_was_read_from():
     state = QualityState(num_devices=1, num_algorithms=1, window_depth=2)
     commit_slot(state, 0, 1, filter_cam(cam([[0.5, 0.9]]), 0.4))
-    first = state.cam_window(0, 1)[0]
+    first = cam_window(state, 0, 1)[0]
     # three more commits and assessments evict the entry and rewrite every
     # ring column it could have shared storage with
     for v in (0.6, 0.7, 0.8):
         enhancement_quality(state, 0, 1, cam([[v, 0.1]]), cam([[0.2, 0.2]]))
         commit_slot(state, 0, 1, filter_cam(cam([[v, v]]), 0.4))
-    assert first.values.tolist() == [[0.5, 0.9]]
-    assert first.threshold == 0.4 and not first.values.flags.writeable
-    assert [fc.values.tolist() for fc in state.cam_window(0, 1)] == [[[0.7, 0.7]], [[0.8, 0.8]]]
-
-
-def test_window_entries_keep_their_threshold():
-    state = QualityState(num_devices=1, num_algorithms=1, window_depth=3)
-    for gamma in (0.1, 0.4, 0.7, 0.2):
-        commit_slot(state, 0, 1, filter_cam(cam([[0.8]]), gamma))
-    assert [fc.threshold for fc in state.cam_window(0, 1)] == [0.4, 0.7, 0.2]
+    assert first.tolist() == [[0.5, 0.9]] and not first.flags.writeable
+    assert [values.tolist() for values in cam_window(state, 0, 1)] == [[[0.7, 0.7]], [[0.8, 0.8]]]
 
 
 def test_window_shape_is_per_pair():
@@ -310,19 +307,19 @@ def test_window_shape_is_per_pair():
     commit_slot(state, 0, 1, filter_cam(cam([[0.9, 0.5]]), 0.4))
     commit_slot(state, 0, 2, filter_cam(cam([[0.9], [0.5]]), 0.4))
     commit_slot(state, 0, 2, filter_cam(cam([[0.7], [0.8]]), 0.4))
-    assert [fc.shape for fc in state.cam_window(0, 1)] == [(1, 2)]
-    assert [fc.shape for fc in state.cam_window(0, 2)] == [(2, 1), (2, 1)]
+    assert [values.shape for values in cam_window(state, 0, 1)] == [(1, 2)]
+    assert [values.shape for values in cam_window(state, 0, 2)] == [(2, 1), (2, 1)]
     # but one pair keeps the shape of what it stores
     with pytest.raises(ShapeMismatchError):
         commit_slot(state, 0, 1, filter_cam(cam([[0.9], [0.5]]), 0.4))
     with pytest.raises(ShapeMismatchError):
         enhancement_quality(state, 0, 2, cam([[0.9, 0.5]]), cam([[0.1, 0.1]]))
-    assert [len(state.cam_window(0, a)) for a in (1, 2)] == [1, 2]
+    assert [len(cam_window(state, 0, a)) for a in (1, 2)] == [1, 2]
     # a pair assessed at one shape but holding nothing yet may store another
     fresh = QualityState(num_devices=1, num_algorithms=1)
     assert enhancement_quality(fresh, 0, 1, cam([[0.9, 0.5]]), cam([[0.1, 0.1]])) == 10.0
     commit_slot(fresh, 0, 1, filter_cam(cam([[0.9]]), 0.4))
-    assert [fc.values.tolist() for fc in fresh.cam_window(0, 1)] == [[[0.9]]]
+    assert [values.tolist() for values in cam_window(fresh, 0, 1)] == [[[0.9]]]
 
 
 @pytest.mark.parametrize("shapes, depth", [
@@ -352,12 +349,12 @@ def test_uneven_per_pair_windows_then_slots_match_the_per_pair_reference(shapes,
             for s in (state, ref):
                 commit_slot(s, d, a, fc, feedback_value)
             stored[(d, a)] = (stored[(d, a)] + [fc.values.tolist()])[-depth:]
-    assert {pair: [fc.values.tolist() for fc in state.cam_window(*pair)]
+    assert {pair: [values.tolist() for values in cam_window(state, *pair)]
             for pair in pairs} == stored
     seen = {}
     for t, slot in enumerate(trace.slots):
         want = ref_assess_quality(trace, slot, ref, 0.4)
-        got, _ = sim.assess_quality(trace, slot, state, 0.4)
+        got, _ = sim.assess_quality(slot, state, 0.4)
         assert hex_matrix(got) == hex_matrix(want)
         metrics = sim.run_slot(t, trace, state, model, "capacity", threshold=0.4)
         ref_commit_windows(trace, slot, ref, metrics.decision, metrics.rejected, 0.4)
@@ -369,8 +366,9 @@ def test_slot_without_algorithms_scores_only_raw_shipping():
     quality, maps = slot_quality(state, [cam([[0.9]]), cam([[0.5, 0.6]])], [(), ()])
     assert quality.tolist() == [[0.0], [0.0]] and maps == ()
     commit_maps(state, maps)
+    assert state._homes == {}
     with pytest.raises(UnknownDeviceError):
-        state.cam_window(0, 1)
+        commit_slot(state, 0, 1, filter_cam(cam([[0.9]])))
 
 
 # ------------------------------------------------------------- properties

@@ -1,5 +1,6 @@
-"""Every name the package re-exports, and every function and class it
-defines at top level, is used by the code that ships.
+"""Every name the package re-exports, every function and class it defines
+at top level, and every method and property of its classes, is used by the
+code that ships.
 
 A function that only tests call is an operator that never runs: the suite
 would cover it while the program runs something else.
@@ -36,15 +37,38 @@ def loads(node):
     }
 
 
+def methods(cls):
+    """The non-dunder methods and properties in a class body."""
+    return [
+        node for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def definitions(node):
+    """(name, names read) of a top-level function or class. A class's own
+    reads leave out its methods and properties: each of those is a
+    definition of its own, reached when something reads its name."""
+    if not isinstance(node, ast.ClassDef):
+        return [(node.name, loads(node))]
+    own = methods(node)
+    rest = [sub for sub in node.body if sub not in own]
+    rest += node.bases + node.keywords + node.decorator_list
+    return [(node.name, set().union(*map(loads, rest)))] + [(m.name, loads(m)) for m in own]
+
+
 def reachable_names(trees):
-    """Names read by module-level code, or by a top-level function or class
-    that is itself reachable; a definition reading its own name does not
-    count, so neither does a chain of definitions that nothing reaches."""
+    """Names read by module-level code, or by a definition that is itself
+    reachable; a definition reading its own name does not count, so neither
+    does a chain of definitions that nothing reaches. Methods are matched by
+    name alone, so any attribute read of that name reaches them."""
     roots, reads = set(), {}
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                reads.setdefault(node.name, set()).update(loads(node) - {node.name})
+                for name, names in definitions(node):
+                    reads.setdefault(name, set()).update(names - {name})
             else:
                 roots |= loads(node)
     seen, todo = set(), list(roots)
@@ -84,3 +108,16 @@ def test_every_top_level_definition_runs_outside_the_tests():
     assert len(defined) > 50
     used = shipped_reachable_names()
     assert [name for name in defined if name.split(":")[1] not in used] == []
+
+
+def test_every_method_runs_outside_the_tests():
+    defined = [
+        f"{path.name}:{cls.name}.{method.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for method in methods(cls)
+    ]
+    assert len(defined) > 10
+    used = shipped_reachable_names()
+    assert [name for name in defined if name.rsplit(".", 1)[1] not in used] == []

@@ -31,7 +31,7 @@ from camsched.sysmodel import (
     SystemModel,
 )
 
-from conftest import quality_numerator
+from conftest import accuracy_window, cam_window, quality_numerator
 from refimpl import ref_assess_quality, ref_commit_windows, ref_gene_latency, ref_utility
 
 
@@ -147,7 +147,7 @@ def test_every_total_is_the_one_report_sum_at_scale(devices, seed):
     for scheduler in ("ga", "capacity", "none"):
         state = build_quality_state(config)
         for t, data in enumerate(trace.slots):
-            quality, _ = sim.assess_quality(trace, data, state, config.cam_threshold)
+            quality, _ = sim.assess_quality(data, state, config.cam_threshold)
             slot = SlotInput(data.datasize_bits, data.bandwidth_bps, quality)
             metrics = run_slot(t, trace, state, model, scheduler, config.ga,
                                config.cam_threshold)
@@ -160,6 +160,31 @@ def test_every_total_is_the_one_report_sum_at_scale(devices, seed):
                 assert best.raw_utility.hex() == objective(best.decision, slot, model).hex()
                 if best.feasible:
                     assert best.fitness.hex() == best.raw_utility.hex()
+
+
+@pytest.mark.parametrize("scheduler", ["ga", "oracle"])
+def test_zero_latency_weight_scores_quality_alone(scheduler):
+    # the default roster's servers 2 and 3 have no GPU pool, so their GPU codes
+    # have infinite latency, and at weight 0 their utility is 0 * inf before
+    # the mask; pytest turns a warning from that product into a failure
+    config = parse_config(json.dumps({
+        "devices": 3, "latency_weight": 0,
+        "synth": {"horizon": 2, "cam_rows": 4, "cam_cols": 4},
+    }))
+    model = build_model(config)
+    trace = generate_synthetic(config.synth)
+    state = build_quality_state(config)
+    for t, data in enumerate(trace.slots):
+        metrics = run_slot(t, trace, state, model, scheduler, config.ga, config.cam_threshold)
+        assert metrics.feasible
+        assert [u.hex() for u in metrics.utilities] == [q.hex() for q in metrics.qualities]
+    lat = sysmodel.latency_table(SlotInput(data.datasize_bits, data.bandwidth_bps,
+                                           np.zeros((3, model.num_algorithms + 1))), model)
+    assert np.isinf(lat).any()
+    # every finite entry keeps its bits, down to the sign of a zero quality
+    util = sysmodel._utility_from_latency(lat, np.full(lat.shape, -0.0), model)
+    assert (util == np.where(np.isinf(lat), -np.inf, 0.0)).all()
+    assert np.signbit(util).all()
 
 
 # ----------------------------------------------------------------------- run
@@ -209,8 +234,8 @@ def test_cam_windows_hold_exactly_depth_after_warmup():
     run(trace, model, scheduler="capacity", state=state)
     for m in range(2):
         for k in (1, 2):
-            assert len(state.cam_window(m, k)) == 5
-        assert len(state.accuracy_window(m)) <= 5
+            assert len(cam_window(state, m, k)) == 5
+        assert len(accuracy_window(state, m)) <= 5
 
 
 def test_run_on_cam_trace_is_reproducible():
@@ -282,17 +307,17 @@ def hex_matrix(q):
 def hex_windows(state, seen):
     """Every stored window entry, bit for bit. A window read returns fresh
     copies, so renderings are kept in `seen` keyed by the entry's bytes."""
-    def render(f):
-        key = (f.shape, f.threshold.hex(), f.values.tobytes())
+    def render(values):
+        key = (values.shape, values.tobytes())
         if key not in seen:
-            seen[key] = (f.shape, f.threshold.hex(), [v.hex() for v in f.values.ravel().tolist()])
+            seen[key] = (values.shape, [v.hex() for v in values.ravel().tolist()])
         return seen[key]
 
     cams = [
-        [[render(f) for f in state.cam_window(m, k)] for k in range(1, state.num_algorithms + 1)]
+        [[render(v) for v in cam_window(state, m, k)] for k in range(1, state.num_algorithms + 1)]
         for m in range(state.num_devices)
     ]
-    accuracy = [[v.hex() for v in state.accuracy_window(m)] for m in range(state.num_devices)]
+    accuracy = [[v.hex() for v in accuracy_window(state, m)] for m in range(state.num_devices)]
     return cams, accuracy
 
 
@@ -329,7 +354,7 @@ def test_slot_assessment_matches_per_pair_reference(shapes, threshold, feedback)
         assert [q.hex() for q in metrics.qualities] == [q.hex() for q in chosen]
         assert hex_windows(state, seen) == hex_windows(ref, seen)
     # the last slots evicted the oldest entries of full windows
-    assert all(len(state.cam_window(d, a)) == depth for d in range(m) for a in range(1, k + 1))
+    assert all(len(cam_window(state, d, a)) == depth for d in range(m) for a in range(1, k + 1))
     if threshold < 1.0:
         assert rejections > 0
     else:
