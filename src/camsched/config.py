@@ -211,7 +211,7 @@ class RunConfig:
 def _reject_unknown(doc: dict, table: tuple[Key, ...], where: str) -> None:
     unknown = sorted(set(doc) - {key.name for key in table})
     if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
 def _build(cls, where: str, doc, table: tuple[Key, ...], defaults=None, **fixed):
