@@ -8,7 +8,6 @@ and file formats plus CLI (fileio, config, cli).
 
 from .camq import (
     CamMap,
-    FilteredCam,
     QualityState,
     commit_slot,
     enhancement_quality,

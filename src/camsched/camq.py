@@ -23,19 +23,12 @@ DEFAULT_DENOM_FLOOR = 1e-6  # static scenes must not divide by ~0
 DEFAULT_QUALITY_CAP = 10.0  # symmetric clamp on the final score
 
 
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValidationError(f"CAM must be a 2-D matrix, got shape {arr.shape}")
-    return arr
-
-
 def trusted(cls, **fields):
-    """An instance of CamMap, FilteredCam or SlotInput over arrays used as is.
+    """An instance of CamMap or SlotInput over arrays used as is.
 
     It skips __post_init__'s checks and copy, so the caller must hand over
-    read-only float64 arrays that already hold the class's invariant:
-    filter_cam's output, a CAM file's checked values, or checked slot values.
+    read-only float64 arrays that already hold the class's invariant: a CAM
+    file's checked values, or checked slot values.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -50,7 +43,9 @@ class CamMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values)
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValidationError(f"CAM must be a 2-D matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("CAM values must be finite")
         if (arr < 0.0).any():
@@ -64,40 +59,14 @@ class CamMap:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class FilteredCam:
-    """CAM after thresholding: every cell is either 0 or strictly above the threshold."""
-
-    values: np.ndarray
-    threshold: float
-
-    def __post_init__(self):
-        arr = _as_matrix(self.values)
-        if not np.isfinite(arr).all():
-            raise ValidationError("filtered CAM values must be finite")
-        kept = arr != 0.0
-        if (arr[kept] <= self.threshold).any():
-            raise ValidationError(
-                "filtered CAM holds nonzero cells at or below its threshold"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> FilteredCam:
-    """Keep cells strictly above the threshold, zero the rest."""
+def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """The map's cells strictly above the threshold, the rest zeroed, as a
+    read-only float64 array of the map's shape."""
     if not np.isfinite(threshold):
         raise ValidationError("threshold must be finite")
     vals = np.where(cam.values > threshold, cam.values, 0.0)
-    # a finite map and a finite threshold give a finite result whose nonzero
-    # cells lie above the threshold, so FilteredCam's checks would all pass
     vals.setflags(write=False)
-    return trusted(FilteredCam, values=vals, threshold=float(threshold))
+    return vals
 
 
 # float64 cells a scoring step works on at once: its scratch array stays in
@@ -287,9 +256,9 @@ def _block(state, shape, devices, algorithms, enhanced, lowlight=()) -> _Block:
     for row, fc in zip(rows, enhanced):
         if fc.shape != shape:
             raise ShapeMismatchError(f"CAM shapes differ: {fc.shape} vs {shape}")
-        windows.ring[head][row] = fc.values.reshape(-1)
+        windows.ring[head][row] = fc.reshape(-1)
     return _Block(windows, select, head, len(algorithms),
-                  tuple(fc.values.reshape(-1) for fc in lowlight))
+                  tuple(fc.reshape(-1) for fc in lowlight))
 
 
 def _score(state: QualityState, block: _Block, accuracy: np.ndarray) -> np.ndarray:
@@ -422,17 +391,16 @@ def commit_slot(
     state: QualityState,
     device: int,
     algorithm: int,
-    filtered_enhanced: FilteredCam,
-    accuracy_feedback: float | None = None,
+    enhanced: CamMap,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> None:
-    """Finish a slot for one (device, algorithm): store the filtered enhanced CAM
-    and, when given, the accuracy feedback observed for this device.
+    """Finish a slot for one (device, algorithm): filter the enhanced CAM and
+    store it as the pair's newest window entry.
 
-    Windows evict oldest-first once window_depth entries are stored.
+    Windows evict oldest-first once window_depth entries are stored. The
+    device's accuracy feedback goes in through :func:`record_accuracy`.
     """
     state._check_device(device)
     state._check_algorithm(algorithm)
-    _commit(state, _block(state, filtered_enhanced.shape, [device], [algorithm],
-                          [filtered_enhanced]))
-    if accuracy_feedback is not None:
-        record_accuracy(state, device, accuracy_feedback)
+    filtered = filter_cam(enhanced, threshold)
+    _commit(state, _block(state, filtered.shape, [device], [algorithm], [filtered]))

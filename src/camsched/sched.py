@@ -240,11 +240,11 @@ def next_generation(
     m_devices, size = pop.shape
     best_idx = fits.index(max(fits))
     weights = _selection_weights(fits)
+    # the roulette's total is > 0: each finite fitness weighs >= SELECTION_SHIFT
     uniform = weights is None
     if not uniform:
         cum = list(itertools.accumulate(weights))
         total = cum[-1]
-        uniform = total <= 0.0
     rand = rng.random
     bits = rng.getrandbits
     px, pm = ga.crossover_prob, ga.mutation_prob

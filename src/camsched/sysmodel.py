@@ -278,7 +278,9 @@ def check_slot_values(
     """The one value rule of slot input, over any leading slot axes.
 
     Datasizes and bandwidths are finite and non-negative; quality, when given,
-    is finite and its no-enhancement column is all zero.
+    is finite, its no-enhancement column is all zero, and each slot's
+    absolute quality adds to a finite total, so no decision's total utility
+    overflows on quality alone.
     """
     for name, arr in (("datasizes", datasize_bits), ("bandwidths", bandwidth_bps)):
         # phrased so that NaN fails as well
@@ -287,6 +289,10 @@ def check_slot_values(
     if quality is not None:
         if not np.isfinite(quality).all():
             raise ValidationError("quality scores must be finite")
+        with np.errstate(over="ignore"):
+            magnitude = np.abs(quality).sum(axis=(-2, -1))
+        if not np.isfinite(magnitude).all():
+            raise ValidationError("quality scores of a slot must add to a finite total")
         if (quality[..., 0] != 0.0).any():
             raise ValidationError("quality of the no-enhancement choice must be 0")
 

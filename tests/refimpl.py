@@ -76,8 +76,7 @@ def ref_commit_windows(trace, slot, state, decision, rejected, threshold):
     if slot.lowlight is not None:
         for m in range(trace.num_devices):
             for alg in range(1, trace.num_algorithms + 1):
-                filtered = camq.filter_cam(slot.enhanced[m][alg - 1], threshold)
-                camq.commit_slot(state, m, alg, filtered)
+                camq.commit_slot(state, m, alg, slot.enhanced[m][alg - 1], threshold)
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):
             if m in rejected:

@@ -145,8 +145,8 @@ def quality_case_025():
     # enhanced map filters to [[0.5, 0], [0, 0]] so the numerator is 0.5
     # and the variation is |0 - 2.0| = 2.0, giving Q = 1.0 * 0.5 / 2.0
     state = QualityState(num_devices=1, num_algorithms=1)
-    past = filter_cam(CamMap(np.array([[0.5, 0.1], [0.2, 2.0]])), 0.4)
-    commit_slot(state, 0, 1, past)
+    past = CamMap(np.array([[0.5, 0.1], [0.2, 2.0]]))
+    commit_slot(state, 0, 1, past, 0.4)
     enhanced = CamMap(np.array([[0.5, 0.3], [0.1, 0.2]]))
     lowlight = CamMap(np.full((2, 2), 0.1))
     return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
@@ -225,9 +225,9 @@ def test_criterion_2_exact_arithmetic(capsys):
             fuzz_bad.append(("filtered difference", i))
 
         state = QualityState(num_devices=1, num_algorithms=1)
-        history = [filter_cam(CamMap(rng.uniform(0, 1.5, (3, 3))), 0.4) for _ in range(2)]
+        history = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
         for h in history:
-            commit_slot(state, 0, 1, h)
+            commit_slot(state, 0, 1, h, 0.4)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
         e = CamMap(rng.uniform(0, 1.5, (3, 3)))
@@ -238,7 +238,8 @@ def test_criterion_2_exact_arithmetic(capsys):
         want = ref_quality(
             acc,
             ref_cam_difference(fe, fl),
-            ref_temporal_variation(fe, [h.values.tolist() for h in history], 1e-6),
+            ref_temporal_variation(fe, [ref_filter(h.values.tolist(), 0.4) for h in history],
+                                   1e-6),
             10.0,
         )
         if not close(got, want):
@@ -453,8 +454,8 @@ def test_criterion_6_quality_properties(capsys):
         m = rng.uniform(0.0, 2.0, (4, 4))
         gamma = float(rng.uniform(0.0, 1.5))
         once = filter_cam(CamMap(m), gamma)
-        twice = filter_cam(CamMap(once.values), gamma)
-        if not np.array_equal(once.values, twice.values):
+        twice = filter_cam(CamMap(once), gamma)
+        if not np.array_equal(once, twice):
             v += 1
     counts["filter idempotence"] = v
 
@@ -462,8 +463,8 @@ def test_criterion_6_quality_properties(capsys):
     for _ in range(1000):
         m = rng.uniform(0.0, 2.0, (4, 4))
         lo, hi = sorted(rng.uniform(0.0, 1.5, 2))
-        loose = filter_cam(CamMap(m), float(lo)).values
-        tight = filter_cam(CamMap(m), float(hi)).values
+        loose = filter_cam(CamMap(m), float(lo))
+        tight = filter_cam(CamMap(m), float(hi))
         kept_tight = tight != 0.0
         if np.any(kept_tight & (loose == 0.0)) or np.any(tight[kept_tight] != m[kept_tight]):
             v += 1
@@ -477,20 +478,20 @@ def test_criterion_6_quality_properties(capsys):
     for i in range(1000):
         cur = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
         if i % 3 == 0:
-            history = [filter_cam(cur, 0.4)] * int(rng.integers(1, 4))  # zero raw variation
+            history = [cur] * int(rng.integers(1, 4))  # zero raw variation
         else:
             history = [
-                filter_cam(CamMap(rng.uniform(0.0, 2.0, (3, 3))), 0.4)
+                CamMap(rng.uniform(0.0, 2.0, (3, 3)))
                 for _ in range(int(rng.integers(0, 4)))
             ]
         state = QualityState(num_devices=1, num_algorithms=1, denom_floor=floor,
                              quality_cap=math.inf)
         for h in history:
-            commit_slot(state, 0, 1, h)
+            commit_slot(state, 0, 1, h, 0.4)
         got = enhancement_quality(state, 0, 1, cur, zeros)
         num = quality_numerator(cur, zeros, 0.4)
         raw = ref_temporal_variation(
-            filter_cam(cur, 0.4).values.tolist(), [h.values.tolist() for h in history], 0.0
+            filter_cam(cur, 0.4).tolist(), [filter_cam(h, 0.4).tolist() for h in history], 0.0
         )
         if i % 3 == 0:
             bad = got != num / floor  # a static window scores exactly num / floor
@@ -517,15 +518,15 @@ def test_criterion_6_quality_properties(capsys):
             hot = CamMap(np.full((3, 3), scale))
             cold = CamMap(np.zeros((3, 3)))
             e, l = (hot, cold) if i % 4 == 0 else (cold, hot)
-            commit_slot(state, 0, 1, filter_cam(e, 0.4))
+            commit_slot(state, 0, 1, e, 0.4)
             got = enhancement_quality(state, 0, 1, e, l)
             if got != (10.0 if i % 4 == 0 else -10.0):
                 v += 1
         else:
-            history = [filter_cam(CamMap(rng.uniform(0, 2, (3, 3))), 0.4)
+            history = [CamMap(rng.uniform(0, 2, (3, 3)))
                        for _ in range(int(rng.integers(1, 4)))]
             for h in history:
-                commit_slot(state, 0, 1, h)
+                commit_slot(state, 0, 1, h, 0.4)
             got = enhancement_quality(
                 state, 0, 1,
                 CamMap(rng.uniform(0, 5, (3, 3))), CamMap(rng.uniform(0, 5, (3, 3))),

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from camsched.camq import (
     CamMap,
-    FilteredCam,
     QualityState,
     commit_maps,
     commit_slot,
@@ -95,24 +94,23 @@ def test_cam_map_is_frozen():
 
 def test_filter_worked_example():
     out = filter_cam(cam([[0.9, 0.1], [0.4, 0.6]]), threshold=0.5)
-    np.testing.assert_array_equal(out.values, [[0.9, 0.0], [0.0, 0.6]])
-    assert out.threshold == 0.5
+    np.testing.assert_array_equal(out, [[0.9, 0.0], [0.0, 0.6]])
 
 
 def test_filter_passes_everything_above():
     m = cam([[0.7, 0.9], [0.8, 0.6]])
-    np.testing.assert_array_equal(filter_cam(m, 0.5).values, m.values)
+    np.testing.assert_array_equal(filter_cam(m, 0.5), m.values)
 
 
 def test_filter_blanks_everything_at_or_below():
     m = cam([[0.7, 0.9], [0.8, 0.6]])
-    np.testing.assert_array_equal(filter_cam(m, 0.9).values, np.zeros((2, 2)))
+    np.testing.assert_array_equal(filter_cam(m, 0.9), np.zeros((2, 2)))
 
 
 def test_filter_is_strict():
     # a cell exactly at the threshold does not survive
     out = filter_cam(cam([[0.4]]), threshold=0.4)
-    assert out.values[0, 0] == 0.0
+    assert out[0, 0] == 0.0
 
 
 # ---------------------------------------------------- filtered difference
@@ -138,11 +136,11 @@ def test_filtered_difference_identical_is_zero():
 
 def variation_score(current, history, floor=1e-6, threshold=0.4):
     """Uncapped score of the map `current` against a zero low-light map, over
-    a window that stores the filtered maps `history`: the sum of the filtered
-    current map over the floored variation."""
+    a window that stores the maps `history`, each filtered at `threshold`:
+    the sum of the filtered current map over the floored variation."""
     state = QualityState(1, 1, denom_floor=floor, quality_cap=math.inf)
     for past in history:
-        commit_slot(state, 0, 1, past)
+        commit_slot(state, 0, 1, past, threshold)
     lowlight = CamMap(np.zeros(current.shape))
     return enhancement_quality(state, 0, 1, current, lowlight, threshold)
 
@@ -150,7 +148,7 @@ def variation_score(current, history, floor=1e-6, threshold=0.4):
 def test_variation_single_entry_example():
     # numerator 1.0 over a variation of 1.0
     current = cam([[1.0, 0.0]])
-    past = filter_cam(cam([[0.0, 0.0]]), 0.4)
+    past = cam([[0.0, 0.0]])
     assert variation_score(current, [past]) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -161,7 +159,7 @@ def test_variation_empty_history_floors():
 
 def test_variation_static_content_floors():
     current = cam([[1.0, 0.7]])
-    history = [filter_cam(current, 0.4)] * 5
+    history = [current] * 5
     assert variation_score(current, history, floor=1e-6) == (1.0 + 0.7) / 1e-6
 
 
@@ -204,8 +202,8 @@ def test_record_accuracy_range_error():
 def test_quality_worked_example():
     # numerator 0.5 (one surviving cell), denominator 2.0 from one stored map
     state = QualityState(num_devices=1, num_algorithms=1)
-    past = filter_cam(cam([[0.5, 0.0], [0.0, 2.0]]), 0.4)
-    commit_slot(state, 0, 1, past)
+    past = cam([[0.5, 0.0], [0.0, 2.0]])
+    commit_slot(state, 0, 1, past, 0.4)
     enhanced = cam([[0.5, 0.0], [0.0, 0.0]])
     lowlight = cam([[0.2, 0.3], [0.1, 0.0]])
     q = enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
@@ -233,8 +231,8 @@ def test_quality_clamps_at_negative_cap():
 
 def test_quality_uses_rolling_accuracy():
     state = QualityState(num_devices=1, num_algorithms=1)
-    past = filter_cam(cam([[0.5, 0.0], [0.0, 2.0]]), 0.4)
-    commit_slot(state, 0, 1, past)
+    past = cam([[0.5, 0.0], [0.0, 2.0]])
+    commit_slot(state, 0, 1, past, 0.4)
     record_accuracy(state, 0, 0.5)
     enhanced = cam([[0.5, 0.0], [0.0, 0.0]])
     lowlight = cam([[0.0, 0.0], [0.0, 0.0]])
@@ -246,7 +244,7 @@ def test_quality_uses_rolling_accuracy():
 
 def test_commit_fresh_state_size_one():
     state = QualityState(num_devices=2, num_algorithms=2)
-    commit_slot(state, 0, 1, filter_cam(cam([[0.9]]), 0.4))
+    commit_slot(state, 0, 1, cam([[0.9]]))
     assert len(cam_window(state, 0, 1)) == 1
     assert len(cam_window(state, 0, 2)) == 0
     assert len(cam_window(state, 1, 1)) == 0
@@ -254,9 +252,9 @@ def test_commit_fresh_state_size_one():
 
 def test_commit_evicts_oldest_beyond_depth():
     state = QualityState(num_devices=1, num_algorithms=1, window_depth=3)
-    maps = [filter_cam(cam([[0.5 + 0.1 * i]]), 0.4) for i in range(4)]
-    for fc in maps[:3]:
-        commit_slot(state, 0, 1, fc)
+    maps = [cam([[0.5 + 0.1 * i]]) for i in range(4)]
+    for m in maps[:3]:
+        commit_slot(state, 0, 1, m)
     assert len(cam_window(state, 0, 1)) == 3
     commit_slot(state, 0, 1, maps[3])
     window = cam_window(state, 0, 1)
@@ -265,18 +263,19 @@ def test_commit_evicts_oldest_beyond_depth():
     assert got == [0.6, 0.7, 0.8]  # 0.5 evicted
 
 
-def test_commit_accuracy_validation():
+def test_commit_threshold_validation():
     state = QualityState(num_devices=1, num_algorithms=1)
-    with pytest.raises(ValidationError):
-        commit_slot(state, 0, 1, filter_cam(cam([[0.9]]), 0.4), accuracy_feedback=1.2)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            commit_slot(state, 0, 1, cam([[0.9]]), threshold)
+    assert cam_window(state, 0, 1) == ()
 
 
 def test_unknown_device_and_algorithm():
     state = QualityState(num_devices=1, num_algorithms=1)
-    fc = filter_cam(cam([[0.9]]), 0.4)
     for device, algorithm in ((1, 1), (0, 0), (0, 2)):
         with pytest.raises(UnknownDeviceError):
-            commit_slot(state, device, algorithm, fc)
+            commit_slot(state, device, algorithm, cam([[0.9]]))
     # raw shipping scores 0.0 only for a device the state holds
     for device, algorithm in ((1, 1), (0, 2), (7, 0)):
         with pytest.raises(UnknownDeviceError):
@@ -290,13 +289,13 @@ def test_unknown_device_and_algorithm():
 
 def test_window_entry_outlives_the_ring_storage_it_was_read_from():
     state = QualityState(num_devices=1, num_algorithms=1, window_depth=2)
-    commit_slot(state, 0, 1, filter_cam(cam([[0.5, 0.9]]), 0.4))
+    commit_slot(state, 0, 1, cam([[0.5, 0.9]]))
     first = cam_window(state, 0, 1)[0]
     # three more commits and assessments evict the entry and rewrite every
     # ring column it could have shared storage with
     for v in (0.6, 0.7, 0.8):
         enhancement_quality(state, 0, 1, cam([[v, 0.1]]), cam([[0.2, 0.2]]))
-        commit_slot(state, 0, 1, filter_cam(cam([[v, v]]), 0.4))
+        commit_slot(state, 0, 1, cam([[v, v]]))
     assert first.tolist() == [[0.5, 0.9]] and not first.flags.writeable
     assert [values.tolist() for values in cam_window(state, 0, 1)] == [[[0.7, 0.7]], [[0.8, 0.8]]]
 
@@ -304,21 +303,21 @@ def test_window_entry_outlives_the_ring_storage_it_was_read_from():
 def test_window_shape_is_per_pair():
     # two algorithms of one device may store maps of different shapes
     state = QualityState(num_devices=1, num_algorithms=2)
-    commit_slot(state, 0, 1, filter_cam(cam([[0.9, 0.5]]), 0.4))
-    commit_slot(state, 0, 2, filter_cam(cam([[0.9], [0.5]]), 0.4))
-    commit_slot(state, 0, 2, filter_cam(cam([[0.7], [0.8]]), 0.4))
+    commit_slot(state, 0, 1, cam([[0.9, 0.5]]))
+    commit_slot(state, 0, 2, cam([[0.9], [0.5]]))
+    commit_slot(state, 0, 2, cam([[0.7], [0.8]]))
     assert [values.shape for values in cam_window(state, 0, 1)] == [(1, 2)]
     assert [values.shape for values in cam_window(state, 0, 2)] == [(2, 1), (2, 1)]
     # but one pair keeps the shape of what it stores
     with pytest.raises(ShapeMismatchError):
-        commit_slot(state, 0, 1, filter_cam(cam([[0.9], [0.5]]), 0.4))
+        commit_slot(state, 0, 1, cam([[0.9], [0.5]]))
     with pytest.raises(ShapeMismatchError):
         enhancement_quality(state, 0, 2, cam([[0.9, 0.5]]), cam([[0.1, 0.1]]))
     assert [len(cam_window(state, 0, a)) for a in (1, 2)] == [1, 2]
     # a pair assessed at one shape but holding nothing yet may store another
     fresh = QualityState(num_devices=1, num_algorithms=1)
     assert enhancement_quality(fresh, 0, 1, cam([[0.9, 0.5]]), cam([[0.1, 0.1]])) == 10.0
-    commit_slot(fresh, 0, 1, filter_cam(cam([[0.9]]), 0.4))
+    commit_slot(fresh, 0, 1, cam([[0.9]]))
     assert [values.tolist() for values in cam_window(fresh, 0, 1)] == [[[0.9]]]
 
 
@@ -344,11 +343,13 @@ def test_uneven_per_pair_windows_then_slots_match_the_per_pair_reference(shapes,
     for i in rng.permutation(len(pairs)):
         d, a = pairs[i]
         for _ in range(int(rng.integers(0, 2 * depth + 2))):
-            fc = filter_cam(CamMap(rng.uniform(0.0, 1.0, shapes[d])), 0.4)
+            enhanced = CamMap(rng.uniform(0.0, 1.0, shapes[d]))
             feedback_value = float(rng.uniform()) if rng.random() < 0.5 else None
             for s in (state, ref):
-                commit_slot(s, d, a, fc, feedback_value)
-            stored[(d, a)] = (stored[(d, a)] + [fc.values.tolist()])[-depth:]
+                commit_slot(s, d, a, enhanced, 0.4)
+                if feedback_value is not None:
+                    record_accuracy(s, d, feedback_value)
+            stored[(d, a)] = (stored[(d, a)] + [filter_cam(enhanced, 0.4).tolist()])[-depth:]
     assert {pair: [values.tolist() for values in cam_window(state, *pair)]
             for pair in pairs} == stored
     seen = {}
@@ -368,7 +369,7 @@ def test_slot_without_algorithms_scores_only_raw_shipping():
     commit_maps(state, maps)
     assert state._homes == {}
     with pytest.raises(UnknownDeviceError):
-        commit_slot(state, 0, 1, filter_cam(cam([[0.9]])))
+        commit_slot(state, 0, 1, cam([[0.9]]))
 
 
 # ------------------------------------------------------------- properties
@@ -399,17 +400,18 @@ def test_prop_shift_invariance(triple):
 @given(cam_values, st.floats(0.0, 5.0, allow_nan=False))
 def test_prop_filter_idempotent(values, gamma):
     once = filter_cam(CamMap(values), gamma)
-    twice = filter_cam(CamMap(once.values), gamma)
-    np.testing.assert_array_equal(once.values, twice.values)
+    twice = filter_cam(CamMap(once), gamma)
+    np.testing.assert_array_equal(once, twice)
 
 
 @given(cam_values, st.floats(-5.0, 5.0))
-def test_prop_filter_output_passes_the_filtered_cam_checks(values, gamma):
-    # filter_cam builds its result without FilteredCam's checks and copy
+def test_prop_filter_output_is_a_read_only_thresholded_copy(values, gamma):
     out = filter_cam(CamMap(values), gamma)
-    checked = FilteredCam(out.values, out.threshold)
-    np.testing.assert_array_equal(checked.values, out.values)
-    assert out.values.dtype == np.float64 and not out.values.flags.writeable
+    assert out.dtype == np.float64 and not out.flags.writeable
+    assert out.shape == values.shape
+    # every cell is 0.0, or the input's cell where that lies above the threshold
+    kept = out != 0.0
+    assert (out[kept] == values[kept]).all() and (out[kept] > gamma).all()
 
 
 @given(cam_values, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
@@ -417,7 +419,7 @@ def test_prop_filter_monotone_in_threshold(values, g1, g2):
     lo, hi = min(g1, g2), max(g1, g2)
     loose = filter_cam(CamMap(values), lo)
     tight = filter_cam(CamMap(values), hi)
-    assert (tight.values <= loose.values).all()
+    assert (tight <= loose).all()
 
 
 @given(
@@ -436,11 +438,11 @@ def test_prop_variation_floor_law(args):
     current_values, history_values = args
     floor = 1e-6
     current = CamMap(current_values)
-    history = [filter_cam(CamMap(h), 0.4) for h in history_values]
+    history = [CamMap(h) for h in history_values]
     q = variation_score(current, history, floor=floor)
     num = quality_numerator(current, CamMap(np.zeros_like(current_values)), 0.4)
     raw = ref_temporal_variation(
-        filter_cam(current, 0.4).values.tolist(), [h.values.tolist() for h in history], 0.0
+        filter_cam(current, 0.4).tolist(), [filter_cam(h, 0.4).tolist() for h in history], 0.0
     )
     # the variation is never below the floor
     assert 0.0 <= q <= num / floor
@@ -457,7 +459,7 @@ def test_prop_quality_monotone_in_numerator(pair, data):
     scale = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     low_lo = low_hi * scale  # cellwise <= low_hi
     state = QualityState(num_devices=1, num_algorithms=1)
-    commit_slot(state, 0, 1, filter_cam(CamMap(np.zeros_like(enhanced_values)), 0.4))
+    commit_slot(state, 0, 1, CamMap(np.zeros_like(enhanced_values)))
     enh = CamMap(enhanced_values)
     q_small_num = enhancement_quality(state, 0, 1, enh, CamMap(low_hi))
     q_big_num = enhancement_quality(state, 0, 1, enh, CamMap(low_lo))
@@ -483,13 +485,13 @@ def test_against_naive_reference_random_3x3():
         )
         fa = filter_cam(CamMap(a), gamma)
         np.testing.assert_allclose(
-            fa.values, np.array(ref_filter(a.tolist(), gamma)), atol=1e-12
+            fa, np.array(ref_filter(a.tolist(), gamma)), atol=1e-12
         )
-        history = [filter_cam(CamMap(rng.uniform(0, 2, (3, 3))), gamma) for _ in range(3)]
+        history = [CamMap(rng.uniform(0, 2, (3, 3))) for _ in range(3)]
         tv_ref = ref_temporal_variation(
-            fa.values.tolist(), [h.values.tolist() for h in history], 1e-6
+            fa.tolist(), [ref_filter(h.values.tolist(), gamma) for h in history], 1e-6
         )
-        num_ref = ref_cam_difference(fa.values.tolist(), np.zeros((3, 3)).tolist())
+        num_ref = ref_cam_difference(fa.tolist(), np.zeros((3, 3)).tolist())
         assert variation_score(CamMap(a), history, threshold=gamma) == pytest.approx(
             num_ref / tv_ref, rel=1e-12
         )
@@ -500,9 +502,9 @@ def test_quality_composition_against_reference():
     for _ in range(100):
         state = QualityState(num_devices=1, num_algorithms=1)
         gamma = 0.4
-        history_maps = [filter_cam(CamMap(rng.uniform(0, 1.5, (3, 3))), gamma) for _ in range(2)]
+        history_maps = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
         for h in history_maps:
-            commit_slot(state, 0, 1, h)
+            commit_slot(state, 0, 1, h, gamma)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
         enhanced = CamMap(rng.uniform(0, 1.5, (3, 3)))
@@ -511,6 +513,8 @@ def test_quality_composition_against_reference():
         fe = ref_filter(enhanced.values.tolist(), gamma)
         fl = ref_filter(lowlight.values.tolist(), gamma)
         num = ref_cam_difference(fe, fl)
-        den = ref_temporal_variation(fe, [h.values.tolist() for h in history_maps], 1e-6)
+        den = ref_temporal_variation(
+            fe, [ref_filter(h.values.tolist(), gamma) for h in history_maps], 1e-6
+        )
         want = ref_quality(acc, num, den, 10.0)
         assert got == pytest.approx(want, abs=1e-12)

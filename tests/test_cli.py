@@ -462,6 +462,31 @@ def test_cli_rejects_a_latency_weight_that_overflows_the_utility(tmp_path, capsy
     assert "overflows" in err and not out.exists()
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
+def test_cli_rejects_qualities_that_add_past_the_float_range(tmp_path, capsys, scheduler):
+    # two qualities of 1e308 are finite, but a decision that picks both has
+    # an infinite total utility
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": 3}))
+    roster = parse_config(cfg.read_text())
+    n, k = len(roster.servers), len(roster.algorithms)
+    quality = np.zeros((3, k + 1))
+    quality[:, 1:] = 1.0
+    slot = SlotData(np.full(3, 1e6), np.full((3, n), 2e7), quality=quality)
+    manifest = save_trace(Trace(3, n, k, (slot,)), str(tmp_path / "q"))
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    doc["slots"][0]["quality"][0][1] = doc["slots"][0]["quality"][1][1] = 1e308
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "m.jsonl"
+    code = run_cli(["simulate", "--config", str(cfg), "--trace", manifest,
+                    "--scheduler", scheduler, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "slot 0: " in err and "finite total" in err and not out.exists()
+
+
 def test_cli_schedule_and_oracle_agree(tmp_path, capsys):
     cfg = make_small_cfg(tmp_path)
     trace_dir = str(tmp_path / "t")

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from camsched import camq
 from camsched import sched as sched_module
 from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
@@ -230,10 +231,13 @@ def test_population_scorer_matches_the_per_genome_reference(ga):
     ga = dataclasses.replace(ga, population_size=size)
     # algorithm 2 scores 1e308 on devices 0 and 1: two of them add up to
     # +inf, and device 2's dead link then makes the total NaN. Neither may
-    # switch the penalty off for the columns with a finite total.
+    # switch the penalty off for the columns with a finite total. SlotInput
+    # rejects such a slot, so it is built unchecked to test the scorer alone.
     quality = slot.quality.copy()
     quality[:2, 2] = 1e308
-    huge = SlotInput(slot.datasize_bits, slot.bandwidth_bps, quality)
+    quality.setflags(write=False)
+    huge = camq.trusted(SlotInput, datasize_bits=slot.datasize_bits,
+                        bandwidth_bps=slot.bandwidth_bps, quality=quality)
     fits = {}
     for s in (slot, huge):
         ref = _RefSlotTables(s, model, ga)
