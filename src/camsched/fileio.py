@@ -182,11 +182,12 @@ class _CamFiles:
 
     A manifest reference is a [file, index] pair, for map `index` of the
     stack in `file`; a map is a read-only view of its stack's checked array.
+    Stacks are kept by file name, so a file's path is joined once.
     """
 
     def __init__(self, base: str):
         self.base = base
-        self.stacks: dict[str, np.ndarray] = {}
+        self.stacks: dict[str, np.ndarray] = {}  # by file name
 
     def map(self, ref) -> CamMap:
         if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
@@ -195,14 +196,14 @@ class _CamFiles:
             shown = os.path.join(self.base, ref) if isinstance(ref, str) else ref
             raise ValidationError(f"{shown!r} is not a [file, index] CAM reference")
         name, index = ref
-        path = os.path.join(self.base, name)
-        if path not in self.stacks:
-            self.stacks[path] = load_cam(path)
-        stack = self.stacks[path]
+        stack = self.stacks.get(name)
+        if stack is None:
+            stack = self.stacks[name] = load_cam(os.path.join(self.base, name))
         # a JSON true is a Python bool, which is an int
         if type(index) is not int or not 0 <= index < len(stack):
             raise ValidationError(
-                f"{path}: CAM index {index!r} is not an integer in 0..{len(stack) - 1}"
+                f"{os.path.join(self.base, name)}: CAM index {index!r} is not an "
+                f"integer in 0..{len(stack) - 1}"
             )
         return trusted(CamMap, values=stack[index])
 

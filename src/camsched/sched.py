@@ -235,7 +235,9 @@ def next_generation(
     taken one child after the next in exactly that order. Each integer draw
     is inlined from CPython's randrange: `getrandbits(n.bit_length())`
     redrawn while it is n or more, so `rng` yields, and ends in, exactly what
-    the same sequence of random() and randrange() calls would give.
+    the same sequence of random() and randrange() calls would give. The loop
+    records each child as one or two runs of parent genes; one repeat of
+    those run lengths and one take then assemble the whole generation.
     """
     m_devices, size = pop.shape
     best_idx = fits.index(max(fits))
@@ -253,9 +255,11 @@ def next_generation(
     # randrange(n) draws n.bit_length() bits; randrange(1, M) is 1 + randrange(M - 1)
     k_size, k_cut = size.bit_length(), (m_devices - 1).bit_length()
     k_row, k_code = m_devices.bit_length(), num_codes.bit_length()
-    # column c of the next population takes genes [0, cuts[c]) from
-    # parent firsts[c] and the rest from seconds[c]
-    firsts, seconds, cuts = [best_idx], [best_idx], [m_devices]
+    # the children, column after column, as runs of genes: run i copies the
+    # next runs[i] genes from parent column parents[i]. A crossing child is a
+    # run of `cut` genes and one of M - cut; the elite and every other child
+    # are one run of M.
+    parents, runs = [best_idx], [m_devices]
     mut_at: list[int] = []  # flat (row-major) positions of the mutated genes
     mut_codes: list[int] = []
     for col in range(1, size):
@@ -270,15 +274,18 @@ def next_generation(
             # searching cum[:last] clamps a spin that rounds up to total
             first = bisect_right(cum, rand() * total, 0, last)
             second = bisect_right(cum, rand() * total, 0, last)
-        firsts.append(first)
-        seconds.append(second)
         if rand() < px and crossable:
             cut = bits(k_cut)
             while cut >= m_devices - 1:
                 cut = bits(k_cut)
-            cuts.append(cut + 1)
+            cut += 1
+            parents.append(first)
+            runs.append(cut)
+            parents.append(second)
+            runs.append(m_devices - cut)
         else:
-            cuts.append(m_devices)
+            parents.append(first)
+            runs.append(m_devices)
         if rand() < pm:
             # the new code is drawn before the position it lands on
             code = bits(k_code)
@@ -289,11 +296,13 @@ def next_generation(
                 row = bits(k_row)
             mut_codes.append(code)
             mut_at.append(row * size + col)
-    rows = np.arange(m_devices)[:, None]
-    # gene (m, c) is gene m of parent column parents[m, c]
-    parents = np.where(rows < cuts, firsts, seconds)
-    parents += rows * size
-    pop = pop.take(parents)
+    # the runs laid end to end give each gene's parent column, child by
+    # child; adding m * P to gene m's turns them into flat positions, written
+    # device-major so that take returns the C-contiguous (M, P) _row_sum needs
+    flat = np.empty((m_devices, size), dtype=np.intp)
+    np.add(np.array(parents).repeat(runs).reshape(size, m_devices).T,
+           np.arange(0, m_devices * size, size)[:, None], out=flat)
+    pop = pop.take(flat)
     if mut_at:
         pop.put(mut_at, mut_codes)
     return pop
@@ -552,7 +561,5 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
 def baseline_no_enhancement(slot: SlotInput, model: SystemModel) -> Decision:
     """Every device ships raw to its fastest uplink (ties to the smaller index)."""
     check_dims(slot, model)
-    servers = tuple(
-        int(np.argmax(slot.bandwidth_bps[m])) for m in range(model.num_devices)
-    )
+    servers = slot.bandwidth_bps.argmax(axis=1).tolist()
     return Decision(servers, (0,) * model.num_devices)

@@ -283,10 +283,21 @@ def run_slot(
 
 
 def summarize(metrics: Sequence[SlotMetrics]) -> RunSummary:
-    """Aggregate run statistics; an empty run summarises to all-None."""
+    """Aggregate run statistics; an empty run summarises to all-None.
+
+    A slot total is finite or -inf. The mean total is -inf when any slot's
+    is; finite totals whose mean leaves the float range raise ValidationError.
+    """
     if not metrics:
         return RunSummary(0, None, None, None, None, None, None)
     totals = [m.total_utility for m in metrics]
+    if -math.inf in totals:
+        mean_total = -math.inf
+    else:
+        with np.errstate(over="ignore"):
+            mean_total = float(np.mean(totals))
+        if not math.isfinite(mean_total):
+            raise ValidationError("slot total utilities average past the float range")
     # latency stats cover served devices only; a rejected device has no latency
     lats = np.array([
         lat for m in metrics for lat in m.latencies if math.isfinite(lat)
@@ -294,7 +305,7 @@ def summarize(metrics: Sequence[SlotMetrics]) -> RunSummary:
     no_lats = lats.size == 0
     return RunSummary(
         slots=len(metrics),
-        mean_total_utility=float(np.mean(totals)),
+        mean_total_utility=mean_total,
         mean_latency_s=None if no_lats else float(np.mean(lats)),
         p50_latency_s=None if no_lats else float(np.percentile(lats, 50)),
         p95_latency_s=None if no_lats else float(np.percentile(lats, 95)),

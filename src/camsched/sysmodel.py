@@ -446,19 +446,25 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     [m, n, k] is transmission plus overhead, then plus enhancement, for that
     gene. That grouping keeps the k=0/k decomposition exact: entry [m, n, k]
     equals entry [m, n, 0] plus the enhancement time.
+
+    An entry is +inf when its link is dead (zero bandwidth), when server n
+    cannot run k (zero service rate), or when any of its times overflows the
+    float range: a time too long to represent is as unreachable as a dead
+    link.
     """
     check_dims(slot, model)
     d, b = slot.datasize_bits, slot.bandwidth_bps
     linked = b > 0.0
     runnable, divisor = model.enhancement_divisor   # (N, K+1)
-    # (demand * d) / service in that order; inf marks servers that cannot run k
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # (demand * d) / service in that order; inf marks servers that cannot run
+    # k, and an overflow leaves the inf that the float range rounds it to
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         trans = d[:, None] / np.where(linked, b, 1.0)
         enh = model.demand_matrix * d[:, None, None] / divisor
-    trans = np.where(d[:, None] == 0.0, 0.0, np.where(linked, trans, np.inf))
-    enh = np.where(runnable, enh, np.inf)
-    enh[:, :, 0] = 0.0  # algorithm 0 never runs anything
-    lat = (trans[:, :, None] + model.constants.overhead_latency_s) + enh
+        trans = np.where(d[:, None] == 0.0, 0.0, np.where(linked, trans, np.inf))
+        enh = np.where(runnable, enh, np.inf)
+        enh[:, :, 0] = 0.0  # algorithm 0 never runs anything
+        lat = (trans[:, :, None] + model.constants.overhead_latency_s) + enh
     lat.setflags(write=False)
     return lat
 

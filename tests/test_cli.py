@@ -27,6 +27,7 @@ from camsched.fileio import (
     save_trace,
 )
 from camsched.sim import SCHEDULER_CHOICES, SlotData, SynthSpec, Trace, generate_synthetic, run
+from camsched.sysmodel import SlotInput, latency_table
 from test_config import SUBSTITUTES, _paths, _set
 
 
@@ -462,6 +463,34 @@ def test_cli_rejects_a_latency_weight_that_overflows_the_utility(tmp_path, capsy
     assert "overflows" in err and not out.exists()
 
 
+# a time past the float range is +inf latency, as a dead link or an
+# unrunnable code is, not a RuntimeWarning (an error under this suite)
+@pytest.mark.parametrize("field,value", [("demand_per_bit", 1.7e308),
+                                         ("service_rate", 1e-300)])
+@pytest.mark.parametrize("scheduler", ["ga", "oracle", "capacity"])
+def test_cli_takes_a_latency_past_the_float_range_as_unreachable(tmp_path, field, value,
+                                                                 scheduler):
+    doc = json.loads(emit_config(parse_config("")))
+    doc["devices"] = 3
+    doc["synth"].update(horizon=2, cam_rows=4, cam_cols=4)
+    doc["algorithms"][0][field][0] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    model = build_model(parse_config(cfg.read_text()))
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    first = load_trace(str(tmp_path / "t" / "trace.json")).slots[0]
+    slot = SlotInput(first.datasize_bits, first.bandwidth_bps,
+                     np.zeros((3, model.num_algorithms + 1)))
+    assert (latency_table(slot, model)[:, 0, 1] == math.inf).all()
+    out = tmp_path / "m.jsonl"
+    assert run_cli(["simulate", "--config", str(cfg), "--scheduler", scheduler,
+                    "--trace", str(tmp_path / "t" / "trace.json"), "--out", str(out)]) == 0
+    records, _ = load_metrics(out)
+    assert len(records) == 2
+    for rec in records:
+        assert not rec["feasible"] or math.isfinite(rec["total_utility"]), rec
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
 def test_cli_rejects_qualities_that_add_past_the_float_range(tmp_path, capsys, scheduler):
     # two qualities of 1e308 are finite, but a decision that picks both has
@@ -485,6 +514,25 @@ def test_cli_rejects_qualities_that_add_past_the_float_range(tmp_path, capsys, s
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     assert "slot 0: " in err and "finite total" in err and not out.exists()
+
+
+def test_cli_rejects_slot_totals_that_average_past_the_float_range(tmp_path, capsys):
+    # each slot's total of 1.5e308 is finite; the two add to +inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": 3}))
+    roster = parse_config(cfg.read_text())
+    n, k = len(roster.servers), len(roster.algorithms)
+    quality = np.zeros((3, k + 1))
+    quality[:, 1:] = 1.0
+    quality[0, 1] = 1.5e308
+    slot = SlotData(np.full(3, 1e6), np.full((3, n), 2e7), quality=quality)
+    manifest = save_trace(Trace(3, n, k, (slot, slot)), str(tmp_path / "q"))
+    out = tmp_path / "m.jsonl"
+    code = run_cli(["simulate", "--config", str(cfg), "--trace", manifest,
+                    "--scheduler", "capacity", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "float range" in err and not out.exists()
 
 
 def test_cli_schedule_and_oracle_agree(tmp_path, capsys):

@@ -500,6 +500,10 @@ NEXT_GENERATION_CASES = {
     "devices-4": (4, 8, 20, "random", 1.0, 1.0),
     "uniform-size-8": (3, 8, 20, "-inf", 1.0, 1.0),
     "uniform-size-9": (3, 9, 20, "-inf", 1.0, 1.0),
+    # fleet sizes, where most of a generation is its assembly
+    "fleet-m300-all-minus-inf": (300, 50, 20, "-inf", 0.8, 0.1),
+    "fleet-m300-random": (300, 50, 20, "random", 0.8, 0.1),
+    "fleet-m1000-random": (1000, 50, 20, "random", 0.8, 0.1),
 }
 
 
@@ -520,7 +524,8 @@ def test_next_generation_matches_list_reference(case):
     m_devices, size, num_codes, kind, px, pm = NEXT_GENERATION_CASES[case]
     ga = GaConfig(population_size=size, crossover_prob=px, mutation_prob=pm)
     inputs = random.Random(case)
-    for seed in range(40):
+    # fewer seeds at fleet sizes, each of which draws M * P input genes
+    for seed in range(40 if m_devices <= 10 else 4):
         pop = np.array([[inputs.randrange(num_codes) for _ in range(size)]
                         for _ in range(m_devices)])
         fits = case_fitnesses(kind, size, inputs)
@@ -528,6 +533,10 @@ def test_next_generation_matches_list_reference(case):
         got = next_generation(pop, fits, ga, rng, num_codes)
         want, _ = _ref_next_generation(pop.T.tolist(), fits, ga, ref_rng, num_codes,
                                        lambda genome: 0.0)
+        # any other layout sends the scorer's _row_sum to its accumulate,
+        # which keeps the bits but not the speed
+        assert got.shape == (m_devices, size) and got.dtype == np.intp, seed
+        assert got.flags.c_contiguous, seed
         assert got.T.tolist() == want, seed
         assert rng.getstate() == ref_rng.getstate(), seed
 
@@ -1179,6 +1188,20 @@ def test_no_enhancement_baseline_picks_max_bandwidth():
     decision = baseline_no_enhancement(slot, model)
     assert decision.servers == (1, 0, 0, 1)
     assert decision.algorithms == (0, 0, 0, 0)
+
+
+def test_no_enhancement_baseline_is_each_rows_first_fastest_link():
+    rng = np.random.default_rng(71)
+    for m_devices, n_servers in ((1, 1), (3, 2), (7, 4), (40, 5)):
+        model = make_model(rng, m_devices, n_servers, 2)
+        for _ in range(10):
+            slot = make_slot(rng, model)
+            # three rates a row, so most rows tie on their fastest link
+            bandwidth = rng.choice([0.0, 1e6, 2e6], size=(m_devices, n_servers))
+            slot = dataclasses.replace(slot, bandwidth_bps=bandwidth)
+            decision = baseline_no_enhancement(slot, model)
+            assert decision.servers == tuple(int(np.argmax(row)) for row in bandwidth)
+            assert decision.algorithms == (0,) * m_devices
 
 
 def test_no_enhancement_baseline_matches_restricted_enumeration():
