@@ -63,20 +63,23 @@ window = [
 variation = sum(float(np.sum(np.abs(fe - filter_cam(past, gamma)))) for past in window)
 print("\ntemporal variation vs a 2-slot window:", round(variation, 4))
 
-# The same computation through the stateful assessor: commit the window,
-# record an accuracy observation, then score the new frame.
+# The same computation through the stateful assessor. A slot assesses its
+# maps against the window, and committing it makes its enhanced map the
+# window's newest entry: assess and commit the window's maps, record an
+# accuracy observation, then score the new frame.
 state = QualityState(num_devices=1, num_algorithms=1)
 for past in window:
-    commit_slot(state, 0, 1, past, threshold=gamma)
+    enhancement_quality(state, [lowlight], [[past]], threshold=gamma)
+    commit_slot(state)
 record_accuracy(state, 0, 0.9)
 
-q = enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=gamma)
-print("\nQ for algorithm 1 on device 0:", round(q, 4))
-print("Q for skipping enhancement is always:",
-      enhancement_quality(state, 0, 0, enhanced, lowlight))
+q = enhancement_quality(state, [lowlight], [[enhanced]], threshold=gamma)
+print("\nQ for algorithm 1 on device 0:", round(float(q[0, 1]), 4))
+print("Q for skipping enhancement is always:", float(q[0, 0]))
 
 # A denominator pinned at the floor sends the ratio to the cap.
 fresh = QualityState(num_devices=1, num_algorithms=1)
-commit_slot(fresh, 0, 1, enhanced, threshold=gamma)  # identical window entry: zero variation
+enhancement_quality(fresh, [lowlight], [[enhanced]], threshold=gamma)
+commit_slot(fresh)  # identical window entry: zero variation
 print("\nstatic window pins the denominator at its floor; Q clamps to:",
-      enhancement_quality(fresh, 0, 1, enhanced, lowlight, threshold=gamma))
+      float(enhancement_quality(fresh, [lowlight], [[enhanced]], threshold=gamma)[0, 1]))

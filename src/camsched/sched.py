@@ -359,19 +359,21 @@ def evolve(
     if lat is None:
         lat = latency_table(slot, model)
     rng = random.Random(ga.rng_seed)
-    fitness = _population_fitness(slot, model, ga, lat)
     size = ga.population_size
     m_devices = model.num_devices
     num_codes = len(model.code_loads[0])
-
-    pop = initial_population(rng, num_codes, m_devices, size)
-    fits = fitness(pop).tolist()
     history: list[float] = []
 
-    for _ in range(ga.generations):
-        history.append(max(fits))
-        pop = next_generation(pop, fits, ga, rng, num_codes)
+    # a deadline penalty or a total past the float range is the -inf it
+    # rounds to, the score of an unreachable gene
+    with np.errstate(over="ignore"):
+        fitness = _population_fitness(slot, model, ga, lat)
+        pop = initial_population(rng, num_codes, m_devices, size)
         fits = fitness(pop).tolist()
+        for _ in range(ga.generations):
+            history.append(max(fits))
+            pop = next_generation(pop, fits, ga, rng, num_codes)
+            fits = fitness(pop).tolist()
 
     best_idx = fits.index(max(fits))
     decision = model.decode(pop[:, best_idx])

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import camq, sched, sysmodel
-from .camq import CamMap, QualityState, SlotMaps
+from .camq import CamMap, QualityState
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
@@ -157,18 +157,15 @@ class RunSummary:
     mean_scheduler_seconds: float | None
 
 
-def assess_quality(
-    slot: SlotData, state: QualityState, threshold: float
-) -> tuple[np.ndarray, SlotMaps | None]:
+def assess_quality(slot: SlotData, state: QualityState, threshold: float) -> np.ndarray:
     """Assessment stage: the slot's (M, K+1) quality against the current windows.
 
     Every CAM of the slot is filtered once, and all (device, algorithm) pairs
-    are scored from those maps together. The assessed maps come back with the
-    quality matrix for :func:`commit_windows`; a quality-matrix slot has none.
+    are scored from those maps together; :func:`commit_windows` commits them.
     """
     if slot.quality is not None:
-        return slot.quality, None
-    return camq.slot_quality(state, slot.lowlight, slot.enhanced, threshold)
+        return slot.quality
+    return camq.enhancement_quality(state, slot.lowlight, slot.enhanced, threshold)
 
 
 def commit_windows(
@@ -177,17 +174,16 @@ def commit_windows(
     state: QualityState,
     decision: Decision | None,
     rejected: frozenset[int],
-    filtered: SlotMaps | None,
 ) -> None:
-    """Commit stage: advance the windows past the slot with the maps
-    :func:`assess_quality` filtered for it.
+    """Commit stage: advance the windows past the CAMs :func:`assess_quality`
+    assessed, when the slot has CAMs.
 
     Windows advance for every algorithm each slot, not just the chosen one;
     accuracy feedback lands only for what actually ran (decision None means
     a pure assessment replay where nothing ran).
     """
-    if filtered is not None:
-        camq.commit_maps(state, filtered)
+    if slot.lowlight is not None:
+        camq.commit_slot(state)
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):
             if m in rejected:
@@ -202,8 +198,8 @@ def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[np.n
     After n items the state holds exactly the windows of slots 0..n-1.
     """
     for slot in trace.slots:
-        quality, filtered = assess_quality(slot, state, threshold)
-        commit_windows(trace, slot, state, None, frozenset(), filtered)
+        quality = assess_quality(slot, state, threshold)
+        commit_windows(trace, slot, state, None, frozenset())
         yield quality
 
 
@@ -230,7 +226,7 @@ def run_slot(
     if not 0 <= t < trace.horizon:
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
-    quality, filtered = assess_quality(slot_data, state, threshold)
+    quality = assess_quality(slot_data, state, threshold)
     if slot_data.quality is None:
         # Trace checked every stored value; a CAM slot's quality is new
         check_slot_values(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
@@ -268,7 +264,7 @@ def run_slot(
     for m in rejected:  # not served: no quality, infinite latency, -inf utility
         qualities[m], latencies[m], utilities[m] = 0.0, math.inf, -math.inf
 
-    commit_windows(trace, slot_data, state, decision, rejected, filtered)
+    commit_windows(trace, slot_data, state, decision, rejected)
     return SlotMetrics(
         slot=t,
         decision=decision,
@@ -286,7 +282,8 @@ def summarize(metrics: Sequence[SlotMetrics]) -> RunSummary:
     """Aggregate run statistics; an empty run summarises to all-None.
 
     A slot total is finite or -inf. The mean total is -inf when any slot's
-    is; finite totals whose mean leaves the float range raise ValidationError.
+    is; finite totals or latencies whose mean leaves the float range raise
+    ValidationError.
     """
     if not metrics:
         return RunSummary(0, None, None, None, None, None, None)
@@ -303,10 +300,16 @@ def summarize(metrics: Sequence[SlotMetrics]) -> RunSummary:
         lat for m in metrics for lat in m.latencies if math.isfinite(lat)
     ])
     no_lats = lats.size == 0
+    mean_latency = None
+    if not no_lats:
+        with np.errstate(over="ignore"):
+            mean_latency = float(np.mean(lats))
+        if not math.isfinite(mean_latency):
+            raise ValidationError("served latencies average past the float range")
     return RunSummary(
         slots=len(metrics),
         mean_total_utility=mean_total,
-        mean_latency_s=None if no_lats else float(np.mean(lats)),
+        mean_latency_s=mean_latency,
         p50_latency_s=None if no_lats else float(np.percentile(lats, 50)),
         p95_latency_s=None if no_lats else float(np.percentile(lats, 95)),
         feasible_rate=float(np.mean([m.feasible for m in metrics])),

@@ -10,7 +10,13 @@ import random
 
 import numpy as np
 
-from camsched.camq import QualityState, enhancement_quality
+from camsched.camq import (
+    DEFAULT_THRESHOLD,
+    CamMap,
+    QualityState,
+    commit_slot,
+    enhancement_quality,
+)
 from camsched.sysmodel import (
     Decision,
     EdgeServer,
@@ -39,6 +45,23 @@ def one_link(datasize, bandwidth, phi=0.0, s=1.0, quality=0.0):
     return latency_table(slot, model)[0, 0], check_feasibility(Decision((0,), (1,)), slot, model)
 
 
+def one_device_quality(state, enhanced, lowlight, threshold=DEFAULT_THRESHOLD, algorithm=1):
+    """Quality of `algorithm` in a slot of the one-device `state` whose
+    low-light map is `lowlight` and whose every enhanced map is `enhanced`."""
+    quality = enhancement_quality(state, [lowlight], [[enhanced] * state.num_algorithms],
+                                  threshold)
+    return float(quality[0, algorithm])
+
+
+def store_window(state, history, threshold=DEFAULT_THRESHOLD):
+    """Assess and commit one slot per map of `history` on the one-device
+    `state`, every algorithm enhancing to that map, so each window stores
+    the maps filtered at `threshold`, oldest first."""
+    for past in history:
+        one_device_quality(state, past, CamMap(np.zeros(past.shape)), threshold)
+        commit_slot(state)
+
+
 def quality_numerator(enhanced, lowlight, threshold=0.0):
     """The difference of the filtered CAMs, read off enhancement_quality.
 
@@ -49,19 +72,20 @@ def quality_numerator(enhanced, lowlight, threshold=0.0):
     at that threshold the numerator is the raw CAM difference.
     """
     state = QualityState(1, 1, denom_floor=1.0, quality_cap=math.inf)
-    return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold)
+    return one_device_quality(state, enhanced, lowlight, threshold)
 
 
 def cam_window(state, device, algorithm):
     """The pair's stored filtered CAM values, oldest first, as read-only copies;
-    () for a pair that has stored nothing."""
-    home = state._homes.get((device, algorithm))
-    if home is None:
+    () before the state's first assessed slot."""
+    for windows in state._windows or ():
+        if device in windows.devices:
+            row = windows.devices.index(device) * state.num_algorithms + algorithm - 1
+            break
+    else:
         return ()
-    windows, row = home
-    head, fill = windows.head[row], windows.fill[row]
     entries = []
-    for col in (head - fill + np.arange(fill)) % (state.window_depth + 1):
+    for col in (state._head - state._fill + np.arange(state._fill)) % (state.window_depth + 1):
         values = windows.ring[col][row].reshape(windows.shape).copy()
         values.setflags(write=False)
         entries.append(values)

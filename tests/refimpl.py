@@ -3,8 +3,8 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix cells, no vectorization, no shared helpers from
 the package under test (ref_evolve takes the slot's latency table and final
-scoring from it, see there; the slot-stage references take the per-pair camq
-API, see there). If camsched and these disagree, camsched is wrong.
+scoring from it, see there). If camsched and these disagree, camsched is
+wrong.
 """
 
 import bisect
@@ -14,7 +14,6 @@ import random
 
 import numpy as np
 
-from camsched import camq
 from camsched.sched import objective
 from camsched.sysmodel import check_feasibility, latency_table
 
@@ -53,35 +52,75 @@ def ref_quality(accuracy, filtered_diff, variation, cap):
     return max(-cap, min(cap, q))
 
 
-# The slot stages as per-pair loops: every (device, algorithm) pair filters
-# its own maps through camq.enhancement_quality, and the commit filters each
-# enhanced map again. They check how sim orchestrates a slot (one filter per
-# map, the same filtered maps committed); the quality formula itself is
-# checked against ref_quality.
+# The slot stages as per-pair loops over Python lists. A map's cells are
+# added by np.sum over the flattened map, the pairwise sum camq takes over
+# each ring row, so a matching score matches bit for bit; everything else
+# is plain float arithmetic in the order camq takes it.
 
-def ref_assess_quality(trace, slot, state, threshold):
+class RefQuality:
+    """The quality windows as lists: per (device, algorithm) pair its
+    filtered, flattened enhanced maps, and per device its accuracy feedback,
+    each oldest first and at most `window_depth` long."""
+
+    def __init__(self, num_devices, num_algorithms, window_depth=5, default_accuracy=1.0,
+                 denom_floor=1e-6, quality_cap=10.0):
+        self.num_devices = num_devices
+        self.num_algorithms = num_algorithms
+        self.window_depth = window_depth
+        self.default_accuracy = default_accuracy
+        self.denom_floor = denom_floor
+        self.quality_cap = quality_cap
+        self.cams = {(m, alg): [] for m in range(num_devices)
+                     for alg in range(1, num_algorithms + 1)}
+        self.accuracy = [[] for _ in range(num_devices)]
+        self.shapes = {}  # each device's CAM shape
+
+    def cam_window(self, device, algorithm):
+        shape = self.shapes.get(device)
+        return tuple(np.array(entry).reshape(shape) for entry in self.cams[device, algorithm])
+
+    def accuracy_window(self, device):
+        return tuple(self.accuracy[device])
+
+    def record_accuracy(self, device, accuracy):
+        self.accuracy[device] = (self.accuracy[device] + [accuracy])[-self.window_depth:]
+
+
+def ref_flat_filter(cam, threshold):
+    return [v for row in ref_filter(cam.values.tolist(), threshold) for v in row]
+
+
+def ref_assess_quality(trace, slot, ref, threshold):
     if slot.quality is not None:
         return slot.quality
     k = trace.num_algorithms
     q = np.zeros((trace.num_devices, k + 1))
     for m in range(trace.num_devices):
+        ref.shapes[m] = slot.lowlight[m].shape
+        low = ref_flat_filter(slot.lowlight[m], threshold)
+        window = ref.accuracy[m]
+        acc = sum(window) / len(window) if window else ref.default_accuracy
         for alg in range(1, k + 1):
-            q[m, alg] = camq.enhancement_quality(
-                state, m, alg, slot.enhanced[m][alg - 1], slot.lowlight[m], threshold
-            )
+            enh = ref_flat_filter(slot.enhanced[m][alg - 1], threshold)
+            num = float(np.sum(np.array([e - l for e, l in zip(enh, low)])))
+            total = 0.0
+            for past in ref.cams[m, alg]:
+                total += float(np.sum(np.array([abs(e - p) for e, p in zip(enh, past)])))
+            q[m, alg] = ref_quality(acc, num, max(total, ref.denom_floor), ref.quality_cap)
     return q
 
 
-def ref_commit_windows(trace, slot, state, decision, rejected, threshold):
+def ref_commit_windows(trace, slot, ref, decision, rejected, threshold):
     if slot.lowlight is not None:
         for m in range(trace.num_devices):
             for alg in range(1, trace.num_algorithms + 1):
-                camq.commit_slot(state, m, alg, slot.enhanced[m][alg - 1], threshold)
+                window = ref.cams[m, alg] + [ref_flat_filter(slot.enhanced[m][alg - 1], threshold)]
+                ref.cams[m, alg] = window[-ref.window_depth:]
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):
             if m in rejected:
                 continue
-            camq.record_accuracy(state, m, float(slot.accuracy[m, decision.algorithms[m]]))
+            ref.record_accuracy(m, float(slot.accuracy[m, decision.algorithms[m]]))
 
 
 def ref_transmission(d, b):

@@ -18,8 +18,6 @@ from camsched import cli
 from camsched.camq import (
     CamMap,
     QualityState,
-    commit_slot,
-    enhancement_quality,
     filter_cam,
     record_accuracy,
 )
@@ -48,12 +46,14 @@ from camsched.sysmodel import (
 from conftest import (
     make_model,
     make_slot,
+    one_device_quality,
     one_link,
     oracle_gap_instance,
     paper_scale_instance,
     quality_numerator,
     random_decision,
     small_instance,
+    store_window,
 )
 from refimpl import (
     ref_cam_difference,
@@ -146,10 +146,10 @@ def quality_case_025():
     # and the variation is |0 - 2.0| = 2.0, giving Q = 1.0 * 0.5 / 2.0
     state = QualityState(num_devices=1, num_algorithms=1)
     past = CamMap(np.array([[0.5, 0.1], [0.2, 2.0]]))
-    commit_slot(state, 0, 1, past, 0.4)
+    store_window(state, [past], 0.4)
     enhanced = CamMap(np.array([[0.5, 0.3], [0.1, 0.2]]))
     lowlight = CamMap(np.full((2, 2), 0.1))
-    return enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
+    return one_device_quality(state, enhanced, lowlight, threshold=0.4)
 
 
 def enhancement_time(datasize, phi, s):
@@ -226,13 +226,12 @@ def test_criterion_2_exact_arithmetic(capsys):
 
         state = QualityState(num_devices=1, num_algorithms=1)
         history = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
-        for h in history:
-            commit_slot(state, 0, 1, h, 0.4)
+        store_window(state, history, 0.4)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
         e = CamMap(rng.uniform(0, 1.5, (3, 3)))
         l = CamMap(rng.uniform(0, 1.5, (3, 3)))
-        got = enhancement_quality(state, 0, 1, e, l, threshold=0.4)
+        got = one_device_quality(state, e, l, threshold=0.4)
         fe = ref_filter(e.values.tolist(), 0.4)
         fl = ref_filter(l.values.tolist(), 0.4)
         want = ref_quality(
@@ -486,9 +485,8 @@ def test_criterion_6_quality_properties(capsys):
             ]
         state = QualityState(num_devices=1, num_algorithms=1, denom_floor=floor,
                              quality_cap=math.inf)
-        for h in history:
-            commit_slot(state, 0, 1, h, 0.4)
-        got = enhancement_quality(state, 0, 1, cur, zeros)
+        store_window(state, history, 0.4)
+        got = one_device_quality(state, cur, zeros)
         num = quality_numerator(cur, zeros, 0.4)
         raw = ref_temporal_variation(
             filter_cam(cur, 0.4).tolist(), [filter_cam(h, 0.4).tolist() for h in history], 0.0
@@ -505,7 +503,7 @@ def test_criterion_6_quality_properties(capsys):
     for _ in range(1000):
         e = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
         l = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
-        if enhancement_quality(state, 0, 0, e, l) != 0.0:
+        if one_device_quality(state, e, l, algorithm=0) != 0.0:
             v += 1
     counts["no-enhancement zero"] = v
 
@@ -518,17 +516,16 @@ def test_criterion_6_quality_properties(capsys):
             hot = CamMap(np.full((3, 3), scale))
             cold = CamMap(np.zeros((3, 3)))
             e, l = (hot, cold) if i % 4 == 0 else (cold, hot)
-            commit_slot(state, 0, 1, e, 0.4)
-            got = enhancement_quality(state, 0, 1, e, l)
+            store_window(state, [e], 0.4)
+            got = one_device_quality(state, e, l)
             if got != (10.0 if i % 4 == 0 else -10.0):
                 v += 1
         else:
             history = [CamMap(rng.uniform(0, 2, (3, 3)))
                        for _ in range(int(rng.integers(1, 4)))]
-            for h in history:
-                commit_slot(state, 0, 1, h, 0.4)
-            got = enhancement_quality(
-                state, 0, 1,
+            store_window(state, history, 0.4)
+            got = one_device_quality(
+                state,
                 CamMap(rng.uniform(0, 5, (3, 3))), CamMap(rng.uniform(0, 5, (3, 3))),
             )
             if abs(got) > 10.0:

@@ -11,18 +11,17 @@ from hypothesis.extra import numpy as hnp
 from camsched.camq import (
     CamMap,
     QualityState,
-    commit_maps,
     commit_slot,
     enhancement_quality,
     filter_cam,
     record_accuracy,
-    slot_quality,
 )
 from camsched import sim
 from camsched.errors import ShapeMismatchError, UnknownDeviceError, ValidationError
 
-from conftest import cam_window, quality_numerator
+from conftest import cam_window, one_device_quality, quality_numerator, store_window
 from refimpl import (
+    RefQuality,
     ref_assess_quality,
     ref_cam_difference,
     ref_commit_windows,
@@ -139,10 +138,9 @@ def variation_score(current, history, floor=1e-6, threshold=0.4):
     a window that stores the maps `history`, each filtered at `threshold`:
     the sum of the filtered current map over the floored variation."""
     state = QualityState(1, 1, denom_floor=floor, quality_cap=math.inf)
-    for past in history:
-        commit_slot(state, 0, 1, past, threshold)
+    store_window(state, history, threshold)
     lowlight = CamMap(np.zeros(current.shape))
-    return enhancement_quality(state, 0, 1, current, lowlight, threshold)
+    return one_device_quality(state, current, lowlight, threshold)
 
 
 def test_variation_single_entry_example():
@@ -167,7 +165,7 @@ def test_variation_static_content_floors():
 
 def accuracy_weight(state):
     """A unit numerator over a unit variation floor scores the weight itself."""
-    return enhancement_quality(state, 0, 1, cam([[1.0]]), cam([[0.0]]))
+    return one_device_quality(state, cam([[1.0]]), cam([[0.0]]))
 
 
 def test_rolling_accuracy_default_when_empty():
@@ -203,40 +201,40 @@ def test_quality_worked_example():
     # numerator 0.5 (one surviving cell), denominator 2.0 from one stored map
     state = QualityState(num_devices=1, num_algorithms=1)
     past = cam([[0.5, 0.0], [0.0, 2.0]])
-    commit_slot(state, 0, 1, past, 0.4)
+    store_window(state, [past], 0.4)
     enhanced = cam([[0.5, 0.0], [0.0, 0.0]])
     lowlight = cam([[0.2, 0.3], [0.1, 0.0]])
-    q = enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
+    q = one_device_quality(state, enhanced, lowlight, threshold=0.4)
     assert q == pytest.approx(0.25, rel=1e-9)
 
 
 def test_quality_algorithm_zero_is_exactly_zero():
     state = QualityState(num_devices=1, num_algorithms=2)
-    q = enhancement_quality(state, 0, 0, cam([[5.0]]), cam([[0.0]]))
+    q = one_device_quality(state, cam([[5.0]]), cam([[0.0]]), algorithm=0)
     assert q == 0.0 and math.copysign(1.0, q) == 1.0
 
 
 def test_quality_clamps_at_cap():
     # empty window -> denominator at floor -> raw score is huge -> cap
     state = QualityState(num_devices=1, num_algorithms=1, quality_cap=10.0)
-    q = enhancement_quality(state, 0, 1, cam([[0.5]]), cam([[0.0]]))
+    q = one_device_quality(state, cam([[0.5]]), cam([[0.0]]))
     assert q == 10.0
 
 
 def test_quality_clamps_at_negative_cap():
     state = QualityState(num_devices=1, num_algorithms=1, quality_cap=10.0)
-    q = enhancement_quality(state, 0, 1, cam([[0.0]]), cam([[0.8]]))
+    q = one_device_quality(state, cam([[0.0]]), cam([[0.8]]))
     assert q == -10.0
 
 
 def test_quality_uses_rolling_accuracy():
     state = QualityState(num_devices=1, num_algorithms=1)
     past = cam([[0.5, 0.0], [0.0, 2.0]])
-    commit_slot(state, 0, 1, past, 0.4)
+    store_window(state, [past], 0.4)
     record_accuracy(state, 0, 0.5)
     enhanced = cam([[0.5, 0.0], [0.0, 0.0]])
     lowlight = cam([[0.0, 0.0], [0.0, 0.0]])
-    q = enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=0.4)
+    q = one_device_quality(state, enhanced, lowlight, threshold=0.4)
     assert q == pytest.approx(0.5 * 0.25, rel=1e-9)
 
 
@@ -244,19 +242,20 @@ def test_quality_uses_rolling_accuracy():
 
 def test_commit_fresh_state_size_one():
     state = QualityState(num_devices=2, num_algorithms=2)
-    commit_slot(state, 0, 1, cam([[0.9]]))
-    assert len(cam_window(state, 0, 1)) == 1
-    assert len(cam_window(state, 0, 2)) == 0
-    assert len(cam_window(state, 1, 1)) == 0
+    pairs = [(d, a) for d in range(2) for a in (1, 2)]
+    # an assessed slot stores nothing until it is committed
+    enhancement_quality(state, [cam([[0.1]])] * 2, [[cam([[0.9]])] * 2] * 2)
+    assert [len(cam_window(state, *pair)) for pair in pairs] == [0, 0, 0, 0]
+    commit_slot(state)
+    assert [len(cam_window(state, *pair)) for pair in pairs] == [1, 1, 1, 1]
 
 
 def test_commit_evicts_oldest_beyond_depth():
     state = QualityState(num_devices=1, num_algorithms=1, window_depth=3)
     maps = [cam([[0.5 + 0.1 * i]]) for i in range(4)]
-    for m in maps[:3]:
-        commit_slot(state, 0, 1, m)
+    store_window(state, maps[:3])
     assert len(cam_window(state, 0, 1)) == 3
-    commit_slot(state, 0, 1, maps[3])
+    store_window(state, maps[3:])
     window = cam_window(state, 0, 1)
     assert len(window) == 3
     got = [values[0, 0] for values in window]
@@ -267,58 +266,77 @@ def test_commit_threshold_validation():
     state = QualityState(num_devices=1, num_algorithms=1)
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            commit_slot(state, 0, 1, cam([[0.9]]), threshold)
+            enhancement_quality(state, [cam([[0.1]])], [[cam([[0.9]])]], threshold)
+        # the failed assessment left nothing to commit
+        with pytest.raises(ValidationError, match="no assessed slot"):
+            commit_slot(state)
     assert cam_window(state, 0, 1) == ()
 
 
 def test_unknown_device_and_algorithm():
     state = QualityState(num_devices=1, num_algorithms=1)
-    for device, algorithm in ((1, 1), (0, 0), (0, 2)):
-        with pytest.raises(UnknownDeviceError):
-            commit_slot(state, device, algorithm, cam([[0.9]]))
-    # raw shipping scores 0.0 only for a device the state holds
-    for device, algorithm in ((1, 1), (0, 2), (7, 0)):
-        with pytest.raises(UnknownDeviceError):
-            enhancement_quality(state, device, algorithm, cam([[0.9]]), cam([[0.1]]))
+    # a slot names no device or algorithm the state does not hold
+    for devices, algorithms in ((2, 1), (1, 2)):
+        with pytest.raises(ValidationError, match="1 enhanced maps for each of 1 devices"):
+            enhancement_quality(state, [cam([[0.1]])] * devices,
+                                [[cam([[0.9]])] * algorithms] * devices)
     with pytest.raises(UnknownDeviceError):
         record_accuracy(state, 1, 0.5)
     assert cam_window(state, 0, 1) == () and state._accuracy_fill.tolist() == [0]
+
+
+@pytest.mark.parametrize("lowlight, enhanced", [
+    (1, ((0.9, 0.8),)),                    # a device missing
+    (2, ((0.9, 0.8), (0.7,))),             # an algorithm missing on one device
+    (2, ((0.9,), (0.7,))),                 # an algorithm missing on every device
+    (2, ((0.9, 0.8),)),                    # low-light maps without enhanced ones
+], ids=["device", "one-algorithm", "every-algorithm", "enhanced-device"])
+def test_partial_slot_is_a_validation_error(lowlight, enhanced):
+    state = QualityState(num_devices=2, num_algorithms=2)
+    with pytest.raises(ValidationError, match="2 enhanced maps for each of 2 devices"):
+        enhancement_quality(state, [cam([[0.1]])] * lowlight,
+                            [[cam([[v]]) for v in maps] for maps in enhanced])
+    with pytest.raises(ValidationError, match="no assessed slot"):
+        commit_slot(state)
+    assert state._windows is None
+
+
+@pytest.mark.parametrize("changed", ["lowlight", "enhanced"])
+def test_cam_shape_change_after_the_first_slot_names_the_device(changed):
+    state = QualityState(num_devices=2, num_algorithms=2)
+    lows, maps = [cam([[0.1, 0.2]]), cam([[0.3]])], [[cam([[0.9, 0.8]])] * 2, [cam([[0.7]])] * 2]
+    enhancement_quality(state, lows, maps)
+    commit_slot(state)
+    if changed == "lowlight":
+        lows[1] = cam([[0.3], [0.4]])
+    else:
+        maps[1] = [cam([[0.7]]), cam([[0.7, 0.6]])]
+    with pytest.raises(ShapeMismatchError, match=r"device 1: CAM shapes differ: \((1, 2|2, 1)\) "
+                                                 r"vs \(1, 1\)"):
+        enhancement_quality(state, lows, maps)
+    with pytest.raises(ValidationError, match="no assessed slot"):
+        commit_slot(state)
+    # the windows are as the first slot left them, and take the next slot
+    assert [[v.tolist() for v in cam_window(state, 1, a)] for a in (1, 2)] == [[[[0.7]]]] * 2
+    enhancement_quality(state, [cam([[0.1, 0.2]]), cam([[0.3]])],
+                        [[cam([[0.9, 0.8]])] * 2, [cam([[0.6]])] * 2])
+    commit_slot(state)
+    assert [v.tolist() for v in cam_window(state, 1, 2)] == [[[0.7]], [[0.6]]]
 
 
 # ------------------------------------------------------------ ring windows
 
 def test_window_entry_outlives_the_ring_storage_it_was_read_from():
     state = QualityState(num_devices=1, num_algorithms=1, window_depth=2)
-    commit_slot(state, 0, 1, cam([[0.5, 0.9]]))
+    store_window(state, [cam([[0.5, 0.9]])])
     first = cam_window(state, 0, 1)[0]
-    # three more commits and assessments evict the entry and rewrite every
+    # three more assessments and commits evict the entry and rewrite every
     # ring column it could have shared storage with
     for v in (0.6, 0.7, 0.8):
-        enhancement_quality(state, 0, 1, cam([[v, 0.1]]), cam([[0.2, 0.2]]))
-        commit_slot(state, 0, 1, cam([[v, v]]))
+        one_device_quality(state, cam([[v, v]]), cam([[0.2, 0.2]]))
+        commit_slot(state)
     assert first.tolist() == [[0.5, 0.9]] and not first.flags.writeable
     assert [values.tolist() for values in cam_window(state, 0, 1)] == [[[0.7, 0.7]], [[0.8, 0.8]]]
-
-
-def test_window_shape_is_per_pair():
-    # two algorithms of one device may store maps of different shapes
-    state = QualityState(num_devices=1, num_algorithms=2)
-    commit_slot(state, 0, 1, cam([[0.9, 0.5]]))
-    commit_slot(state, 0, 2, cam([[0.9], [0.5]]))
-    commit_slot(state, 0, 2, cam([[0.7], [0.8]]))
-    assert [values.shape for values in cam_window(state, 0, 1)] == [(1, 2)]
-    assert [values.shape for values in cam_window(state, 0, 2)] == [(2, 1), (2, 1)]
-    # but one pair keeps the shape of what it stores
-    with pytest.raises(ShapeMismatchError):
-        commit_slot(state, 0, 1, cam([[0.9], [0.5]]))
-    with pytest.raises(ShapeMismatchError):
-        enhancement_quality(state, 0, 2, cam([[0.9, 0.5]]), cam([[0.1, 0.1]]))
-    assert [len(cam_window(state, 0, a)) for a in (1, 2)] == [1, 2]
-    # a pair assessed at one shape but holding nothing yet may store another
-    fresh = QualityState(num_devices=1, num_algorithms=1)
-    assert enhancement_quality(fresh, 0, 1, cam([[0.9, 0.5]]), cam([[0.1, 0.1]])) == 10.0
-    commit_slot(fresh, 0, 1, cam([[0.9]]))
-    assert [values.tolist() for values in cam_window(fresh, 0, 1)] == [[[0.9]]]
 
 
 @pytest.mark.parametrize("shapes, depth", [
@@ -327,35 +345,34 @@ def test_window_shape_is_per_pair():
     (((64, 64),) * 3, 2),  # scored a device at a time
 ], ids=["mixed-depth3", "1x1-depth1", "64x64-depth2"])
 @pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
-def test_uneven_per_pair_windows_then_slots_match_the_per_pair_reference(shapes, depth, feedback):
-    """Pairs committed one by one in a scrambled order, each a different
-    number of times, leave windows with different fills and heads and ring
-    rows out of slot order; slots assessed and committed together on that
-    state must match the pair-by-pair reference bit for bit."""
+def test_slots_after_uneven_feedback_match_the_reference(shapes, depth, feedback):
+    """Warm-up slots, each followed by accuracy feedback recorded a different
+    number of times per device in a scrambled order, leave full CAM windows
+    and uneven accuracy windows; slots assessed and committed on that state,
+    with a default accuracy of 0.7, must match the per-pair reference bit
+    for bit."""
+    warm = cam_trace(shapes, depth + 2, False, seed=12, num_algorithms=3)
     trace = cam_trace(shapes, 4, feedback, seed=11, num_algorithms=3)
     m, k = trace.num_devices, trace.num_algorithms
     model = gpu_roster_model(m, k)
     rng = np.random.default_rng(3)
-    state, ref = (QualityState(m, k, window_depth=depth, default_accuracy=0.7)
-                  for _ in range(2))
-    pairs = [(d, a) for d in range(m) for a in range(1, k + 1)]
-    stored = {pair: [] for pair in pairs}
-    for i in rng.permutation(len(pairs)):
-        d, a = pairs[i]
-        for _ in range(int(rng.integers(0, 2 * depth + 2))):
-            enhanced = CamMap(rng.uniform(0.0, 1.0, shapes[d]))
-            feedback_value = float(rng.uniform()) if rng.random() < 0.5 else None
-            for s in (state, ref):
-                commit_slot(s, d, a, enhanced, 0.4)
-                if feedback_value is not None:
-                    record_accuracy(s, d, feedback_value)
-            stored[(d, a)] = (stored[(d, a)] + [filter_cam(enhanced, 0.4).tolist()])[-depth:]
-    assert {pair: [values.tolist() for values in cam_window(state, *pair)]
-            for pair in pairs} == stored
+    state = QualityState(m, k, window_depth=depth, default_accuracy=0.7)
+    ref = RefQuality(m, k, window_depth=depth, default_accuracy=0.7)
     seen = {}
+    for slot in warm.slots:
+        want = ref_assess_quality(warm, slot, ref, 0.4)
+        assert hex_matrix(sim.assess_quality(slot, state, 0.4)) == hex_matrix(want)
+        sim.commit_windows(warm, slot, state, None, frozenset())
+        ref_commit_windows(warm, slot, ref, None, frozenset(), 0.4)
+        for d in rng.permutation(m).tolist():
+            for _ in range(int(rng.integers(0, depth + 2))):
+                value = float(rng.uniform())
+                record_accuracy(state, d, value)
+                ref.record_accuracy(d, value)
+        assert hex_windows(state, seen) == hex_windows(ref, seen)
     for t, slot in enumerate(trace.slots):
         want = ref_assess_quality(trace, slot, ref, 0.4)
-        got, _ = sim.assess_quality(slot, state, 0.4)
+        got = sim.assess_quality(slot, state, 0.4)
         assert hex_matrix(got) == hex_matrix(want)
         metrics = sim.run_slot(t, trace, state, model, "capacity", threshold=0.4)
         ref_commit_windows(trace, slot, ref, metrics.decision, metrics.rejected, 0.4)
@@ -364,12 +381,12 @@ def test_uneven_per_pair_windows_then_slots_match_the_per_pair_reference(shapes,
 
 def test_slot_without_algorithms_scores_only_raw_shipping():
     state = QualityState(num_devices=2, num_algorithms=0)
-    quality, maps = slot_quality(state, [cam([[0.9]]), cam([[0.5, 0.6]])], [(), ()])
-    assert quality.tolist() == [[0.0], [0.0]] and maps == ()
-    commit_maps(state, maps)
-    assert state._homes == {}
-    with pytest.raises(UnknownDeviceError):
-        commit_slot(state, 0, 1, cam([[0.9]]))
+    quality = enhancement_quality(state, [cam([[0.9]]), cam([[0.5, 0.6]])], [(), ()])
+    assert quality.tolist() == [[0.0], [0.0]]
+    commit_slot(state)
+    assert state._windows is None
+    with pytest.raises(ValidationError, match="no assessed slot"):
+        commit_slot(state)
 
 
 # ------------------------------------------------------------- properties
@@ -459,17 +476,17 @@ def test_prop_quality_monotone_in_numerator(pair, data):
     scale = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     low_lo = low_hi * scale  # cellwise <= low_hi
     state = QualityState(num_devices=1, num_algorithms=1)
-    commit_slot(state, 0, 1, CamMap(np.zeros_like(enhanced_values)))
+    store_window(state, [CamMap(np.zeros_like(enhanced_values))])
     enh = CamMap(enhanced_values)
-    q_small_num = enhancement_quality(state, 0, 1, enh, CamMap(low_hi))
-    q_big_num = enhancement_quality(state, 0, 1, enh, CamMap(low_lo))
+    q_small_num = one_device_quality(state, enh, CamMap(low_hi))
+    q_big_num = one_device_quality(state, enh, CamMap(low_lo))
     assert q_big_num >= q_small_num - 1e-12
 
 
 @given(cam_values, st.integers(0, 0))
 def test_prop_algorithm_zero_always_zero(values, k):
     state = QualityState(num_devices=1, num_algorithms=3)
-    assert enhancement_quality(state, 0, k, CamMap(values), CamMap(values)) == 0.0
+    assert one_device_quality(state, CamMap(values), CamMap(values), algorithm=k) == 0.0
 
 
 # ------------------------------------------------- naive-reference equivalence
@@ -503,13 +520,12 @@ def test_quality_composition_against_reference():
         state = QualityState(num_devices=1, num_algorithms=1)
         gamma = 0.4
         history_maps = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
-        for h in history_maps:
-            commit_slot(state, 0, 1, h, gamma)
+        store_window(state, history_maps, gamma)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
         enhanced = CamMap(rng.uniform(0, 1.5, (3, 3)))
         lowlight = CamMap(rng.uniform(0, 1.5, (3, 3)))
-        got = enhancement_quality(state, 0, 1, enhanced, lowlight, threshold=gamma)
+        got = one_device_quality(state, enhanced, lowlight, threshold=gamma)
         fe = ref_filter(enhanced.values.tolist(), gamma)
         fl = ref_filter(lowlight.values.tolist(), gamma)
         num = ref_cam_difference(fe, fl)

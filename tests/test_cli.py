@@ -491,6 +491,64 @@ def test_cli_takes_a_latency_past_the_float_range_as_unreachable(tmp_path, field
         assert not rec["feasible"] or math.isfinite(rec["total_utility"]), rec
 
 
+def small_default_config(tmp_path, **synth):
+    """The default config at M = 3, horizon 2 and 4x4 CAMs, with `synth`
+    keys replaced, written to a file; its path."""
+    doc = json.loads(emit_config(parse_config("")))
+    doc["devices"] = 3
+    doc["synth"].update(horizon=2, cam_rows=4, cam_cols=4, **synth)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def test_cli_ga_takes_a_deadline_penalty_past_the_float_range_as_minus_inf(tmp_path):
+    # transmission times of about 1e306 s are finite, but the GA's deadline
+    # penalty on them overflows to the -inf fitness it rounds to
+    cfg = small_default_config(tmp_path, bandwidth_bps=[1e-300, 1e-299])
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    out = tmp_path / "m.jsonl"
+    assert run_cli(["simulate", "--config", str(cfg), "--scheduler", "ga",
+                    "--trace", str(tmp_path / "t" / "trace.json"), "--out", str(out)]) == 0
+    records, summary = load_metrics(out)
+    assert len(records) == 2 and summary["feasible_rate"] == 0.0
+    assert all(math.isfinite(rec["total_utility"]) for rec in records)
+
+
+def test_cli_rejects_latencies_that_average_past_the_float_range(tmp_path, capsys):
+    # each served latency of about 1e307 s is finite; their sum is not
+    cfg = small_default_config(tmp_path, bandwidth_bps=[1e-301, 1.01e-301])
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.jsonl"
+    code = run_cli(["simulate", "--config", str(cfg), "--scheduler", "capacity",
+                    "--trace", str(tmp_path / "t" / "trace.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "latencies average past the float range" in err and not out.exists()
+
+
+def test_cli_assess_clamps_a_cam_score_past_the_float_range(tmp_path):
+    # enhanced maps near 1.7e308 a cell: their sum overflows, and the score
+    # clamps to quality_cap where it warned before
+    records = {}
+    for offset in (1.7e308, 0.3):
+        cfg = small_default_config(tmp_path, offsets=[offset, 0.2, 0.1, 0.05])
+        trace_dir = tmp_path / f"t{offset}"
+        assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(trace_dir)]) == 0
+        out = tmp_path / f"q{offset}.jsonl"
+        assert run_cli(["assess", "--config", str(cfg), "--trace",
+                        str(trace_dir / "trace.json"), "--out", str(out)]) == 0
+        records[offset] = [json.loads(line) for line in out.read_text().splitlines()]
+    huge, plain = records[1.7e308], records[0.3]
+    assert len(huge) == len(plain) == 2
+    for got, want in zip(huge, plain):
+        assert [row[1] for row in got["quality"]] == [10.0] * 3
+        # the other algorithms' maps and scores do not depend on the offset
+        assert [row[:1] + row[2:] for row in got["quality"]] == \
+            [row[:1] + row[2:] for row in want["quality"]]
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
 def test_cli_rejects_qualities_that_add_past_the_float_range(tmp_path, capsys, scheduler):
     # two qualities of 1e308 are finite, but a decision that picks both has

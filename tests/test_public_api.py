@@ -7,6 +7,7 @@ would cover it while the program runs something else.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -121,3 +122,20 @@ def test_every_method_runs_outside_the_tests():
     assert len(defined) > 10
     used = shipped_reachable_names()
     assert [name for name in defined if name.rsplit(".", 1)[1] not in used] == []
+
+
+def test_every_traced_layer_name_is_bound_to_one_callable():
+    # the benchmark's tracer patches each name on every module it lists; a
+    # name that is gone or rebound elsewhere would otherwise surface only
+    # in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.LAYER_FUNCTIONS) > 10
+    unbound = []
+    for span, attr, modules in tracing.LAYER_FUNCTIONS:
+        bound = [getattr(module, attr, None) for module in modules]
+        if not callable(bound[0]) or any(fn is not bound[0] for fn in bound):
+            unbound.append((span, attr, [module.__name__ for module in modules]))
+    assert unbound == []

@@ -1,5 +1,6 @@
 """Simulation loop and synthetic trace generator tests."""
 
+import functools
 import json
 import math
 
@@ -32,7 +33,13 @@ from camsched.sysmodel import (
 )
 
 from conftest import accuracy_window, cam_window, quality_numerator
-from refimpl import ref_assess_quality, ref_commit_windows, ref_gene_latency, ref_utility
+from refimpl import (
+    RefQuality,
+    ref_assess_quality,
+    ref_commit_windows,
+    ref_gene_latency,
+    ref_utility,
+)
 
 
 def tiny_model(num_devices=2, overhead=0.05):
@@ -147,7 +154,7 @@ def test_every_total_is_the_one_report_sum_at_scale(devices, seed):
     for scheduler in ("ga", "capacity", "none"):
         state = build_quality_state(config)
         for t, data in enumerate(trace.slots):
-            quality, _ = sim.assess_quality(data, state, config.cam_threshold)
+            quality = sim.assess_quality(data, state, config.cam_threshold)
             slot = SlotInput(data.datasize_bits, data.bandwidth_bps, quality)
             metrics = run_slot(t, trace, state, model, scheduler, config.ga,
                                config.cam_threshold)
@@ -305,8 +312,15 @@ def hex_matrix(q):
 
 
 def hex_windows(state, seen):
-    """Every stored window entry, bit for bit. A window read returns fresh
-    copies, so renderings are kept in `seen` keyed by the entry's bytes."""
+    """Every stored window entry of a QualityState or a RefQuality, bit for
+    bit. A window read returns fresh copies, so renderings are kept in `seen`
+    keyed by the entry's bytes."""
+    if isinstance(state, RefQuality):
+        read_cams, read_accuracy = state.cam_window, state.accuracy_window
+    else:
+        read_cams = functools.partial(cam_window, state)
+        read_accuracy = functools.partial(accuracy_window, state)
+
     def render(values):
         key = (values.shape, values.tobytes())
         if key not in seen:
@@ -314,10 +328,10 @@ def hex_windows(state, seen):
         return seen[key]
 
     cams = [
-        [[render(v) for v in cam_window(state, m, k)] for k in range(1, state.num_algorithms + 1)]
+        [[render(v) for v in read_cams(m, k)] for k in range(1, state.num_algorithms + 1)]
         for m in range(state.num_devices)
     ]
-    accuracy = [[v.hex() for v in accuracy_window(state, m)] for m in range(state.num_devices)]
+    accuracy = [[v.hex() for v in read_accuracy(m)] for m in range(state.num_devices)]
     return cams, accuracy
 
 
@@ -342,7 +356,7 @@ def test_slot_assessment_matches_per_pair_reference(shapes, threshold, feedback)
 
     # run_slot under the capacity matcher, which rejects devices
     state = QualityState(m, k, window_depth=depth)
-    ref = QualityState(m, k, window_depth=depth)
+    ref = RefQuality(m, k, window_depth=depth)
     rejections = 0
     for t, slot in enumerate(trace.slots):
         want = ref_assess_quality(trace, slot, ref, threshold)
@@ -362,7 +376,7 @@ def test_slot_assessment_matches_per_pair_reference(shapes, threshold, feedback)
 
     # the replay, which commits without a decision
     state = QualityState(m, k, window_depth=depth)
-    ref = QualityState(m, k, window_depth=depth)
+    ref = RefQuality(m, k, window_depth=depth)
     for slot, got in zip(trace.slots, sim.replay(trace, state, threshold)):
         want = ref_assess_quality(trace, slot, ref, threshold)
         ref_commit_windows(trace, slot, ref, None, frozenset(), threshold)
@@ -388,17 +402,18 @@ def test_cam_slot_filters_each_map_once(monkeypatch, scheduler):
     trace = cam_trace(((4, 4),) * m, 2, True, seed=5, num_algorithms=k)
     model = gpu_roster_model(m, k)
     filters = count_calls(monkeypatch, "filter_cam")
-    pair_scores = count_calls(monkeypatch, "enhancement_quality")
+    scores = count_calls(monkeypatch, "enhancement_quality")
     state = QualityState(m, k)
     for t in range(trace.horizon):
-        del filters[:]
+        del filters[:], scores[:]
         run_slot(t, trace, state, model, scheduler)
         assert len(filters) == m * (k + 1)
-    del filters[:]
+        assert len(scores) == 1
+    del filters[:], scores[:]
     for _ in sim.replay(trace, QualityState(m, k), camq.DEFAULT_THRESHOLD):
         assert len(filters) == m * (k + 1)
-        del filters[:]
-    assert pair_scores == []
+        assert len(scores) == 1
+        del filters[:], scores[:]
 
 
 def test_quality_slot_filters_nothing(monkeypatch):
@@ -463,14 +478,14 @@ def test_run_slot_checks_only_the_values_trace_has_not(monkeypatch):
 ], ids=["nan", "column-0"])
 def test_run_slot_rejects_a_bad_assessed_quality(monkeypatch, cell, value, message):
     trace = cam_trace(((4, 4),) * 2, 1, False, seed=3, num_algorithms=1)
-    original = camq.slot_quality
+    original = camq.enhancement_quality
 
     def assessed(*args):
-        quality, maps = original(*args)
+        quality = original(*args)
         quality[cell] = value
-        return quality, maps
+        return quality
 
-    monkeypatch.setattr(camq, "slot_quality", assessed)
+    monkeypatch.setattr(camq, "enhancement_quality", assessed)
     with pytest.raises(ValidationError, match=message):
         run_slot(0, trace, QualityState(2, 1), gpu_roster_model(2, 1), "oracle")
 
