@@ -28,8 +28,8 @@ from camsched.sysmodel import (
 rng = np.random.default_rng(17)
 servers = (EdgeServer(10.0, 9.0), EdgeServer(9.5, 11.0))
 profiles = (
-    EnhancementProfile(1, KIND_GPU, rng.uniform(0.5e-6, 5e-6, 2), rng.uniform(2.3, 3.8, 2)),
-    EnhancementProfile(2, KIND_CPU, rng.uniform(0.5e-6, 5e-6, 2), rng.uniform(2.3, 3.8, 2)),
+    EnhancementProfile(KIND_GPU, rng.uniform(0.5e-6, 5e-6, 2), rng.uniform(2.3, 3.8, 2)),
+    EnhancementProfile(KIND_CPU, rng.uniform(0.5e-6, 5e-6, 2), rng.uniform(2.3, 3.8, 2)),
 )
 model = SystemModel(servers, profiles, ModelConstants(num_devices=4))
 

@@ -23,8 +23,8 @@ servers = tuple(
     for _ in range(3)
 )
 profiles = tuple(
-    EnhancementProfile(k, kind, rng.uniform(5e-8, 4e-7, 3), rng.uniform(2.5, 4.0, 3))
-    for k, kind in ((1, KIND_GPU), (2, KIND_CPU), (3, KIND_GPU))
+    EnhancementProfile(kind, rng.uniform(5e-8, 4e-7, 3), rng.uniform(2.5, 4.0, 3))
+    for kind in (KIND_GPU, KIND_CPU, KIND_GPU)
 )
 model = SystemModel(servers, profiles, ModelConstants(num_devices=5))
 

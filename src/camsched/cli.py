@@ -24,7 +24,7 @@ from .config import RunConfig, build_model, build_quality_state, emit_config, pa
 from .errors import CamSchedError
 from .fileio import emit_metrics
 from .sim import generate_synthetic
-from .sysmodel import SlotInput, check_dims
+from .sysmodel import check_dims
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -178,9 +178,7 @@ def _cmd_oracle(args) -> int:
     config = _load_config(args)
     trace, model = _load_trace(args.trace, config)
     _, stream = _replay_to(trace, config, args.slot)
-    data = trace.slots[args.slot]
-    slot = SlotInput(data.datasize_bits, data.bandwidth_bps, next(stream))
-    result = sched.brute_force(slot, model, config.oracle_limit)
+    result = sched.brute_force(next(stream), model, config.oracle_limit)
     found = result.decision is not None
     record = {
         "slot": args.slot,
@@ -209,8 +207,9 @@ def _cmd_assess(args) -> int:
     replay = sim.replay(trace, build_quality_state(config), config.cam_threshold)
     _write_records(
         (
-            {"slot": t, "quality": [[fileio.round9(v) for v in row] for row in q.tolist()]}
-            for t, q in enumerate(replay)
+            {"slot": t,
+             "quality": [[fileio.round9(v) for v in row] for row in slot.quality.tolist()]}
+            for t, slot in enumerate(replay)
         ),
         args.out,
     )

@@ -97,7 +97,9 @@ class Key:
             if val is not None and (not isinstance(val, str) or "\0" in val):
                 raise ConfigError(f"{what} must be a string path without NUL bytes")
         elif self.kind is list:
-            val = _numbers(val, what, len(default))
+            if val is None and default is None:
+                return None  # absent or null: the built class's default applies
+            val = _numbers(val, what, default and len(default))
         else:
             val = _number(val, what, self.kind, self.low, self.high, self.strict)
         return val
@@ -121,9 +123,9 @@ def _number(val, what: str, kind: type = float, low=None, high=None, strict=Fals
     return val
 
 
-def _numbers(val, what: str, size: int) -> tuple[float, ...]:
-    if not isinstance(val, (list, tuple)) or len(val) != size:
-        raise ConfigError(f"{what} must list {size} numbers")
+def _numbers(val, what: str, size: int | None) -> tuple[float, ...]:
+    if not isinstance(val, (list, tuple)) or size not in (None, len(val)):
+        raise ConfigError(f"{what} must list {size or 'some'} numbers")
     return tuple(_number(v, what) for v in val)
 
 
@@ -148,7 +150,7 @@ _GA = (
     Key("penalty_latency", float, sched.DEFAULT_PENALTY, low=0.0),
     Key("seed", int, attr="rng_seed"),
 )
-# offsets default to one generated value per configured algorithm
+# absent offsets take SynthSpec's default for the configured algorithm count
 _SYNTH = (
     Key("horizon", int, _SPEC.horizon, low=0),
     Key("cam_rows", int, _SPEC.cam_rows, low=1),
@@ -248,7 +250,7 @@ def _parse_algorithm(i: int, entry, servers: tuple[EdgeServer, ...]) -> Enhancem
             if (server.gpu_capacity if kind == KIND_GPU else server.cpu_capacity) == 0.0:
                 rates["service_rate"][n] = 0.0
     try:
-        return EnhancementProfile(algorithm_id=i + 1, kind=kind, **rates)
+        return EnhancementProfile(kind=kind, **rates)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -292,16 +294,12 @@ def parse_config(text: str) -> RunConfig:
     ga = _build(GaConfig, "ga", doc.get("ga", {}), _GA, {"seed": seed})
     synth = _build(
         SynthSpec, "synth", doc.get("synth", {}), _SYNTH,
-        {"seed": seed, "offsets": _default_offsets(len(algorithms))},
+        {"seed": seed},
         num_devices=top["num_devices"],
         num_servers=len(servers),
         num_algorithms=len(algorithms),
     )
     return RunConfig(servers=servers, algorithms=algorithms, ga=ga, synth=synth, **top)
-
-
-def _default_offsets(k: int) -> tuple[float, ...]:
-    return tuple(round(v, 6) for v in np.linspace(0.30, 0.08, k))
 
 
 def parse_config_file(path: str | None) -> RunConfig:

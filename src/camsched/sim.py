@@ -7,7 +7,8 @@ over a slowly drifting scene, so stronger algorithms earn larger filtered
 differences and correlated accuracy feedback.
 
 Trace checks every stored slot value once and SlotData keeps them read-only,
-so run_slot checks only a CAM slot's newly assessed quality matrix.
+so assess_slot, the one way from a stored slot to a SlotInput, checks only a
+CAM slot's newly assessed quality matrix.
 """
 
 from __future__ import annotations
@@ -157,25 +158,30 @@ class RunSummary:
     mean_scheduler_seconds: float | None
 
 
-def assess_quality(slot: SlotData, state: QualityState, threshold: float) -> np.ndarray:
-    """Assessment stage: the slot's (M, K+1) quality against the current windows.
+def assess_slot(slot: SlotData, state: QualityState, threshold: float) -> SlotInput:
+    """Assessment stage: the slot as its scheduler sees it.
 
-    Every CAM of the slot is filtered once, and all (device, algorithm) pairs
-    are scored from those maps together; :func:`commit_windows` commits them.
+    A stored quality matrix is used as Trace checked it. A CAM slot's (M, K+1)
+    quality is scored against the current windows, every CAM filtered once
+    and all (device, algorithm) pairs scored together, then checked like a
+    stored one; :func:`commit_windows` commits it.
     """
-    if slot.quality is not None:
-        return slot.quality
-    return camq.enhancement_quality(state, slot.lowlight, slot.enhanced, threshold)
+    quality = slot.quality
+    if quality is None:
+        quality = camq.enhancement_quality(state, slot.lowlight, slot.enhanced, threshold)
+        check_slot_values(slot.datasize_bits, slot.bandwidth_bps, quality)
+        quality.setflags(write=False)
+    return camq.trusted(SlotInput, datasize_bits=slot.datasize_bits,
+                        bandwidth_bps=slot.bandwidth_bps, quality=quality)
 
 
 def commit_windows(
-    trace: Trace,
     slot: SlotData,
     state: QualityState,
     decision: Decision | None,
     rejected: frozenset[int],
 ) -> None:
-    """Commit stage: advance the windows past the CAMs :func:`assess_quality`
+    """Commit stage: advance the windows past the CAMs :func:`assess_slot`
     assessed, when the slot has CAMs.
 
     Windows advance for every algorithm each slot, not just the chosen one;
@@ -185,22 +191,21 @@ def commit_windows(
     if slot.lowlight is not None:
         camq.commit_slot(state)
     if slot.accuracy is not None and decision is not None:
-        for m in range(trace.num_devices):
-            if m in rejected:
-                continue
-            camq.record_accuracy(state, m, float(slot.accuracy[m, decision.algorithms[m]]))
+        for m, k in enumerate(decision.algorithms):
+            if m not in rejected:
+                camq.record_accuracy(state, m, float(slot.accuracy[m, k]))
 
 
-def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[np.ndarray]:
+def replay(trace: Trace, state: QualityState, threshold: float) -> Iterator[SlotInput]:
     """Walk the trace as if no algorithm ran: assess each slot, commit its
-    windows without accuracy feedback, then yield its quality matrix.
+    windows without accuracy feedback, then yield it as assessed.
 
     After n items the state holds exactly the windows of slots 0..n-1.
     """
-    for slot in trace.slots:
-        quality = assess_quality(slot, state, threshold)
-        commit_windows(trace, slot, state, None, frozenset())
-        yield quality
+    for data in trace.slots:
+        slot = assess_slot(data, state, threshold)
+        commit_windows(data, state, None, frozenset())
+        yield slot
 
 
 def run_slot(
@@ -226,13 +231,7 @@ def run_slot(
     if not 0 <= t < trace.horizon:
         raise TraceError(f"slot {t} outside trace horizon {trace.horizon}")
     slot_data = trace.slots[t]
-    quality = assess_quality(slot_data, state, threshold)
-    if slot_data.quality is None:
-        # Trace checked every stored value; a CAM slot's quality is new
-        check_slot_values(slot_data.datasize_bits, slot_data.bandwidth_bps, quality)
-        quality.setflags(write=False)
-    slot = camq.trusted(SlotInput, datasize_bits=slot_data.datasize_bits,
-                        bandwidth_bps=slot_data.bandwidth_bps, quality=quality)
+    slot = assess_slot(slot_data, state, threshold)
     # through the module attribute, where the benchmark's tracer counts it
     lat = sysmodel.latency_table(slot, model)
 
@@ -259,12 +258,12 @@ def run_slot(
 
     if report is None:
         report = check_feasibility(decision, slot, model, lat)
-    qualities = quality[np.arange(model.num_devices), decision.algorithms].tolist()
+    qualities = slot.quality[np.arange(model.num_devices), decision.algorithms].tolist()
     latencies, utilities = report.latencies.tolist(), report.utilities.tolist()
     for m in rejected:  # not served: no quality, infinite latency, -inf utility
         qualities[m], latencies[m], utilities[m] = 0.0, math.inf, -math.inf
 
-    commit_windows(trace, slot_data, state, decision, rejected)
+    commit_windows(slot_data, state, decision, rejected)
     return SlotMetrics(
         slot=t,
         decision=decision,
@@ -344,6 +343,8 @@ class SynthSpec:
     Each device films a smooth scene that drifts slot to slot; algorithm k
     lifts activations by offsets[k-1] plus small noise. Accuracy feedback
     rises with the offset, so better enhancement also means better analytics.
+    Without offsets, the K of them run evenly from 0.30 down to 0.08,
+    rounded to 6 places.
     """
 
     num_devices: int = 10
@@ -354,7 +355,7 @@ class SynthSpec:
     cam_cols: int = 16
     smoothness: float = 0.25            # coarse-grid fraction; lower is smoother
     drift: float = 0.05                 # per-slot scene movement, coarse-grid sigma
-    offsets: tuple[float, ...] = (0.30, 0.22, 0.14, 0.08)
+    offsets: tuple[float, ...] | None = None
     cam_noise: float = 0.02
     datasize_bits: tuple[float, float] = (15e6, 25e6)
     bandwidth_bps: tuple[float, float] = (20e6, 20e6)
@@ -372,6 +373,9 @@ class SynthSpec:
             raise ValidationError("CAM shape must be at least 1x1")
         if not 0.0 < self.smoothness <= 1.0:
             raise ValidationError("smoothness must lie in (0, 1]")
+        if self.offsets is None:
+            offsets = np.linspace(0.30, 0.08, self.num_algorithms).round(6)
+            object.__setattr__(self, "offsets", tuple(offsets.tolist()))
         if len(self.offsets) != self.num_algorithms:
             raise ValidationError("need one brightness offset per algorithm")
         for name in ("drift", "cam_noise", "accuracy_noise"):
@@ -390,9 +394,6 @@ class SynthSpec:
 def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:
     """Bilinear resize of coarse grids (..., cr, cc) into `out` (..., rows, cols)."""
     (cr, cc), (rows, cols) = coarse.shape[-2:], out.shape[-2:]
-    if cr == rows and cc == cols:
-        np.copyto(out, coarse)
-        return
     r = np.linspace(0.0, cr - 1.0, rows)
     c = np.linspace(0.0, cc - 1.0, cols)
     r0 = np.clip(np.floor(r).astype(int), 0, cr - 1)

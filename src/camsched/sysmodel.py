@@ -43,23 +43,21 @@ class EdgeServer:
             raise ValidationError("server needs at least one nonzero capacity pool")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnhancementProfile:
     """Per-server cost profile of one enhancement algorithm.
 
     demand_per_bit[n] is its compute demand on server n (units per input bit);
     service_rate[n] is the slice of server n reserved to run it, 0 meaning the
-    server cannot run this algorithm at all.
+    server cannot run this algorithm at all. A model's k-th profile is
+    algorithm k; algorithm 0 is the implicit no-enhancement choice.
     """
 
-    algorithm_id: int                  # 1..K; 0 is the implicit no-enhancement choice
     kind: str                          # "gpu" or "cpu": which pool it draws from
     demand_per_bit: np.ndarray         # shape (N,)
     service_rate: np.ndarray           # shape (N,)
 
     def __post_init__(self):
-        if self.algorithm_id < 1:
-            raise ValidationError("algorithm ids start at 1")
         if self.kind not in (KIND_GPU, KIND_CPU):
             raise ValidationError(f"unknown algorithm kind {self.kind!r}")
         for name in ("demand_per_bit", "service_rate"):
@@ -75,19 +73,6 @@ class EnhancementProfile:
     @property
     def pool(self) -> int:
         return GPU_POOL if self.kind == KIND_GPU else CPU_POOL
-
-    def __eq__(self, other):
-        # dataclass eq chokes on array fields; compare them elementwise
-        if not isinstance(other, EnhancementProfile):
-            return NotImplemented
-        return (
-            self.algorithm_id == other.algorithm_id
-            and self.kind == other.kind
-            and np.array_equal(self.demand_per_bit, other.demand_per_bit)
-            and np.array_equal(self.service_rate, other.service_rate)
-        )
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -128,15 +113,10 @@ class SystemModel:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if not self.servers:
             raise ValidationError("need at least one server")
-        for pos, prof in enumerate(self.profiles):
-            if prof.algorithm_id != pos + 1:
-                raise ValidationError(
-                    f"profile at position {pos} must carry algorithm id {pos + 1}"
-                )
+        for k, prof in enumerate(self.profiles, start=1):
             if len(prof.demand_per_bit) != len(self.servers):
                 raise ValidationError(
-                    f"algorithm {prof.algorithm_id}: per-server arrays must have "
-                    f"length {len(self.servers)}"
+                    f"algorithm {k}: per-server arrays must have length {len(self.servers)}"
                 )
 
     @property
@@ -164,8 +144,8 @@ class SystemModel:
     def service_matrix(self) -> np.ndarray:
         """(N, K+1) service rates; column 0 (no enhancement) is all zero."""
         mat = np.zeros((self.num_servers, self.num_algorithms + 1))
-        for prof in self.profiles:
-            mat[:, prof.algorithm_id] = prof.service_rate
+        for k, prof in enumerate(self.profiles, start=1):
+            mat[:, k] = prof.service_rate
         mat.setflags(write=False)
         return mat
 
@@ -173,8 +153,8 @@ class SystemModel:
     def demand_matrix(self) -> np.ndarray:
         """(N, K+1) compute demand per bit; column 0 is all zero."""
         mat = np.zeros((self.num_servers, self.num_algorithms + 1))
-        for prof in self.profiles:
-            mat[:, prof.algorithm_id] = prof.demand_per_bit
+        for k, prof in enumerate(self.profiles, start=1):
+            mat[:, k] = prof.demand_per_bit
         mat.setflags(write=False)
         return mat
 
@@ -182,8 +162,8 @@ class SystemModel:
     def pool_index(self) -> np.ndarray:
         """(K+1,) pool per algorithm; -1 for algorithm 0 which uses no pool."""
         idx = np.full(self.num_algorithms + 1, -1, dtype=np.int64)
-        for prof in self.profiles:
-            idx[prof.algorithm_id] = prof.pool
+        for k, prof in enumerate(self.profiles, start=1):
+            idx[k] = prof.pool
         idx.setflags(write=False)
         return idx
 

@@ -37,7 +37,7 @@ def one_link(datasize, bandwidth, phi=0.0, s=1.0, quality=0.0):
     time], and the check_feasibility report of running the algorithm."""
     model = SystemModel(
         (EdgeServer(8.0, 4.0),),
-        (EnhancementProfile(1, KIND_GPU, np.array([phi]), np.array([s])),),
+        (EnhancementProfile(KIND_GPU, np.array([phi]), np.array([s])),),
         ModelConstants(num_devices=1, overhead_latency_s=0.0),
     )
     slot = SlotInput(np.array([datasize]), np.array([[bandwidth]]),
@@ -108,7 +108,7 @@ def make_model(rng, num_devices, num_servers, num_algorithms,
             cpu = float(rng.uniform(2.0, 10.0))
         servers.append(EdgeServer(gpu_capacity=gpu, cpu_capacity=cpu))
     profiles = []
-    for k in range(1, num_algorithms + 1):
+    for _ in range(num_algorithms):
         kind = KIND_GPU if rng.random() < 0.5 else KIND_CPU
         # per-bit work scaled so enhancement lands around 0.05..9 s for the
         # datasize range below: some assignments fit the deadline, some not
@@ -119,7 +119,7 @@ def make_model(rng, num_devices, num_servers, num_algorithms,
             if pool_cap == 0.0 or rng.random() < zero_rate_frac:
                 rate[n] = 0.0
         profiles.append(EnhancementProfile(
-            algorithm_id=k, kind=kind,
+            kind=kind,
             demand_per_bit=demand, service_rate=rate,
         ))
     constants = ModelConstants(
@@ -186,12 +186,12 @@ def oracle_gap_instance(seed):
     )
     profiles = (
         EnhancementProfile(
-            algorithm_id=1, kind=KIND_GPU,
+            kind=KIND_GPU,
             demand_per_bit=rng.uniform(0.5e-6, 5e-6, 2),
             service_rate=rng.uniform(2.3, 3.8, 2),
         ),
         EnhancementProfile(
-            algorithm_id=2, kind=KIND_CPU,
+            kind=KIND_CPU,
             demand_per_bit=rng.uniform(0.5e-6, 5e-6, 2),
             service_rate=rng.uniform(2.3, 3.8, 2),
         ),

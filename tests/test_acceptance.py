@@ -178,7 +178,7 @@ def test_criterion_2_exact_arithmetic(capsys):
     hand.append(("transmission zero data", one_link(0.0, 5.0)[0][0], 0.0))
     hand.append(("transmission dead link", one_link(1e6, 0.0)[0][0], math.inf))
 
-    prof = EnhancementProfile(1, KIND_GPU, np.array([2e-7, 4e-7]), np.array([2.0, 1.0]))
+    prof = EnhancementProfile(KIND_GPU, np.array([2e-7, 4e-7]), np.array([2.0, 1.0]))
     hand.append(("enhancement", enhancement_time(1e6, 2e-7, 2.0), 0.1))
     hand.append(("enhancement no worker", enhancement_time(1e6, 2e-7, 0.0), math.inf))
 
@@ -186,7 +186,7 @@ def test_criterion_2_exact_arithmetic(capsys):
         (EdgeServer(8.0, 4.0), EdgeServer(4.0, 8.0)),
         (
             prof,
-            EnhancementProfile(2, KIND_CPU, np.array([1e-7, 1e-7]), np.array([4.0, 2.0])),
+            EnhancementProfile(KIND_CPU, np.array([1e-7, 1e-7]), np.array([4.0, 2.0])),
         ),
         ModelConstants(num_devices=2, overhead_latency_s=0.2),
     )
@@ -588,8 +588,8 @@ def dominance_model():
         for _ in range(3)
     )
     profiles = tuple(
-        EnhancementProfile(k, kind, rng.uniform(5e-8, 4e-7, 3), rng.uniform(2.5, 4.0, 3))
-        for k, kind in ((1, KIND_GPU), (2, KIND_CPU), (3, KIND_GPU))
+        EnhancementProfile(kind, rng.uniform(5e-8, 4e-7, 3), rng.uniform(2.5, 4.0, 3))
+        for kind in (KIND_GPU, KIND_CPU, KIND_GPU)
     )
     return SystemModel(servers, profiles, ModelConstants(num_devices=5))
 

@@ -361,8 +361,8 @@ def test_slots_after_uneven_feedback_match_the_reference(shapes, depth, feedback
     seen = {}
     for slot in warm.slots:
         want = ref_assess_quality(warm, slot, ref, 0.4)
-        assert hex_matrix(sim.assess_quality(slot, state, 0.4)) == hex_matrix(want)
-        sim.commit_windows(warm, slot, state, None, frozenset())
+        assert hex_matrix(sim.assess_slot(slot, state, 0.4).quality) == hex_matrix(want)
+        sim.commit_windows(slot, state, None, frozenset())
         ref_commit_windows(warm, slot, ref, None, frozenset(), 0.4)
         for d in rng.permutation(m).tolist():
             for _ in range(int(rng.integers(0, depth + 2))):
@@ -372,7 +372,7 @@ def test_slots_after_uneven_feedback_match_the_reference(shapes, depth, feedback
         assert hex_windows(state, seen) == hex_windows(ref, seen)
     for t, slot in enumerate(trace.slots):
         want = ref_assess_quality(trace, slot, ref, 0.4)
-        got = sim.assess_quality(slot, state, 0.4)
+        got = sim.assess_slot(slot, state, 0.4).quality
         assert hex_matrix(got) == hex_matrix(want)
         metrics = sim.run_slot(t, trace, state, model, "capacity", threshold=0.4)
         ref_commit_windows(trace, slot, ref, metrics.decision, metrics.rejected, 0.4)

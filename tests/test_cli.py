@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camsched import cli
+from camsched.camq import CamMap
 from camsched.config import (
     build_model,
     build_quality_state,
@@ -72,7 +73,7 @@ def test_empty_config_gives_defaults():
 
 
 def test_empty_object_equals_empty_string():
-    assert parse_config("") == parse_config("{}")
+    assert emit_config(parse_config("")) == emit_config(parse_config("{}"))
 
 
 def test_unknown_key_is_named():
@@ -279,7 +280,7 @@ def test_metrics_infinities_survive_round_trip(tmp_path):
         EdgeServer, EnhancementProfile, KIND_GPU, ModelConstants, SystemModel,
     )
     servers = (EdgeServer(5.0, 100.0),)
-    profiles = (EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([5.0])),)
+    profiles = (EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([5.0])),)
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     data = SlotData(
         datasize_bits=np.full(2, 1e6),
@@ -547,6 +548,36 @@ def test_cli_assess_clamps_a_cam_score_past_the_float_range(tmp_path):
         # the other algorithms' maps and scores do not depend on the offset
         assert [row[:1] + row[2:] for row in got["quality"]] == \
             [row[:1] + row[2:] for row in want["quality"]]
+
+
+@pytest.mark.parametrize("horizon,command", [
+    (2, ["assess"]), (2, ["assess", "--out", "q.jsonl"]), (2, ["simulate", "--out", "m.jsonl"]),
+    (2, ["schedule", "--slot", "1"]), (2, ["oracle", "--slot", "1"]),
+    # a slot after the NaN one replays it first, as simulate runs it first
+    (3, ["schedule", "--slot", "2"]), (3, ["oracle", "--slot", "2"]),
+], ids=["assess", "assess-out", "simulate", "schedule", "oracle",
+        "schedule-after", "oracle-after"])
+def test_cli_rejects_a_cam_slot_that_assesses_to_nan(tmp_path, capsys, horizon, command):
+    # one device at the default roster. Slot 0's enhanced maps hold 1.7e308
+    # in the top rows and slot 1's in the bottom rows, so slot 1's numerator
+    # and variation are both +inf and its quality NaN; a third slot's maps
+    # equal its low-light map
+    bright = (slice(0, 2), slice(2, 4), slice(0, 0))
+    slots = []
+    for t in range(horizon):
+        enhanced = np.full((4, 4), 0.5)
+        enhanced[bright[t]] = 1.7e308
+        slots.append(SlotData(np.full(1, 1e6), np.full((1, 4), 2e7),
+                              lowlight=(CamMap(np.full((4, 4), 0.5)),),
+                              enhanced=((CamMap(enhanced),) * 4,)))
+    manifest = save_trace(Trace(1, 4, 4, tuple(slots)), str(tmp_path / "t"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": 1}))
+    command = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in command]
+    code = run_cli(command + ["--config", str(cfg), "--trace", manifest])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: quality scores must be finite\n")
+    assert not (tmp_path / "q.jsonl").exists() and not (tmp_path / "m.jsonl").exists()
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)

@@ -189,6 +189,21 @@ def test_every_scalar_key_is_in_the_matrix():
             assert key in listed
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_synth_spec_and_config_default_to_the_same_offsets(tmp_path, capsys, k):
+    doc = {"servers": [{"gpu_capacity": 8.0, "cpu_capacity": 8.0}],
+           "algorithms": [{"kind": "gpu", "demand_per_bit": 1e-7, "service_rate": 2.0}] * k}
+    synth = parse_config(json.dumps(doc)).synth
+    spec = SynthSpec(num_servers=1, num_algorithms=k, seed=synth.seed)
+    assert spec == synth and len(spec.offsets) == k
+    assert all(type(v) is float for v in spec.offsets)
+    # offsets of the wrong length are one error line, from the spec's own check
+    doc["synth"] = {"offsets": [0.3] * (k + 1)}
+    code, out, err = show_config(tmp_path, capsys, doc)
+    assert (code, out) == (1, "")
+    assert err == "error: synth: need one brightness offset per algorithm\n"
+
+
 def test_negative_generator_seed_is_one_error_line(tmp_path, capsys):
     with pytest.raises(ValidationError, match="seed"):
         SynthSpec(seed=-1)

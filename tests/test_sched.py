@@ -67,7 +67,7 @@ def free_enhancer_model(num_devices=1, overhead=0.0):
     """One server, one algorithm whose enhancement takes zero seconds."""
     servers = (EdgeServer(gpu_capacity=8.0, cpu_capacity=4.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([1.0])),
+        EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([1.0])),
     )
     constants = ModelConstants(
         num_devices=num_devices, overhead_latency_s=overhead,
@@ -167,7 +167,7 @@ def test_fitness_latency_penalty_example():
 def test_fitness_capacity_penalty_example():
     # gpu load 10 on capacity 8: overload 2, normalized 0.25, weight 100 -> -25
     servers = (EdgeServer(8.0, 4.0),)
-    profiles = (EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([5.0])),)
+    profiles = (EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([5.0])),)
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     slot = slot_for(model, [0.0, 0.0], 20e6, [[0.0, 1.0], [0.0, 1.0]])
     fitness, raw, feasible = packed_fitness(
@@ -621,9 +621,9 @@ def reachable_instance(num_devices, seed, capacities=FIVE_SERVERS):
     model = SystemModel(
         tuple(EdgeServer(gpu, cpu) for gpu, cpu in capacities),
         tuple(
-            EnhancementProfile(k, kind, rng.uniform(2e-7, 2e-6, num_servers),
+            EnhancementProfile(kind, rng.uniform(2e-7, 2e-6, num_servers),
                                rng.uniform(1.0, 4.0, num_servers))
-            for k, kind in ((1, KIND_GPU), (2, KIND_CPU))
+            for kind in (KIND_GPU, KIND_CPU)
         ),
         ModelConstants(num_devices=num_devices),
     )
@@ -727,7 +727,7 @@ def test_brute_force_lexicographic_tie_break():
     # the reported optimum must be the lexicographically smallest genome
     servers = (EdgeServer(4.0, 4.0), EdgeServer(4.0, 4.0))
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1.0, 1.0]), np.array([1.0, 1.0])),
+        EnhancementProfile(KIND_GPU, np.array([1.0, 1.0]), np.array([1.0, 1.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=3))
     slot = SlotInput(
@@ -743,7 +743,7 @@ def test_brute_force_prefers_passthrough_when_deadline_blocks_enhancement():
     # enhancement always blows the 4 s deadline; k=0 fits comfortably
     servers = (EdgeServer(8.0, 8.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1e4]), np.array([1.0])),
+        EnhancementProfile(KIND_GPU, np.array([1e4]), np.array([1.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     quality = np.array([[0.0, 9.0], [0.0, 9.0]])
@@ -836,9 +836,9 @@ def oracle_case(servers, profiles, d, b, q, max_latency_s=4.0, overhead=0.05):
     model = SystemModel(
         tuple(EdgeServer(gpu, cpu) for gpu, cpu in servers),
         tuple(
-            EnhancementProfile(k + 1, kind, np.asarray(demand, dtype=float),
+            EnhancementProfile(kind, np.asarray(demand, dtype=float),
                                np.asarray(rate, dtype=float))
-            for k, (kind, demand, rate) in enumerate(profiles)
+            for kind, demand, rate in profiles
         ),
         ModelConstants(num_devices=len(d), overhead_latency_s=overhead,
                        latency_weight=0.5, max_latency_s=max_latency_s),
@@ -1115,8 +1115,8 @@ def test_a_shared_latency_table_changes_no_answer(instance, data):
 def test_capacity_baseline_ample_capacity_takes_argmax_q():
     servers = (EdgeServer(100.0, 100.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([1.0])),
-        EnhancementProfile(2, KIND_CPU, np.array([0.0]), np.array([1.0])),
+        EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([1.0])),
+        EnhancementProfile(KIND_CPU, np.array([0.0]), np.array([1.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=3))
     quality = np.array([
@@ -1139,7 +1139,7 @@ def test_capacity_baseline_hand_traced_contention():
     # device 0 books server 0; device 1 finds no residual and is rejected.
     servers = (EdgeServer(5.0, 100.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([5.0])),
+        EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([5.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     quality = np.array([[0.0, 0.9], [0.0, 0.9]])
@@ -1158,7 +1158,7 @@ def test_capacity_baseline_zero_capacity_rejects_enhancers():
     # the only pool that backs the preferred algorithm has zero room
     servers = (EdgeServer(0.0, 10.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([0.0])),
+        EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([0.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     quality = np.array([[0.0, 0.9], [0.0, 0.0]])

@@ -46,7 +46,7 @@ def tiny_model(num_devices=2, overhead=0.05):
     servers = (EdgeServer(8.0, 4.0), EdgeServer(4.0, 8.0))
     profiles = (
         EnhancementProfile(
-            1, KIND_GPU, np.array([1e-7, 2e-7]), np.array([4.0, 2.0])
+            KIND_GPU, np.array([1e-7, 2e-7]), np.array([4.0, 2.0])
         ),
     )
     constants = ModelConstants(
@@ -117,7 +117,7 @@ def test_ga_deterministic_from_fresh_state():
 def test_rejected_device_accounting():
     # single server whose gpu pool fits one enhancement reservation
     servers = (EdgeServer(5.0, 100.0),)
-    profiles = (EnhancementProfile(1, KIND_GPU, np.array([0.0]), np.array([5.0])),)
+    profiles = (EnhancementProfile(KIND_GPU, np.array([0.0]), np.array([5.0])),)
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     q = np.array([[0.0, 0.9], [0.0, 0.9]])
     data = SlotData(
@@ -154,8 +154,7 @@ def test_every_total_is_the_one_report_sum_at_scale(devices, seed):
     for scheduler in ("ga", "capacity", "none"):
         state = build_quality_state(config)
         for t, data in enumerate(trace.slots):
-            quality = sim.assess_quality(data, state, config.cam_threshold)
-            slot = SlotInput(data.datasize_bits, data.bandwidth_bps, quality)
+            slot = sim.assess_slot(data, state, config.cam_threshold)
             metrics = run_slot(t, trace, state, model, scheduler, config.ga,
                                config.cam_threshold)
             if not metrics.rejected:
@@ -233,8 +232,8 @@ def test_cam_windows_hold_exactly_depth_after_warmup():
     model = tiny_model()
     servers = (EdgeServer(8.0, 4.0), EdgeServer(4.0, 8.0))
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1e-7, 2e-7]), np.array([4.0, 2.0])),
-        EnhancementProfile(2, KIND_GPU, np.array([1e-7, 2e-7]), np.array([2.0, 1.0])),
+        EnhancementProfile(KIND_GPU, np.array([1e-7, 2e-7]), np.array([4.0, 2.0])),
+        EnhancementProfile(KIND_GPU, np.array([1e-7, 2e-7]), np.array([2.0, 1.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     state = QualityState(2, 2, window_depth=5)
@@ -271,8 +270,8 @@ def gpu_roster_model(num_devices, num_algorithms=4):
     """One server whose 8-unit gpu pool holds two 4-unit reservations, so the
     capacity matcher rejects every enhancing device after the second."""
     profiles = tuple(
-        EnhancementProfile(k, KIND_GPU, np.array([1e-8]), np.array([4.0]))
-        for k in range(1, num_algorithms + 1)
+        EnhancementProfile(KIND_GPU, np.array([1e-8]), np.array([4.0]))
+        for _ in range(num_algorithms)
     )
     return SystemModel((EdgeServer(8.0, 8.0),), profiles,
                        ModelConstants(num_devices=num_devices))
@@ -380,7 +379,7 @@ def test_slot_assessment_matches_per_pair_reference(shapes, threshold, feedback)
     for slot, got in zip(trace.slots, sim.replay(trace, state, threshold)):
         want = ref_assess_quality(trace, slot, ref, threshold)
         ref_commit_windows(trace, slot, ref, None, frozenset(), threshold)
-        assert hex_matrix(got) == hex_matrix(want)
+        assert hex_matrix(got.quality) == hex_matrix(want)
         assert hex_windows(state, seen) == hex_windows(ref, seen)
 
 

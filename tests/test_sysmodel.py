@@ -42,12 +42,12 @@ def two_server_model(overhead=0.05, max_latency=4.0, gpu_caps=(8.0, 8.0)):
     )
     profiles = (
         EnhancementProfile(
-            algorithm_id=1, kind=KIND_GPU,
+            kind=KIND_GPU,
             demand_per_bit=np.array([100.0, 100.0]),
             service_rate=np.array([4e9, 5.0]),
         ),
         EnhancementProfile(
-            algorithm_id=2, kind=KIND_CPU,
+            kind=KIND_CPU,
             demand_per_bit=np.array([50.0, 50.0]),
             service_rate=np.array([2e9, 0.0]),
         ),
@@ -189,7 +189,7 @@ def test_utility_strictly_decreasing_in_latency():
 def test_loads_two_devices_one_gpu_server():
     servers = (EdgeServer(4.0, 4.0), EdgeServer(12.0, 4.0))
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1.0, 1.0]), np.array([5.0, 5.0])),
+        EnhancementProfile(KIND_GPU, np.array([1.0, 1.0]), np.array([5.0, 5.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     decision = Decision(servers=(1, 1), algorithms=(1, 1))
@@ -252,7 +252,7 @@ def test_deadline_excess_example():
 def test_capacity_overload_example():
     servers = (EdgeServer(8.0, 4.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1e-9]), np.array([5.0])),
+        EnhancementProfile(KIND_GPU, np.array([1e-9]), np.array([5.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     slot = basic_slot(model, d=(1e6, 1e6), b=1e9)
@@ -266,7 +266,7 @@ def test_capacity_boundary_is_inclusive():
     # load exactly equal to capacity is allowed: constraint is <=
     servers = (EdgeServer(10.0, 4.0),)
     profiles = (
-        EnhancementProfile(1, KIND_GPU, np.array([1e-9]), np.array([5.0])),
+        EnhancementProfile(KIND_GPU, np.array([1e-9]), np.array([5.0])),
     )
     model = SystemModel(servers, profiles, ModelConstants(num_devices=2))
     slot = basic_slot(model, d=(1e6, 1e6), b=1e9)
@@ -406,11 +406,9 @@ def test_edge_server_rejects_a_capacity_that_is_not_finite(gpu, cpu):
 
 def test_profile_validation():
     with pytest.raises(ValidationError):
-        EnhancementProfile(0, KIND_GPU, np.array([1.0]), np.array([1.0]))
+        EnhancementProfile("tpu", np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValidationError):
-        EnhancementProfile(1, "tpu", np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValidationError):
-        EnhancementProfile(1, KIND_GPU, np.array([-1.0]), np.array([1.0]))
+        EnhancementProfile(KIND_GPU, np.array([-1.0]), np.array([1.0]))
 
 
 def test_constants_validation():
@@ -453,11 +451,3 @@ def test_slot_input_validation():
         SlotInput(good.datasize_bits[:1], good.bandwidth_bps, good.quality)
     with pytest.raises(ValidationError):
         SlotInput(-good.datasize_bits - 1.0, good.bandwidth_bps, good.quality)
-
-
-def test_model_requires_ordered_profile_ids():
-    servers = (EdgeServer(1.0, 1.0),)
-    p1 = EnhancementProfile(1, KIND_GPU, np.array([1.0]), np.array([1.0]))
-    p3 = EnhancementProfile(3, KIND_GPU, np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValidationError):
-        SystemModel((servers[0],), (p1, p3), ModelConstants(num_devices=1))
