@@ -7,7 +7,6 @@ and file formats plus CLI (fileio, config, cli).
 """
 
 from .camq import (
-    CamMap,
     QualityState,
     commit_slot,
     enhancement_quality,

@@ -9,7 +9,7 @@ activations churn from chunk to chunk scores low even if the gain is large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +24,10 @@ DEFAULT_QUALITY_CAP = 10.0  # symmetric clamp on the final score
 
 
 def trusted(cls, **fields):
-    """An instance of CamMap or SlotInput over arrays used as is.
+    """An instance of SlotInput over arrays used as is.
 
     It skips __post_init__'s checks and copy, so the caller must hand over
-    read-only float64 arrays that already hold the class's invariant: a CAM
-    file's checked values, or checked slot values.
+    read-only float64 arrays that already hold the class's invariant.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -36,37 +35,46 @@ def trusted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
-class CamMap:
-    """Dense activation heatmap; finite, non-negative, at least 1x1."""
+def check_cams(values: np.ndarray, where: str = "") -> None:
+    """Raise ValidationError, its message led by `where`, unless every CAM
+    value is finite and non-negative.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"CAM must be a 2-D matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("CAM values must be finite")
-        if (arr < 0.0).any():
-            raise ValidationError("CAM values must be non-negative")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+    One min and one max pass pass good values (a NaN makes the min NaN, which
+    fails too); only failing ones are scanned again, so that a value that
+    breaks both rules is reported as not finite.
+    """
+    if values.min() >= 0.0 and values.max() < math.inf:
+        return
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{where}CAM values must be finite")
+    raise ValidationError(f"{where}CAM values must be non-negative")
 
 
-def filter_cam(cam: CamMap, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """The map's cells strictly above the threshold, the rest zeroed, as a
-    read-only float64 array of the map's shape."""
-    if not np.isfinite(threshold):
+def filter_cam(cams: np.ndarray, threshold: float = DEFAULT_THRESHOLD,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The cells of CAM values strictly above the threshold, the rest zeroed:
+    one map or a stack of maps, of finite non-negative values.
+
+    The result goes into `out` when it is given, an array of the input's
+    shape, and is returned; otherwise it is a new read-only float64 array.
+    """
+    if not math.isfinite(threshold):
         raise ValidationError("threshold must be finite")
-    vals = np.where(cam.values > threshold, cam.values, 0.0)
-    vals.setflags(write=False)
-    return vals
+    given = out is not None
+    if not given:
+        cams = np.asarray(cams, dtype=np.float64)
+        out = np.empty(cams.shape)
+    if threshold < 0.0:
+        np.copyto(out, cams)  # every value lies above it
+    else:
+        # a kept value lies above 0.0, so adding 0.0 leaves it as it is and
+        # only turns a zeroed -0.0 into 0.0, as np.where would zero it; the
+        # product runs far faster than np.where's branch per cell
+        np.multiply(cams, cams > threshold, out=out)
+        out += 0.0
+    if not given:
+        out.setflags(write=False)
+    return out
 
 
 # float64 cells a scoring step works on at once: its scratch array stays in
@@ -77,23 +85,25 @@ _CHUNK_CELLS = 1 << 14
 class _Windows:
     """Ring storage for the CAM windows of the devices whose maps have one shape.
 
-    Its rows are the (device, algorithm) pairs of `devices`, device-major,
-    K rows a device, each map flattened to rows*cols cells. The ring has
-    depth + 1 columns, each a (rows, cells) array; the state's head and fill
-    place every row's stored entries in it. A column per array keeps each
-    window position contiguous across rows, and no allocation larger than
-    one column.
+    The ring has depth + 1 columns, each a (devices, K+1, rows*cols) array
+    of filtered maps: a device's low-light map, then one map per algorithm.
+    The state's head and fill place every pair's stored entries in it; only
+    the head column's low-light maps are read. A column per array keeps each
+    window position contiguous across devices, and no allocation larger
+    than one column. `maps` views each column as (devices, K+1, rows, cols),
+    the shape a device's CAM stack is filtered into.
     """
 
     def __init__(self, shape: tuple[int, int], devices: list[int], num_algorithms: int,
                  depth: int):
         self.shape = shape
         self.devices = devices
-        cells = shape[0] * shape[1]
-        self.ring = [np.zeros((len(devices) * num_algorithms, cells)) for _ in range(depth + 1)]
+        k, cells = num_algorithms, math.prod(shape)
+        self.ring = [np.zeros((len(devices), k + 1, cells)) for _ in range(depth + 1)]
+        self.maps = [column.reshape(len(devices), k + 1, *shape) for column in self.ring]
         # devices scored a few at a time, in one reused scratch array
-        self.per_chunk = max(1, _CHUNK_CELLS // (num_algorithms * cells))
-        self.work = np.empty((min(self.per_chunk, len(devices)) * num_algorithms, cells))
+        self.per_chunk = max(1, _CHUNK_CELLS // (k * cells))
+        self.work = np.empty((min(self.per_chunk, len(devices)), k, cells))
 
 
 class QualityState:
@@ -165,83 +175,75 @@ def _rolling_accuracies(state: QualityState) -> np.ndarray:
     return np.where(fill > 0, total / np.maximum(fill, 1), state.default_accuracy)
 
 
-def _score(state: QualityState, windows: _Windows, lows: list[np.ndarray],
-           accuracy: np.ndarray) -> np.ndarray:
-    """Quality of every pair in the ring, in row order, from the enhanced
-    maps in the head column and each device's filtered low-light map `lows`.
+def _score(state: QualityState, windows: _Windows, accuracy: np.ndarray) -> np.ndarray:
+    """The (devices, K) quality of every pair in the ring, from the maps in
+    the head column.
 
     The accuracy-weighted filtered difference over the variation against the
     pair's window, summed oldest entry first, floored and clamped. The
     variation is taken one window position at a time.
     """
     k, depth, head = state.num_algorithms, state.window_depth, state._head
-    ring, devices = windows.ring, windows.devices
-    enhanced = ring[head]
-    numerator, total = np.empty(len(enhanced)), np.zeros(len(enhanced))
-    for first in range(0, len(devices), windows.per_chunk):
-        chunk = devices[first:first + windows.per_chunk]
-        lo, hi = first * k, (first + len(chunk)) * k
-        enh, buf = enhanced[lo:hi], windows.work[:hi - lo]
-        for i, device in enumerate(chunk):
-            np.subtract(enh[i * k:(i + 1) * k], lows[device].reshape(-1),
-                        out=buf[i * k:(i + 1) * k])
-        numerator[lo:hi] = buf.sum(-1)
+    ring, step = windows.ring, windows.per_chunk
+    lowlight, enhanced = ring[head][:, :1], ring[head][:, 1:]
+    numerator, total = np.empty((len(enhanced), k)), np.zeros((len(enhanced), k))
+    for lo in range(0, len(enhanced), step):
+        enh = enhanced[lo:lo + step]
+        buf = windows.work[:len(enh)]
+        np.subtract(enh, lowlight[lo:lo + step], out=buf)
+        numerator[lo:lo + step] = buf.sum(-1)
         for age in range(depth - state._fill, depth):
-            np.subtract(enh, ring[(head - depth + age) % (depth + 1)][lo:hi], out=buf)
+            np.subtract(enh, ring[(head - depth + age) % (depth + 1)][lo:lo + step, 1:], out=buf)
             np.abs(buf, out=buf)
-            total[lo:hi] += buf.sum(-1)
+            total[lo:lo + step] += buf.sum(-1)
     denom = np.maximum(total, state.denom_floor)
-    score = np.repeat(accuracy[devices], k) * numerator / denom
+    score = accuracy[windows.devices, None] * numerator / denom
     return np.minimum(np.maximum(score, -state.quality_cap), state.quality_cap)
 
 
 def enhancement_quality(
     state: QualityState,
-    lowlight: Sequence[CamMap],
-    enhanced: Sequence[Sequence[CamMap]],
+    cams: Sequence[np.ndarray],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> np.ndarray:
     """One slot's (devices, K+1) quality matrix against the current windows.
 
-    `lowlight` holds one map per device of the state and `enhanced[m]` one
-    per algorithm k = 1..K, every map of a device in the shape it had at the
-    state's first slot. Column 0, sending the raw chunk, is always 0. Each
-    map is filtered once, straight into its pair's ring, and all pairs of a
-    shape are scored together. :func:`commit_slot` then makes the assessed
-    maps the windows' newest entries.
+    `cams[m]` is device m's (K+1, rows, cols) stack of finite, non-negative
+    CAM values: its low-light map, then one enhanced map per algorithm
+    k = 1..K, in the shape its maps had at the state's first slot. Column 0,
+    sending the raw chunk, is always 0. Each device's stack is filtered in
+    one call, straight into its rows of the ring, and all pairs of a shape
+    are scored together. :func:`commit_slot` then makes the assessed maps
+    the windows' newest entries.
 
     A sum past the float range clamps to the cap; a NaN score is left for
     the caller's finite check.
     """
     m, k = state.num_devices, state.num_algorithms
-    if len(lowlight) != m or len(enhanced) != m or any(len(maps) != k for maps in enhanced):
+    if len(cams) != m or any(len(stack) != k + 1 for stack in cams):
         raise ValidationError(
             f"a slot needs one low-light map and {k} enhanced maps for each of {m} devices"
         )
     state._pending = False  # until this slot's maps are all in the head column
-    lows = [filter_cam(cam, threshold) for cam in lowlight]
     quality = np.zeros((m, k + 1))
     if k and state._windows is None:
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for device, low in enumerate(lows):
-            by_shape.setdefault(low.shape, []).append(device)
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for device, stack in enumerate(cams):
+            by_shape.setdefault(stack.shape[1:], []).append(device)
         state._windows = tuple(_Windows(shape, devices, k, state.window_depth)
                                for shape, devices in by_shape.items())
     accuracy = _rolling_accuracies(state)
     for windows in state._windows or ():
-        column = windows.ring[state._head]
+        column, shape = windows.maps[state._head], (k + 1, *windows.shape)
         for i, device in enumerate(windows.devices):
-            for cam in (lowlight[device], *enhanced[device]):
-                if cam.shape != windows.shape:
-                    raise ShapeMismatchError(
-                        f"device {device}: CAM shapes differ: {cam.shape} vs {windows.shape}"
-                    )
-            for a, cam in enumerate(enhanced[device]):
-                # filtered one at a time, so no enhanced map outlives its row
-                column[i * k + a] = filter_cam(cam, threshold).reshape(-1)
+            stack = cams[device]
+            if stack.shape != shape:
+                raise ShapeMismatchError(
+                    f"device {device}: CAM shapes differ: {stack.shape[1:]} vs {windows.shape}"
+                )
+            filter_cam(stack, threshold, column[i])
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = _score(state, windows, lows, accuracy)
-        quality[windows.devices, 1:] = scores.reshape(len(windows.devices), k)
+            quality[windows.devices, 1:] = _score(state, windows, accuracy)
     state._pending = True
     return quality
 

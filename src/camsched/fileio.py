@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camq import CamMap, trusted
+from .camq import check_cams
 from .errors import TraceError, ValidationError
 from .sim import RunSummary, SlotData, SlotMetrics, Trace
 
@@ -47,10 +47,7 @@ def load_cam(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: not a .npy file")
     # no copy for a C-order <f8 file; anything else is copied once, whole
     values = np.ascontiguousarray(_npy_array(raw, path), dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{path}: CAM values must be finite")
-    if (values < 0.0).any():
-        raise ValidationError(f"{path}: CAM values must be non-negative")
+    check_cams(values, f"{path}: ")
     values.setflags(write=False)
     return values
 
@@ -94,15 +91,17 @@ def _npy_array(raw: bytes, path: str) -> np.ndarray:
     return values.reshape(shape, order="F" if fortran_order else "C")
 
 
-def save_cam(maps: Sequence[np.ndarray], path: str) -> None:
-    """Write one device's equal-shape 2-D maps as one C-order `<f8` `.npy`
-    array of shape (maps, rows, cols), map by map, so no copy of the whole
-    stack is made; `path` is used as it is given."""
-    header = {"descr": "<f8", "fortran_order": False, "shape": (len(maps), *maps[0].shape)}
+def save_cam(stacks: Sequence[np.ndarray], path: str) -> None:
+    """Write one device's (maps, rows, cols) CAM stacks, of one map shape, as
+    one C-order `<f8` `.npy` stack of all their maps in turn; `path` is used
+    as it is given. The stacks are written one after another, so no copy of
+    the whole stack is made."""
+    shape = (sum(len(stack) for stack in stacks), *stacks[0].shape[1:])
     with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for values in maps:
-            fh.write(np.ascontiguousarray(values, dtype="<f8"))
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        for stack in stacks:
+            fh.write(np.ascontiguousarray(stack, dtype="<f8"))
 
 
 def _stack_name(device: int) -> str:
@@ -112,7 +111,7 @@ def _stack_name(device: int) -> str:
 
 def _slot_to_manifest(slot: SlotData, first: int) -> dict:
     """One slot's manifest entry; a CAM slot's maps sit at `first` onwards in
-    each device's stack, low-light first, then k = 1..K."""
+    each device's stack, in the order of the slot's own stacks."""
     entry: dict = {
         "datasize_bits": [round9(v) for v in slot.datasize_bits.tolist()],
         "bandwidth_bps": [
@@ -123,10 +122,10 @@ def _slot_to_manifest(slot: SlotData, first: int) -> dict:
         entry["quality"] = [[round9(v) for v in row] for row in slot.quality.tolist()]
     else:
         entry["cams"] = {
-            "lowlight": [[_stack_name(m), first] for m in range(len(slot.lowlight))],
+            "lowlight": [[_stack_name(m), first] for m in range(len(slot.cams))],
             "enhanced": [
-                [[_stack_name(m), first + k] for k in range(1, len(per_alg) + 1)]
-                for m, per_alg in enumerate(slot.enhanced)
+                [[_stack_name(m), first + k] for k in range(1, len(stack))]
+                for m, stack in enumerate(slot.cams)
             ],
         }
     if slot.accuracy is not None:
@@ -149,15 +148,13 @@ def save_trace(trace: Trace, out_dir: str) -> str:
     entries, cam_slots = [], []
     for slot in trace.slots:
         entries.append(_slot_to_manifest(slot, len(cam_slots) * (1 + trace.num_algorithms)))
-        if slot.lowlight is not None:
+        if slot.cams is not None:
             cam_slots.append(slot)
     if cam_slots:
         os.makedirs(os.path.join(out_dir, "cams"), exist_ok=True)
         for m in range(trace.num_devices):
             # the order _slot_to_manifest indexes
-            save_cam([cam.values for slot in cam_slots
-                      for cam in (slot.lowlight[m], *slot.enhanced[m])],
-                     os.path.join(out_dir, _stack_name(m)))
+            save_cam([slot.cams[m] for slot in cam_slots], os.path.join(out_dir, _stack_name(m)))
     manifest = {
         "devices": trace.num_devices,
         "servers": trace.num_servers,
@@ -181,35 +178,55 @@ class _CamFiles:
     """The CAM stacks of one trace directory, each read and checked once.
 
     A manifest reference is a [file, index] pair, for map `index` of the
-    stack in `file`; a map is a read-only view of its stack's checked array.
-    Stacks are kept by file name, so a file's path is joined once.
+    stack in `file`; what it names is a read-only view of that stack's
+    checked array. Stacks are kept by file name, so a file's path is joined
+    once.
     """
 
     def __init__(self, base: str):
         self.base = base
         self.stacks: dict[str, np.ndarray] = {}  # by file name
 
-    def map(self, ref) -> CamMap:
+    def stack(self, name: str) -> np.ndarray:
+        if name not in self.stacks:
+            self.stacks[name] = load_cam(os.path.join(self.base, name))
+        return self.stacks[name]
+
+    def map(self, ref) -> np.ndarray:
         if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
             # a bare file name, as the retired single-map layout wrote; named
             # as a path, like the file of every other CAM error
             shown = os.path.join(self.base, ref) if isinstance(ref, str) else ref
             raise ValidationError(f"{shown!r} is not a [file, index] CAM reference")
         name, index = ref
-        stack = self.stacks.get(name)
-        if stack is None:
-            stack = self.stacks[name] = load_cam(os.path.join(self.base, name))
+        stack = self.stack(name)
         # a JSON true is a Python bool, which is an int
         if type(index) is not int or not 0 <= index < len(stack):
             raise ValidationError(
                 f"{os.path.join(self.base, name)}: CAM index {index!r} is not an "
                 f"integer in 0..{len(stack) - 1}"
             )
-        return trusted(CamMap, values=stack[index])
+        return stack[index]
+
+    def view(self, refs: list) -> np.ndarray | None:
+        """The maps `refs` names as one view of a stack, when they are
+        consecutive indices of one file, the layout save_trace writes; None
+        for any other list, valid or not."""
+        name, start = refs[0] if type(refs[0]) is list and len(refs[0]) == 2 else (None, 0)
+        # == takes True and 1.0 for 1, so the index types are checked as well
+        if (type(name) is not str or type(start) is not int or start < 0
+                or refs != [[name, start + j] for j in range(len(refs))]
+                or any(type(index) is not int for _, index in refs)):
+            return None
+        try:
+            stack = self.stack(name)
+        except (ValueError, OSError):  # the reference-by-reference read reports it
+            return None
+        return stack[start:start + len(refs)] if start + len(refs) <= len(stack) else None
 
 
-def _load_cams(files: _CamFiles, value, where: str) -> tuple[CamMap, ...]:
-    """The CAMs a manifest list references; a bad reference or a malformed
+def _load_cams(files: _CamFiles, value, where: str) -> tuple[np.ndarray, ...]:
+    """The maps a manifest list references; a bad reference or a malformed
     file is a TraceError."""
     if not isinstance(value, list):
         raise TraceError(f"{where} must be a list of [file, index] CAM references")
@@ -221,30 +238,59 @@ def _load_cams(files: _CamFiles, value, where: str) -> tuple[CamMap, ...]:
         raise TraceError(f"{where}: {exc}") from exc
 
 
+def _slot_cams(files: _CamFiles, refs) -> tuple[np.ndarray, ...]:
+    """Each device's (K+1, rows, cols) CAM stack for one slot's `cams` entry.
+
+    A device whose references are consecutive indices of one file gets a
+    view of that file's stack. Any other entry is read reference by
+    reference, the low-light list first, so that its first bad reference
+    gives the error; a device whose maps lie elsewhere gets them copied
+    into a stack of its own.
+    """
+    low_refs, enh_refs = ((refs.get("lowlight"), refs.get("enhanced")) if isinstance(refs, dict)
+                          else (None, None))
+    views: list[np.ndarray | None] = []
+    if (isinstance(low_refs, list) and isinstance(enh_refs, list)
+            and len(low_refs) == len(enh_refs)):
+        views = [files.view([low, *enh]) if isinstance(enh, list) else None
+                 for low, enh in zip(low_refs, enh_refs)]
+        if all(view is not None for view in views):
+            return tuple(views)
+    lows = _load_cams(files, _field(refs, "lowlight", "cams"), "cams lowlight")
+    per_device = _field(refs, "enhanced", "cams")
+    if not isinstance(per_device, list):
+        raise TraceError("cams enhanced must be a list per device")
+    maps = [_load_cams(files, device_refs, f"cams enhanced[{m}]")
+            for m, device_refs in enumerate(per_device)]
+    if len(lows) != len(maps):
+        raise TraceError("CAM payload must cover every device")
+    # every list was read, so views has a place for each device
+    for m, (low, enh) in enumerate(zip(lows, maps)):
+        if views[m] is None:
+            for cam in enh:
+                if cam.shape != low.shape:
+                    raise TraceError(f"device {m}: CAM shapes differ: {low.shape} vs {cam.shape}")
+            views[m] = np.stack((low, *enh))
+            views[m].setflags(write=False)
+    return tuple(views)
+
+
 def _slot_data(files: _CamFiles, entry) -> SlotData:
-    """One manifest slot entry as it is laid out; SlotData checks its values."""
+    """One manifest slot entry as it is laid out; SlotData checks its values
+    other than the CAMs, which load_cam checked."""
     datasize = _field(entry, "datasize_bits", "entry")
     for key in ("quality", "accuracy"):
         # present but null is not the same as absent
         if key in entry and entry[key] is None:
             raise TraceError(f"entry key {key!r} is null")
-    lowlight = enhanced = None
-    if "cams" in entry:
-        refs = entry["cams"]
-        lowlight = _load_cams(files, _field(refs, "lowlight", "cams"), "cams lowlight")
-        per_device = _field(refs, "enhanced", "cams")
-        if not isinstance(per_device, list):
-            raise TraceError("cams enhanced must be a list per device")
-        enhanced = tuple(
-            _load_cams(files, refs, f"cams enhanced[{m}]") for m, refs in enumerate(per_device)
-        )
+    cams = _slot_cams(files, entry["cams"]) if "cams" in entry else None
     return SlotData(
         datasize_bits=datasize,
         bandwidth_bps=_field(entry, "bandwidth_bps", "entry"),
         quality=entry.get("quality"),
-        lowlight=lowlight,
-        enhanced=enhanced,
+        cams=cams,
         accuracy=entry.get("accuracy"),
+        cams_checked=True,
     )
 
 
@@ -253,7 +299,8 @@ def load_trace(path: str) -> Trace:
 
     Only the layout is read here, and each CAM file's values. SlotData and
     Trace check every other value, and their errors come back naming the
-    manifest and the slot.
+    manifest and the slot. A device-slot laid out as save_trace writes it
+    is a view of its device's stack.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import camq, sched, sysmodel
-from .camq import CamMap, QualityState
+from .camq import QualityState
 from .errors import TraceError, ValidationError
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
@@ -34,38 +34,55 @@ SCHEDULER_CHOICES = ("ga", "oracle", "capacity", "none")
 @dataclass(frozen=True)
 class SlotData:
     """One slot of trace input. Exactly one of `quality` and the CAM payload
-    (`lowlight` plus `enhanced`) must be present."""
+    `cams` must be present.
 
-    datasize_bits: np.ndarray                              # (M,)
-    bandwidth_bps: np.ndarray                              # (M, N)
-    quality: np.ndarray | None = None                      # (M, K+1)
-    lowlight: tuple[CamMap, ...] | None = None             # per device
-    enhanced: tuple[tuple[CamMap, ...], ...] | None = None # per device, per k=1..K
-    accuracy: np.ndarray | None = None                     # (M, K+1) in [0, 1]
+    `cams[m]` is device m's (K+1, rows, cols) stack of CAM values, its
+    low-light map first and then one enhanced map per algorithm k = 1..K.
+    They are checked finite and non-negative here, unless `cams_checked`
+    says that the reader or generator which made them already did: then
+    the stacks must be read-only float64 arrays, and are used as they are.
+    """
 
-    def __post_init__(self):
-        has_q = self.quality is not None
-        has_cams = self.lowlight is not None or self.enhanced is not None
-        if has_q == has_cams:
+    datasize_bits: np.ndarray                   # (M,)
+    bandwidth_bps: np.ndarray                   # (M, N)
+    quality: np.ndarray | None = None           # (M, K+1)
+    cams: tuple[np.ndarray, ...] | None = None  # per device, (K+1, rows, cols)
+    accuracy: np.ndarray | None = None          # (M, K+1) in [0, 1]
+    cams_checked: InitVar[bool] = False
+
+    def __post_init__(self, cams_checked: bool):
+        if (self.quality is None) == (self.cams is None):
             raise TraceError("slot needs exactly one of quality matrix or CAM payload")
-        if has_cams and (self.lowlight is None or self.enhanced is None):
-            raise TraceError("CAM payload needs both low-light and enhanced maps")
         for name in ("datasize_bits", "bandwidth_bps", "quality", "accuracy"):
             value = getattr(self, name)
             if value is None and name in ("quality", "accuracy"):
                 continue  # absent; a missing datasize or bandwidth is not numeric
-            try:
-                arr = np.asarray(value)
-                numeric = arr.dtype.kind in "iuf"
-            except (TypeError, ValueError):  # ragged nesting
-                numeric = False
-            # strings and bools are not numbers, as in a config document
-            if not numeric:
-                raise TraceError(f"{name} is not a numeric array")
-            # own, read-only arrays: a caller's ndarray is copied, a new one is not
-            arr = arr.astype(np.float64, copy=isinstance(value, np.ndarray))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _own_array(value, name))
+        if self.cams is not None and not cams_checked:
+            stacks = tuple(_own_array(value, f"CAM stack of device {m}")
+                           for m, value in enumerate(self.cams))
+            for m, stack in enumerate(stacks):
+                if stack.ndim != 3 or 0 in stack.shape:
+                    raise TraceError(f"CAM stack of device {m} must be a non-empty "
+                                     f"(maps, rows, cols) array, got shape {stack.shape}")
+                camq.check_cams(stack, f"CAM stack of device {m}: ")
+            object.__setattr__(self, "cams", stacks)
+
+
+def _own_array(value, name: str) -> np.ndarray:
+    """`value` as a read-only float64 array of SlotData's own: a caller's
+    ndarray is copied, a new one is not."""
+    try:
+        arr = np.asarray(value)
+        numeric = arr.dtype.kind in "iuf"
+    except (TypeError, ValueError):  # ragged nesting
+        numeric = False
+    # strings and bools are not numbers, as in a config document
+    if not numeric:
+        raise TraceError(f"{name} is not a numeric array")
+    arr = arr.astype(np.float64, copy=isinstance(value, np.ndarray))
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -85,7 +102,7 @@ class Trace:
             raise TraceError(f"device, server and algorithm counts must be integers: {sizes}")
         if m < 1 or n < 1 or k < 0:
             raise TraceError("trace needs at least one device and one server")
-        shapes: dict[int, tuple[int, ...]] = {}  # each device's CAM shape
+        shapes: dict[int, tuple[int, ...]] = {}  # each device's CAM stack shape
         for t, slot in enumerate(self.slots):
             if slot.datasize_bits.shape != (m,):
                 raise TraceError(f"slot {t}: datasize must have shape ({m},)")
@@ -93,20 +110,18 @@ class Trace:
                 raise TraceError(f"slot {t}: bandwidth must have shape ({m}, {n})")
             if slot.quality is not None and slot.quality.shape != (m, k + 1):
                 raise TraceError(f"slot {t}: quality must have shape ({m}, {k + 1})")
-            if slot.lowlight is not None:
-                if len(slot.lowlight) != m or len(slot.enhanced) != m:
+            if slot.cams is not None:
+                if len(slot.cams) != m:
                     raise TraceError(f"slot {t}: CAM payload must cover every device")
-                if any(len(per_dev) != k for per_dev in slot.enhanced):
-                    raise TraceError(f"slot {t}: need one enhanced CAM per algorithm")
-                # a device keeps one CAM shape across its maps and slots
-                for dev, (low, per_alg) in enumerate(zip(slot.lowlight, slot.enhanced)):
-                    shape = shapes.setdefault(dev, low.shape)
-                    for cam in (low, *per_alg):
-                        if cam.shape != shape:
-                            raise TraceError(
-                                f"slot {t} device {dev}: CAM shapes differ: "
-                                f"{shape} vs {cam.shape}"
-                            )
+                # a device keeps one CAM shape across its slots
+                for dev, stack in enumerate(slot.cams):
+                    shape = shapes.setdefault(dev, (k + 1, *stack.shape[1:]))
+                    if stack.shape == shape:
+                        continue
+                    if len(stack) != k + 1:
+                        raise TraceError(f"slot {t}: need one enhanced CAM per algorithm")
+                    raise TraceError(f"slot {t}: device {dev}: CAM shapes differ: "
+                                     f"{shape[1:]} vs {stack.shape[1:]}")
             if slot.accuracy is not None:
                 if slot.accuracy.shape != (m, k + 1):
                     raise TraceError(f"slot {t}: accuracy must have shape ({m}, {k + 1})")
@@ -168,7 +183,7 @@ def assess_slot(slot: SlotData, state: QualityState, threshold: float) -> SlotIn
     """
     quality = slot.quality
     if quality is None:
-        quality = camq.enhancement_quality(state, slot.lowlight, slot.enhanced, threshold)
+        quality = camq.enhancement_quality(state, slot.cams, threshold)
         check_slot_values(slot.datasize_bits, slot.bandwidth_bps, quality)
         quality.setflags(write=False)
     return camq.trusted(SlotInput, datasize_bits=slot.datasize_bits,
@@ -188,7 +203,7 @@ def commit_windows(
     accuracy feedback lands only for what actually ran (decision None means
     a pure assessment replay where nothing ran).
     """
-    if slot.lowlight is not None:
+    if slot.cams is not None:
         camq.commit_slot(state)
     if slot.accuracy is not None and decision is not None:
         for m, k in enumerate(decision.algorithms):
@@ -392,7 +407,12 @@ class SynthSpec:
 
 
 def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:
-    """Bilinear resize of coarse grids (..., cr, cc) into `out` (..., rows, cols)."""
+    """Bilinear resize of coarse grids (..., cr, cc) into `out` (..., rows, cols).
+
+    Each coarse row is blended across the columns once, and each output row
+    then blends the two blended rows around it: every cell gets the float
+    ops, in the order, of the blend written out cell by cell.
+    """
     (cr, cc), (rows, cols) = coarse.shape[-2:], out.shape[-2:]
     r = np.linspace(0.0, cr - 1.0, rows)
     c = np.linspace(0.0, cc - 1.0, cols)
@@ -401,20 +421,16 @@ def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:
     c0 = np.clip(np.floor(c).astype(int), 0, cc - 1)
     c1 = np.clip(c0 + 1, 0, cc - 1)
     wr = (r - r0)[:, None]
-    wc = (c - c0)[None, :]
-    r0, r1 = r0[:, None], r1[:, None]
+    wc = c - c0
+    # every coarse row blended across the columns once: (..., cr, cols)
+    blended = coarse[..., c0] * (1 - wc)
+    right = coarse[..., c1]
+    right *= wc
+    blended += right
     # top * (1 - wr) + bottom * wr, every product formed in place
     top = out
-    np.multiply(coarse[..., r0, c0], 1 - wc, out=top)
-    right = coarse[..., r0, c1]
-    right *= wc
-    top += right
-    bottom = coarse[..., r1, c0]
-    bottom *= 1 - wc
-    right = coarse[..., r1, c1]
-    right *= wc
-    bottom += right
-    top *= 1 - wr
+    np.multiply(blended[..., r0, :], 1 - wr, out=top)
+    bottom = blended[..., r1, :]
     bottom *= wr
     top += bottom
 
@@ -422,9 +438,10 @@ def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:
 def generate_synthetic(spec: SynthSpec) -> Trace:
     """Deterministic CAM trace: same SynthSpec, same bytes.
 
-    Each slot's maps are one (M, K+1, rows, cols) stack, low-light first;
-    each device draws its K noise maps and then its K accuracy noises in one
-    call, the order the random stream has always had.
+    Each slot's maps are one read-only (M, K+1, rows, cols) array, and
+    device m's CAM stack is its row m, low-light first. A slot draws all its
+    noise in one call: device by device, the K noise maps and then the K
+    accuracy noises, the order the random stream has always had.
     """
     rng = np.random.default_rng(spec.seed)
     m, k, horizon = spec.num_devices, spec.num_algorithms, spec.horizon
@@ -435,6 +452,7 @@ def generate_synthetic(spec: SynthSpec) -> Trace:
     scenes = rng.uniform(0.15, 0.55, size=(m, cr, cc))
     offsets = np.array(spec.offsets, dtype=np.float64)
     expected = spec.accuracy_floor + spec.accuracy_gain * offsets  # accuracy before noise
+    noise = np.empty((m, cells + k))  # reused slot after slot
 
     slots = []
     for _t in range(horizon):
@@ -445,34 +463,22 @@ def generate_synthetic(spec: SynthSpec) -> Trace:
         _upsample(scenes, maps[:, 0])
         np.clip(maps[:, 0], 0.0, None, out=maps[:, 0])
         np.add(maps[:, :1], offsets[:, None, None], out=maps[:, 1:])
+        # 0 + sigma * z is exactly what Generator.normal(0, sigma) returns
+        rng.standard_normal(out=noise)
+        noise[:, :cells] *= spec.cam_noise
+        noise[:, cells:] *= spec.accuracy_noise
+        noise += 0.0
+        maps[:, 1:] += noise[:, :cells].reshape(m, k, rows, cols)
         accuracy = np.empty((m, k + 1))
         accuracy[:, 0] = spec.accuracy_floor
-        for dev in range(m):
-            # 0 + sigma * z is exactly what Generator.normal(0, sigma) returns
-            z = rng.standard_normal(cells + k)
-            z[:cells] *= spec.cam_noise
-            z[cells:] *= spec.accuracy_noise
-            z += 0.0
-            maps[dev, 1:] += z[:cells].reshape(k, rows, cols)
-            accuracy[dev, 1:] = expected + z[cells:]
+        np.add(expected, noise[:, cells:], out=accuracy[:, 1:])
         np.clip(maps[:, 1:], 0.0, None, out=maps[:, 1:])
         np.clip(accuracy[:, 1:], 0.0, 1.0, out=accuracy[:, 1:])
         # clipping left no negative value, but an overflow or NaN survives it
-        if not np.isfinite(maps).all():
-            raise ValidationError("CAM values must be finite")
+        camq.check_cams(maps)
         maps.setflags(write=False)
         datasize = rng.uniform(*spec.datasize_bits, size=m)
         bandwidth = rng.uniform(*spec.bandwidth_bps, size=(m, spec.num_servers))
-        slots.append(
-            SlotData(
-                datasize_bits=datasize,
-                bandwidth_bps=bandwidth,
-                lowlight=tuple(camq.trusted(CamMap, values=maps[dev, 0]) for dev in range(m)),
-                enhanced=tuple(
-                    tuple(camq.trusted(CamMap, values=cam) for cam in maps[dev, 1:])
-                    for dev in range(m)
-                ),
-                accuracy=accuracy,
-            )
-        )
+        slots.append(SlotData(datasize_bits=datasize, bandwidth_bps=bandwidth,
+                              cams=tuple(maps), accuracy=accuracy, cams_checked=True))
     return Trace(m, spec.num_servers, k, tuple(slots))

@@ -12,7 +12,6 @@ import numpy as np
 
 from camsched.camq import (
     DEFAULT_THRESHOLD,
-    CamMap,
     QualityState,
     commit_slot,
     enhancement_quality,
@@ -48,8 +47,8 @@ def one_link(datasize, bandwidth, phi=0.0, s=1.0, quality=0.0):
 def one_device_quality(state, enhanced, lowlight, threshold=DEFAULT_THRESHOLD, algorithm=1):
     """Quality of `algorithm` in a slot of the one-device `state` whose
     low-light map is `lowlight` and whose every enhanced map is `enhanced`."""
-    quality = enhancement_quality(state, [lowlight], [[enhanced] * state.num_algorithms],
-                                  threshold)
+    stack = np.stack([lowlight] + [enhanced] * state.num_algorithms)
+    quality = enhancement_quality(state, [stack], threshold)
     return float(quality[0, algorithm])
 
 
@@ -58,7 +57,7 @@ def store_window(state, history, threshold=DEFAULT_THRESHOLD):
     `state`, every algorithm enhancing to that map, so each window stores
     the maps filtered at `threshold`, oldest first."""
     for past in history:
-        one_device_quality(state, past, CamMap(np.zeros(past.shape)), threshold)
+        one_device_quality(state, past, np.zeros(past.shape), threshold)
         commit_slot(state)
 
 
@@ -80,7 +79,7 @@ def cam_window(state, device, algorithm):
     () before the state's first assessed slot."""
     for windows in state._windows or ():
         if device in windows.devices:
-            row = windows.devices.index(device) * state.num_algorithms + algorithm - 1
+            row = windows.devices.index(device), algorithm
             break
     else:
         return ()

@@ -87,7 +87,7 @@ class RefQuality:
 
 
 def ref_flat_filter(cam, threshold):
-    return [v for row in ref_filter(cam.values.tolist(), threshold) for v in row]
+    return [v for row in ref_filter(cam.tolist(), threshold) for v in row]
 
 
 def ref_assess_quality(trace, slot, ref, threshold):
@@ -96,12 +96,12 @@ def ref_assess_quality(trace, slot, ref, threshold):
     k = trace.num_algorithms
     q = np.zeros((trace.num_devices, k + 1))
     for m in range(trace.num_devices):
-        ref.shapes[m] = slot.lowlight[m].shape
-        low = ref_flat_filter(slot.lowlight[m], threshold)
+        ref.shapes[m] = slot.cams[m].shape[1:]
+        low = ref_flat_filter(slot.cams[m][0], threshold)
         window = ref.accuracy[m]
         acc = sum(window) / len(window) if window else ref.default_accuracy
         for alg in range(1, k + 1):
-            enh = ref_flat_filter(slot.enhanced[m][alg - 1], threshold)
+            enh = ref_flat_filter(slot.cams[m][alg], threshold)
             num = float(np.sum(np.array([e - l for e, l in zip(enh, low)])))
             total = 0.0
             for past in ref.cams[m, alg]:
@@ -111,10 +111,10 @@ def ref_assess_quality(trace, slot, ref, threshold):
 
 
 def ref_commit_windows(trace, slot, ref, decision, rejected, threshold):
-    if slot.lowlight is not None:
+    if slot.cams is not None:
         for m in range(trace.num_devices):
             for alg in range(1, trace.num_algorithms + 1):
-                window = ref.cams[m, alg] + [ref_flat_filter(slot.enhanced[m][alg - 1], threshold)]
+                window = ref.cams[m, alg] + [ref_flat_filter(slot.cams[m][alg], threshold)]
                 ref.cams[m, alg] = window[-ref.window_depth:]
     if slot.accuracy is not None and decision is not None:
         for m in range(trace.num_devices):

@@ -16,7 +16,6 @@ import numpy as np
 
 from camsched import cli
 from camsched.camq import (
-    CamMap,
     QualityState,
     filter_cam,
     record_accuracy,
@@ -145,10 +144,10 @@ def quality_case_025():
     # enhanced map filters to [[0.5, 0], [0, 0]] so the numerator is 0.5
     # and the variation is |0 - 2.0| = 2.0, giving Q = 1.0 * 0.5 / 2.0
     state = QualityState(num_devices=1, num_algorithms=1)
-    past = CamMap(np.array([[0.5, 0.1], [0.2, 2.0]]))
+    past = np.array([[0.5, 0.1], [0.2, 2.0]])
     store_window(state, [past], 0.4)
-    enhanced = CamMap(np.array([[0.5, 0.3], [0.1, 0.2]]))
-    lowlight = CamMap(np.full((2, 2), 0.1))
+    enhanced = np.array([[0.5, 0.3], [0.1, 0.2]])
+    lowlight = np.full((2, 2), 0.1)
     return one_device_quality(state, enhanced, lowlight, threshold=0.4)
 
 
@@ -166,10 +165,10 @@ def test_criterion_2_exact_arithmetic(capsys):
     a = np.array([[0.5, 0.2], [0.1, 0.4]])
     b = np.array([[0.3, 0.1], [0.2, 0.1]])
     # 0.2 + 0.1 - 0.1 + 0.3
-    hand.append(("cam difference", quality_numerator(CamMap(a), CamMap(b)), 0.5))
+    hand.append(("cam difference", quality_numerator(a, b), 0.5))
 
-    enh = CamMap(np.array([[0.9, 0.1], [0.4, 0.6]]))
-    hand.append(("filtered difference", quality_numerator(enh, CamMap(np.zeros((2, 2))), 0.5),
+    enh = np.array([[0.9, 0.1], [0.4, 0.6]])
+    hand.append(("filtered difference", quality_numerator(enh, np.zeros((2, 2)), 0.5),
                  1.5))
 
     hand.append(("quality", quality_case_025(), 0.25))
@@ -216,28 +215,28 @@ def test_criterion_2_exact_arithmetic(capsys):
         b = rng.uniform(0.0, 3.0, (4, 4))
         gamma = float(rng.uniform(0.0, 1.2))
 
-        got = quality_numerator(CamMap(a), CamMap(b))
+        got = quality_numerator(a, b)
         if not close(got, ref_cam_difference(a.tolist(), b.tolist())):
             fuzz_bad.append(("cam difference", i))
 
-        got = quality_numerator(CamMap(a), CamMap(b), gamma)
+        got = quality_numerator(a, b, gamma)
         if not close(got, ref_filtered_difference(a.tolist(), b.tolist(), gamma)):
             fuzz_bad.append(("filtered difference", i))
 
         state = QualityState(num_devices=1, num_algorithms=1)
-        history = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
+        history = [rng.uniform(0, 1.5, (3, 3)) for _ in range(2)]
         store_window(state, history, 0.4)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
-        e = CamMap(rng.uniform(0, 1.5, (3, 3)))
-        l = CamMap(rng.uniform(0, 1.5, (3, 3)))
+        e = rng.uniform(0, 1.5, (3, 3))
+        l = rng.uniform(0, 1.5, (3, 3))
         got = one_device_quality(state, e, l, threshold=0.4)
-        fe = ref_filter(e.values.tolist(), 0.4)
-        fl = ref_filter(l.values.tolist(), 0.4)
+        fe = ref_filter(e.tolist(), 0.4)
+        fl = ref_filter(l.tolist(), 0.4)
         want = ref_quality(
             acc,
             ref_cam_difference(fe, fl),
-            ref_temporal_variation(fe, [ref_filter(h.values.tolist(), 0.4) for h in history],
+            ref_temporal_variation(fe, [ref_filter(h.tolist(), 0.4) for h in history],
                                    1e-6),
             10.0,
         )
@@ -442,8 +441,8 @@ def test_criterion_6_quality_properties(capsys):
 
     v = 0
     for _ in range(1000):
-        a = CamMap(rng.uniform(0.0, 2.0, (5, 5)))
-        b = CamMap(rng.uniform(0.0, 2.0, (5, 5)))
+        a = rng.uniform(0.0, 2.0, (5, 5))
+        b = rng.uniform(0.0, 2.0, (5, 5))
         if quality_numerator(a, b) != -quality_numerator(b, a):
             v += 1
     counts["antisymmetry"] = v
@@ -452,8 +451,8 @@ def test_criterion_6_quality_properties(capsys):
     for _ in range(1000):
         m = rng.uniform(0.0, 2.0, (4, 4))
         gamma = float(rng.uniform(0.0, 1.5))
-        once = filter_cam(CamMap(m), gamma)
-        twice = filter_cam(CamMap(once), gamma)
+        once = filter_cam(m, gamma)
+        twice = filter_cam(once, gamma)
         if not np.array_equal(once, twice):
             v += 1
     counts["filter idempotence"] = v
@@ -462,8 +461,8 @@ def test_criterion_6_quality_properties(capsys):
     for _ in range(1000):
         m = rng.uniform(0.0, 2.0, (4, 4))
         lo, hi = sorted(rng.uniform(0.0, 1.5, 2))
-        loose = filter_cam(CamMap(m), float(lo))
-        tight = filter_cam(CamMap(m), float(hi))
+        loose = filter_cam(m, float(lo))
+        tight = filter_cam(m, float(hi))
         kept_tight = tight != 0.0
         if np.any(kept_tight & (loose == 0.0)) or np.any(tight[kept_tight] != m[kept_tight]):
             v += 1
@@ -473,14 +472,14 @@ def test_criterion_6_quality_properties(capsys):
     # filtered current map's sum, so the score shows the floored variation
     v = 0
     floor = 1e-6
-    zeros = CamMap(np.zeros((3, 3)))
+    zeros = np.zeros((3, 3))
     for i in range(1000):
-        cur = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
+        cur = rng.uniform(0.0, 2.0, (3, 3))
         if i % 3 == 0:
             history = [cur] * int(rng.integers(1, 4))  # zero raw variation
         else:
             history = [
-                CamMap(rng.uniform(0.0, 2.0, (3, 3)))
+                rng.uniform(0.0, 2.0, (3, 3))
                 for _ in range(int(rng.integers(0, 4)))
             ]
         state = QualityState(num_devices=1, num_algorithms=1, denom_floor=floor,
@@ -501,8 +500,8 @@ def test_criterion_6_quality_properties(capsys):
     v = 0
     state = QualityState(num_devices=1, num_algorithms=2)
     for _ in range(1000):
-        e = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
-        l = CamMap(rng.uniform(0.0, 2.0, (3, 3)))
+        e = rng.uniform(0.0, 2.0, (3, 3))
+        l = rng.uniform(0.0, 2.0, (3, 3))
         if one_device_quality(state, e, l, algorithm=0) != 0.0:
             v += 1
     counts["no-enhancement zero"] = v
@@ -513,20 +512,20 @@ def test_criterion_6_quality_properties(capsys):
         if i % 2 == 0:
             # variation pinned at the floor, numerator huge: must clamp at +/-10
             scale = float(rng.uniform(1.0, 5.0))
-            hot = CamMap(np.full((3, 3), scale))
-            cold = CamMap(np.zeros((3, 3)))
+            hot = np.full((3, 3), scale)
+            cold = np.zeros((3, 3))
             e, l = (hot, cold) if i % 4 == 0 else (cold, hot)
             store_window(state, [e], 0.4)
             got = one_device_quality(state, e, l)
             if got != (10.0 if i % 4 == 0 else -10.0):
                 v += 1
         else:
-            history = [CamMap(rng.uniform(0, 2, (3, 3)))
+            history = [rng.uniform(0, 2, (3, 3))
                        for _ in range(int(rng.integers(1, 4)))]
             store_window(state, history, 0.4)
             got = one_device_quality(
                 state,
-                CamMap(rng.uniform(0, 5, (3, 3))), CamMap(rng.uniform(0, 5, (3, 3))),
+                rng.uniform(0, 5, (3, 3)), rng.uniform(0, 5, (3, 3)),
             )
             if abs(got) > 10.0:
                 v += 1
@@ -607,8 +606,7 @@ def test_criterion_8_dominance_ordering(capsys):
     # inputs each slot; feedback would fork the assessment state after the
     # first divergent decision and break cross-scheduler comparability
     trace = Trace(5, 3, 3, tuple(
-        SlotData(datasize_bits=s.datasize_bits, bandwidth_bps=s.bandwidth_bps,
-                 lowlight=s.lowlight, enhanced=s.enhanced)
+        SlotData(datasize_bits=s.datasize_bits, bandwidth_bps=s.bandwidth_bps, cams=s.cams)
         for s in raw.slots
     ))
 

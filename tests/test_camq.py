@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from camsched.camq import (
-    CamMap,
     QualityState,
     commit_slot,
     enhancement_quality,
@@ -17,7 +16,7 @@ from camsched.camq import (
     record_accuracy,
 )
 from camsched import sim
-from camsched.errors import ShapeMismatchError, UnknownDeviceError, ValidationError
+from camsched.errors import ShapeMismatchError, TraceError, UnknownDeviceError, ValidationError
 
 from conftest import cam_window, one_device_quality, quality_numerator, store_window
 from refimpl import (
@@ -33,7 +32,12 @@ from test_sim import cam_trace, gpu_roster_model, hex_matrix, hex_windows
 
 
 def cam(rows):
-    return CamMap(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
+
+
+def stack(*maps):
+    """One device's CAM stack: its low-light map, then its enhanced maps."""
+    return np.array(maps, dtype=np.float64)
 
 
 cam_values = hnp.arrays(
@@ -70,23 +74,32 @@ def test_difference_ones_vs_zeros():
 
 
 def test_difference_shape_mismatch():
+    # a device's maps keep the shape they had at the state's first slot
+    state = QualityState(num_devices=1, num_algorithms=1)
+    one_device_quality(state, cam([[1.0]]), cam([[1.0]]))
+    commit_slot(state)
     with pytest.raises(ShapeMismatchError):
-        quality_numerator(cam([[1.0]]), cam([[1.0, 2.0]]))
+        one_device_quality(state, cam([[1.0, 2.0]]), cam([[1.0, 2.0]]))
 
 
 def test_cam_map_rejects_bad_values():
-    with pytest.raises(ValidationError):
-        cam([[-0.1]])
-    with pytest.raises(ValidationError):
-        cam([[np.nan]])
-    with pytest.raises(ValidationError):
-        CamMap(np.ones(4))  # 1-D
+    # a slot's CAM stacks are checked when its SlotData is built
+    for values, error, message in (
+        ([[[0.5]], [[-0.1]]], ValidationError, "values must be non-negative"),
+        ([[[0.5]], [[np.nan]]], ValidationError, "values must be finite"),
+        ([[[-np.inf]], [[0.5]]], ValidationError, "values must be finite"),
+        (np.ones(4), TraceError, r"\(maps, rows, cols\) array, got shape \(4,\)"),
+    ):
+        with pytest.raises(error, match="CAM stack of device 1.*" + message):
+            sim.SlotData(np.ones(2), np.ones((2, 1)), cams=(stack([[0.1]], [[0.2]]), values))
 
 
 def test_cam_map_is_frozen():
-    m = cam([[0.5]])
+    given = stack([[0.5]], [[0.7]])
+    slot = sim.SlotData(np.ones(1), np.ones((1, 1)), cams=(given,))
+    assert not np.shares_memory(slot.cams[0], given)
     with pytest.raises(ValueError):
-        m.values[0, 0] = 1.0
+        slot.cams[0][0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------- filter
@@ -98,7 +111,7 @@ def test_filter_worked_example():
 
 def test_filter_passes_everything_above():
     m = cam([[0.7, 0.9], [0.8, 0.6]])
-    np.testing.assert_array_equal(filter_cam(m, 0.5), m.values)
+    np.testing.assert_array_equal(filter_cam(m, 0.5), m)
 
 
 def test_filter_blanks_everything_at_or_below():
@@ -110,6 +123,18 @@ def test_filter_is_strict():
     # a cell exactly at the threshold does not survive
     out = filter_cam(cam([[0.4]]), threshold=0.4)
     assert out[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.4])
+def test_filter_of_a_stack_has_the_bits_of_np_where(threshold):
+    # a stack as a slot carries it, -0.0 cells included, filtered into a new
+    # array and into a given one
+    values = stack([[-0.0, 0.0, 0.4]], [[0.5, 1e-300, 3.0]])
+    want = [v.hex() for v in np.where(values > threshold, values, 0.0).ravel().tolist()]
+    out = np.full(values.shape, np.nan)
+    assert filter_cam(values, threshold, out) is out
+    for got in (out, filter_cam(values, threshold)):
+        assert [v.hex() for v in got.ravel().tolist()] == want
 
 
 # ---------------------------------------------------- filtered difference
@@ -139,7 +164,7 @@ def variation_score(current, history, floor=1e-6, threshold=0.4):
     the sum of the filtered current map over the floored variation."""
     state = QualityState(1, 1, denom_floor=floor, quality_cap=math.inf)
     store_window(state, history, threshold)
-    lowlight = CamMap(np.zeros(current.shape))
+    lowlight = np.zeros(current.shape)
     return one_device_quality(state, current, lowlight, threshold)
 
 
@@ -244,7 +269,7 @@ def test_commit_fresh_state_size_one():
     state = QualityState(num_devices=2, num_algorithms=2)
     pairs = [(d, a) for d in range(2) for a in (1, 2)]
     # an assessed slot stores nothing until it is committed
-    enhancement_quality(state, [cam([[0.1]])] * 2, [[cam([[0.9]])] * 2] * 2)
+    enhancement_quality(state, [stack([[0.1]], [[0.9]], [[0.9]])] * 2)
     assert [len(cam_window(state, *pair)) for pair in pairs] == [0, 0, 0, 0]
     commit_slot(state)
     assert [len(cam_window(state, *pair)) for pair in pairs] == [1, 1, 1, 1]
@@ -266,7 +291,7 @@ def test_commit_threshold_validation():
     state = QualityState(num_devices=1, num_algorithms=1)
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            enhancement_quality(state, [cam([[0.1]])], [[cam([[0.9]])]], threshold)
+            enhancement_quality(state, [stack([[0.1]], [[0.9]])], threshold)
         # the failed assessment left nothing to commit
         with pytest.raises(ValidationError, match="no assessed slot"):
             commit_slot(state)
@@ -278,48 +303,44 @@ def test_unknown_device_and_algorithm():
     # a slot names no device or algorithm the state does not hold
     for devices, algorithms in ((2, 1), (1, 2)):
         with pytest.raises(ValidationError, match="1 enhanced maps for each of 1 devices"):
-            enhancement_quality(state, [cam([[0.1]])] * devices,
-                                [[cam([[0.9]])] * algorithms] * devices)
+            enhancement_quality(state, [stack([[0.1]], *[[[0.9]]] * algorithms)] * devices)
     with pytest.raises(UnknownDeviceError):
         record_accuracy(state, 1, 0.5)
     assert cam_window(state, 0, 1) == () and state._accuracy_fill.tolist() == [0]
 
 
-@pytest.mark.parametrize("lowlight, enhanced", [
-    (1, ((0.9, 0.8),)),                    # a device missing
-    (2, ((0.9, 0.8), (0.7,))),             # an algorithm missing on one device
-    (2, ((0.9,), (0.7,))),                 # an algorithm missing on every device
-    (2, ((0.9, 0.8),)),                    # low-light maps without enhanced ones
+@pytest.mark.parametrize("maps", [
+    (3,),       # a device missing
+    (3, 2),     # an algorithm missing on one device
+    (2, 2),     # an algorithm missing on every device
+    (3, 1),     # a low-light map without enhanced ones
 ], ids=["device", "one-algorithm", "every-algorithm", "enhanced-device"])
-def test_partial_slot_is_a_validation_error(lowlight, enhanced):
+def test_partial_slot_is_a_validation_error(maps):
+    # `maps` gives each device's count of maps; a full stack holds 3
     state = QualityState(num_devices=2, num_algorithms=2)
     with pytest.raises(ValidationError, match="2 enhanced maps for each of 2 devices"):
-        enhancement_quality(state, [cam([[0.1]])] * lowlight,
-                            [[cam([[v]]) for v in maps] for maps in enhanced])
+        enhancement_quality(state, [np.full((n, 1, 1), 0.5) for n in maps])
     with pytest.raises(ValidationError, match="no assessed slot"):
         commit_slot(state)
     assert state._windows is None
 
 
-@pytest.mark.parametrize("changed", ["lowlight", "enhanced"])
+@pytest.mark.parametrize("changed", [(2, 1), (1, 2)], ids=["rows", "cols"])
 def test_cam_shape_change_after_the_first_slot_names_the_device(changed):
     state = QualityState(num_devices=2, num_algorithms=2)
-    lows, maps = [cam([[0.1, 0.2]]), cam([[0.3]])], [[cam([[0.9, 0.8]])] * 2, [cam([[0.7]])] * 2]
-    enhancement_quality(state, lows, maps)
+    cams = [stack([[0.1, 0.2]], *[[[0.9, 0.8]]] * 2), stack([[0.3]], *[[[0.7]]] * 2)]
+    enhancement_quality(state, cams)
     commit_slot(state)
-    if changed == "lowlight":
-        lows[1] = cam([[0.3], [0.4]])
-    else:
-        maps[1] = [cam([[0.7]]), cam([[0.7, 0.6]])]
+    cams[1] = np.full((3, *changed), 0.5)
     with pytest.raises(ShapeMismatchError, match=r"device 1: CAM shapes differ: \((1, 2|2, 1)\) "
                                                  r"vs \(1, 1\)"):
-        enhancement_quality(state, lows, maps)
+        enhancement_quality(state, cams)
     with pytest.raises(ValidationError, match="no assessed slot"):
         commit_slot(state)
     # the windows are as the first slot left them, and take the next slot
     assert [[v.tolist() for v in cam_window(state, 1, a)] for a in (1, 2)] == [[[[0.7]]]] * 2
-    enhancement_quality(state, [cam([[0.1, 0.2]]), cam([[0.3]])],
-                        [[cam([[0.9, 0.8]])] * 2, [cam([[0.6]])] * 2])
+    enhancement_quality(state, [stack([[0.1, 0.2]], *[[[0.9, 0.8]]] * 2),
+                                stack([[0.3]], *[[[0.6]]] * 2)])
     commit_slot(state)
     assert [v.tolist() for v in cam_window(state, 1, 2)] == [[[0.7]], [[0.6]]]
 
@@ -381,7 +402,7 @@ def test_slots_after_uneven_feedback_match_the_reference(shapes, depth, feedback
 
 def test_slot_without_algorithms_scores_only_raw_shipping():
     state = QualityState(num_devices=2, num_algorithms=0)
-    quality = enhancement_quality(state, [cam([[0.9]]), cam([[0.5, 0.6]])], [(), ()])
+    quality = enhancement_quality(state, [stack([[0.9]]), stack([[0.5, 0.6]])])
     assert quality.tolist() == [[0.0], [0.0]]
     commit_slot(state)
     assert state._windows is None
@@ -393,7 +414,7 @@ def test_slot_without_algorithms_scores_only_raw_shipping():
 
 @given(shared_shape_pairs)
 def test_prop_antisymmetry(pair):
-    a, b = CamMap(pair[0]), CamMap(pair[1])
+    a, b = pair[0], pair[1]
     assert quality_numerator(a, b) == -quality_numerator(b, a)
 
 
@@ -409,21 +430,21 @@ def test_prop_antisymmetry(pair):
 )
 def test_prop_shift_invariance(triple):
     a, b, c = triple
-    base = quality_numerator(CamMap(a), CamMap(b))
-    shifted = quality_numerator(CamMap(a + c), CamMap(b + c))
+    base = quality_numerator(a, b)
+    shifted = quality_numerator(a + c, b + c)
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 @given(cam_values, st.floats(0.0, 5.0, allow_nan=False))
 def test_prop_filter_idempotent(values, gamma):
-    once = filter_cam(CamMap(values), gamma)
-    twice = filter_cam(CamMap(once), gamma)
+    once = filter_cam(values, gamma)
+    twice = filter_cam(once, gamma)
     np.testing.assert_array_equal(once, twice)
 
 
 @given(cam_values, st.floats(-5.0, 5.0))
 def test_prop_filter_output_is_a_read_only_thresholded_copy(values, gamma):
-    out = filter_cam(CamMap(values), gamma)
+    out = filter_cam(values, gamma)
     assert out.dtype == np.float64 and not out.flags.writeable
     assert out.shape == values.shape
     # every cell is 0.0, or the input's cell where that lies above the threshold
@@ -434,8 +455,8 @@ def test_prop_filter_output_is_a_read_only_thresholded_copy(values, gamma):
 @given(cam_values, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_prop_filter_monotone_in_threshold(values, g1, g2):
     lo, hi = min(g1, g2), max(g1, g2)
-    loose = filter_cam(CamMap(values), lo)
-    tight = filter_cam(CamMap(values), hi)
+    loose = filter_cam(values, lo)
+    tight = filter_cam(values, hi)
     assert (tight <= loose).all()
 
 
@@ -454,10 +475,10 @@ def test_prop_filter_monotone_in_threshold(values, g1, g2):
 def test_prop_variation_floor_law(args):
     current_values, history_values = args
     floor = 1e-6
-    current = CamMap(current_values)
-    history = [CamMap(h) for h in history_values]
+    current = current_values
+    history = [h for h in history_values]
     q = variation_score(current, history, floor=floor)
-    num = quality_numerator(current, CamMap(np.zeros_like(current_values)), 0.4)
+    num = quality_numerator(current, np.zeros_like(current_values), 0.4)
     raw = ref_temporal_variation(
         filter_cam(current, 0.4).tolist(), [filter_cam(h, 0.4).tolist() for h in history], 0.0
     )
@@ -476,17 +497,17 @@ def test_prop_quality_monotone_in_numerator(pair, data):
     scale = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     low_lo = low_hi * scale  # cellwise <= low_hi
     state = QualityState(num_devices=1, num_algorithms=1)
-    store_window(state, [CamMap(np.zeros_like(enhanced_values))])
-    enh = CamMap(enhanced_values)
-    q_small_num = one_device_quality(state, enh, CamMap(low_hi))
-    q_big_num = one_device_quality(state, enh, CamMap(low_lo))
+    store_window(state, [np.zeros_like(enhanced_values)])
+    enh = enhanced_values
+    q_small_num = one_device_quality(state, enh, low_hi)
+    q_big_num = one_device_quality(state, enh, low_lo)
     assert q_big_num >= q_small_num - 1e-12
 
 
 @given(cam_values, st.integers(0, 0))
 def test_prop_algorithm_zero_always_zero(values, k):
     state = QualityState(num_devices=1, num_algorithms=3)
-    assert one_device_quality(state, CamMap(values), CamMap(values), algorithm=k) == 0.0
+    assert one_device_quality(state, values, values, algorithm=k) == 0.0
 
 
 # ------------------------------------------------- naive-reference equivalence
@@ -497,19 +518,19 @@ def test_against_naive_reference_random_3x3():
         a = rng.uniform(0.0, 2.0, (3, 3))
         b = rng.uniform(0.0, 2.0, (3, 3))
         gamma = float(rng.uniform(0.0, 1.5))
-        assert quality_numerator(CamMap(a), CamMap(b)) == pytest.approx(
+        assert quality_numerator(a, b) == pytest.approx(
             ref_cam_difference(a.tolist(), b.tolist()), abs=1e-12
         )
-        fa = filter_cam(CamMap(a), gamma)
+        fa = filter_cam(a, gamma)
         np.testing.assert_allclose(
             fa, np.array(ref_filter(a.tolist(), gamma)), atol=1e-12
         )
-        history = [CamMap(rng.uniform(0, 2, (3, 3))) for _ in range(3)]
+        history = [rng.uniform(0, 2, (3, 3)) for _ in range(3)]
         tv_ref = ref_temporal_variation(
-            fa.tolist(), [ref_filter(h.values.tolist(), gamma) for h in history], 1e-6
+            fa.tolist(), [ref_filter(h.tolist(), gamma) for h in history], 1e-6
         )
         num_ref = ref_cam_difference(fa.tolist(), np.zeros((3, 3)).tolist())
-        assert variation_score(CamMap(a), history, threshold=gamma) == pytest.approx(
+        assert variation_score(a, history, threshold=gamma) == pytest.approx(
             num_ref / tv_ref, rel=1e-12
         )
 
@@ -519,18 +540,18 @@ def test_quality_composition_against_reference():
     for _ in range(100):
         state = QualityState(num_devices=1, num_algorithms=1)
         gamma = 0.4
-        history_maps = [CamMap(rng.uniform(0, 1.5, (3, 3))) for _ in range(2)]
+        history_maps = [rng.uniform(0, 1.5, (3, 3)) for _ in range(2)]
         store_window(state, history_maps, gamma)
         acc = float(rng.uniform(0.2, 1.0))
         record_accuracy(state, 0, acc)
-        enhanced = CamMap(rng.uniform(0, 1.5, (3, 3)))
-        lowlight = CamMap(rng.uniform(0, 1.5, (3, 3)))
+        enhanced = rng.uniform(0, 1.5, (3, 3))
+        lowlight = rng.uniform(0, 1.5, (3, 3))
         got = one_device_quality(state, enhanced, lowlight, threshold=gamma)
-        fe = ref_filter(enhanced.values.tolist(), gamma)
-        fl = ref_filter(lowlight.values.tolist(), gamma)
+        fe = ref_filter(enhanced.tolist(), gamma)
+        fl = ref_filter(lowlight.tolist(), gamma)
         num = ref_cam_difference(fe, fl)
         den = ref_temporal_variation(
-            fe, [ref_filter(h.values.tolist(), gamma) for h in history_maps], 1e-6
+            fe, [ref_filter(h.tolist(), gamma) for h in history_maps], 1e-6
         )
         want = ref_quality(acc, num, den, 10.0)
         assert got == pytest.approx(want, abs=1e-12)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camsched import cli
-from camsched.camq import CamMap
+from camsched import cli, fileio
+from camsched.camq import QualityState
 from camsched.config import (
     build_model,
     build_quality_state,
@@ -27,7 +27,15 @@ from camsched.fileio import (
     save_cam,
     save_trace,
 )
-from camsched.sim import SCHEDULER_CHOICES, SlotData, SynthSpec, Trace, generate_synthetic, run
+from camsched.sim import (
+    SCHEDULER_CHOICES,
+    SlotData,
+    SynthSpec,
+    Trace,
+    generate_synthetic,
+    replay,
+    run,
+)
 from camsched.sysmodel import SlotInput, latency_table
 from test_config import SUBSTITUTES, _paths, _set
 
@@ -145,7 +153,7 @@ def test_emit_parse_emit_is_byte_stable():
 
 def test_cam_file_round_trip(tmp_path):
     maps = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.5, 2.0], [1.0 / 3.0, 0.0]])]
-    save_cam(maps, str(tmp_path / "dev00.npy"))
+    save_cam([np.stack(maps[:1]), np.stack(maps[1:])], str(tmp_path / "dev00.npy"))
     back = load_cam(str(tmp_path / "dev00.npy"))
     assert back.dtype == np.float64 and not back.flags.writeable
     np.testing.assert_array_equal(back, maps)
@@ -237,7 +245,7 @@ def test_npy_cam_of_any_dtype_and_order_loads_as_float64(tmp_path, dtype, fortra
 
 def test_cam_format_comes_from_content_not_name(tmp_path):
     maps = [np.array([[0.1, 0.2], [1.0 / 3.0, 7.0]])]
-    save_cam(maps, str(tmp_path / "a.cam"))
+    save_cam([np.stack(maps)], str(tmp_path / "a.cam"))
     np.testing.assert_array_equal(load_cam(str(tmp_path / "a.cam")), maps)
     (tmp_path / "b.npy").write_text("2 2\n0.1 0.2\n0.3 7.0\n")
     with pytest.raises(ValidationError, match="not a .npy file"):
@@ -323,13 +331,7 @@ def test_trace_round_trip_cam_payload(tmp_path):
         np.testing.assert_allclose(s1.bandwidth_bps, s2.bandwidth_bps)
         np.testing.assert_allclose(s1.accuracy, s2.accuracy)
         for m in range(2):
-            np.testing.assert_allclose(
-                s1.lowlight[m].values, s2.lowlight[m].values
-            )
-            for k in range(2):
-                np.testing.assert_allclose(
-                    s1.enhanced[m][k].values, s2.enhanced[m][k].values
-                )
+            np.testing.assert_allclose(s1.cams[m], s2.cams[m])
 
 
 def test_save_trace_writes_one_cam_stack_per_device(tmp_path):
@@ -346,15 +348,106 @@ def test_save_trace_writes_one_cam_stack_per_device(tmp_path):
         with open(cams / f"dev{m:02d}.npy", "rb") as fh:
             np.lib.format.read_magic(fh)
             assert np.lib.format.read_array_header_1_0(fh) == ((9, 5, 4), False, np.dtype("<f8"))
-    hexes = lambda cam: [v.hex() for v in cam.values.ravel().tolist()]
     for saved, back in zip(slots, load_trace(manifest).slots):
-        assert (saved.lowlight is None) == (back.lowlight is None)
-        if saved.lowlight is None:
+        assert (saved.cams is None) == (back.cams is None)
+        if saved.cams is None:
             continue
         for m in range(3):
-            assert hexes(back.lowlight[m]) == hexes(saved.lowlight[m])
-            assert [hexes(c) for c in back.enhanced[m]] == [hexes(c) for c in saved.enhanced[m]]
-            assert not back.lowlight[m].values.flags.writeable
+            assert back.cams[m].shape == (3, 5, 4)
+            assert hexes(back.cams[m]) == hexes(saved.cams[m])
+            assert not back.cams[m].flags.writeable
+
+
+def hexes(values):
+    return [v.hex() for v in np.asarray(values).ravel().tolist()]
+
+
+def spy_on_cam_stacks(monkeypatch) -> dict:
+    """The stack load_cam returns for each file a trace load reads, by file name."""
+    stacks = {}
+    original = fileio.load_cam
+
+    def spy(path):
+        stack = stacks[path.rsplit("/", 1)[-1]] = original(path)
+        return stack
+
+    monkeypatch.setattr(fileio, "load_cam", spy)
+    return stacks
+
+
+def test_saved_cam_slots_load_as_views_of_their_device_stack(tmp_path, monkeypatch):
+    spec = SynthSpec(num_devices=3, num_servers=1, num_algorithms=2, horizon=3,
+                     cam_rows=5, cam_cols=4, offsets=(0.3, 0.1), seed=21)
+    manifest = save_trace(generate_synthetic(spec), str(tmp_path / "t"))
+    stacks = spy_on_cam_stacks(monkeypatch)
+    back = load_trace(manifest)
+    assert sorted(stacks) == ["dev00.npy", "dev01.npy", "dev02.npy"]
+    for t, slot in enumerate(back.slots):
+        for m, cams in enumerate(slot.cams):
+            stack = stacks[f"dev{m:02d}.npy"]
+            assert np.shares_memory(cams, stack) and not cams.flags.writeable
+            assert hexes(cams) == hexes(stack[3 * t:3 * t + 3])
+
+
+def write_stack_layout(trace_dir, doc, device, ref_of):
+    """Point every reference of `device` in the manifest `doc` at
+    ref_of(i, stack), for map i of the device's saved stack `stack`."""
+    stack = load_cam(str(trace_dir / f"cams/dev{device:02d}.npy"))
+    for entry in doc["slots"]:
+        first = entry["cams"]["lowlight"][device][1]
+        count = 1 + len(entry["cams"]["enhanced"][device])
+        entry["cams"]["lowlight"][device] = ref_of(first, stack)
+        entry["cams"]["enhanced"][device] = [ref_of(first + j, stack) for j in range(1, count)]
+
+
+def reversed_layout(trace_dir, device):
+    """The device's maps in reverse order, in a file of their own."""
+    name = f"cams/reversed{device:02d}.npy"
+
+    def ref_of(i, stack):
+        if not (trace_dir / name).exists():
+            np.save(trace_dir / name, stack[::-1])
+        return [name, len(stack) - 1 - i]
+    return ref_of
+
+
+def two_file_layout(trace_dir, device):
+    """The device's even maps in one file and its odd maps in another."""
+    names = [f"cams/even{device:02d}.npy", f"cams/odd{device:02d}.npy"]
+
+    def ref_of(i, stack):
+        for parity, name in enumerate(names):
+            if not (trace_dir / name).exists():
+                np.save(trace_dir / name, stack[parity::2])
+        return [names[i % 2], i // 2]
+    return ref_of
+
+
+@pytest.mark.parametrize("layout", [reversed_layout, two_file_layout],
+                         ids=["reversed", "two-files"])
+def test_cam_references_in_any_order_assess_as_the_saved_layout(tmp_path, monkeypatch, layout):
+    # device 1's references are rewritten; device 0 keeps the saved layout
+    spec = SynthSpec(num_devices=2, num_servers=2, num_algorithms=3, horizon=4,
+                     cam_rows=4, cam_cols=5, offsets=(0.3, 0.2, 0.1), seed=17)
+    trace_dir = tmp_path / "t"
+    manifest = save_trace(generate_synthetic(spec), str(trace_dir))
+    doc = json.loads((trace_dir / "trace.json").read_text())
+    write_stack_layout(trace_dir, doc, 1, layout(trace_dir, 1))
+    (trace_dir / "hand.json").write_text(json.dumps(doc))
+    saved = load_trace(manifest)
+    stacks = spy_on_cam_stacks(monkeypatch)
+    hand = load_trace(str(trace_dir / "hand.json"))
+    for ours, theirs in zip(saved.slots, hand.slots):
+        assert [hexes(cams) for cams in theirs.cams] == [hexes(cams) for cams in ours.cams]
+        assert np.shares_memory(theirs.cams[0], stacks["dev00.npy"])
+        # a copy, read-only like every other stack
+        assert not any(np.shares_memory(theirs.cams[1], stack) for stack in stacks.values())
+        assert not theirs.cams[1].flags.writeable
+    qualities = [
+        [hexes(slot.quality) for slot in replay(trace, QualityState(2, 3), 0.4)]
+        for trace in (saved, hand)
+    ]
+    assert qualities[0] == qualities[1]
 
 
 def test_load_trace_missing_file(tmp_path):
@@ -568,8 +661,7 @@ def test_cli_rejects_a_cam_slot_that_assesses_to_nan(tmp_path, capsys, horizon, 
         enhanced = np.full((4, 4), 0.5)
         enhanced[bright[t]] = 1.7e308
         slots.append(SlotData(np.full(1, 1e6), np.full((1, 4), 2e7),
-                              lowlight=(CamMap(np.full((4, 4), 0.5)),),
-                              enhanced=((CamMap(enhanced),) * 4,)))
+                              cams=(np.stack([np.full((4, 4), 0.5)] + [enhanced] * 4),)))
     manifest = save_trace(Trace(1, 4, 4, tuple(slots)), str(tmp_path / "t"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"devices": 1}))
@@ -971,6 +1063,28 @@ def test_cam_reference_defect_names_manifest_slot_list_and_file(tmp_path, capsys
     assert_one_trace_error(tmp_path, capsys, cfg, manifest, message)
 
 
+@pytest.mark.parametrize("low, enhanced, where, index", [
+    (-1, 0, "cams lowlight", -1),
+    (0, True, "cams enhanced[1]", True),
+    (0, 1.0, "cams enhanced[1]", 1.0),
+    (3, 4, "cams enhanced[1]", 4),
+], ids=["negative-start", "bool-next", "float-next", "past-end"])
+def test_cam_references_that_compare_equal_to_a_run_are_still_refused(tmp_path, capsys, low,
+                                                                    enhanced, where, index):
+    # slot 0's two references of device 1 compare equal to two consecutive
+    # indices of its stack, so only their types and bounds refuse them
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = str(tmp_path / "t" / "trace.json")
+    doc = json.loads((tmp_path / "t" / "trace.json").read_text())
+    doc["slots"][0]["cams"]["lowlight"][1] = [STACK, low]
+    doc["slots"][0]["cams"]["enhanced"][1] = [[STACK, enhanced]]
+    (tmp_path / "t" / "trace.json").write_text(json.dumps(doc))
+    message = (f"{manifest}: slot 0: {where}: {tmp_path / 't' / STACK}: "
+               f"CAM index {index!r} is not an integer in 0..3")
+    assert_one_trace_error(tmp_path, capsys, cfg, manifest, message)
+
+
 @pytest.mark.parametrize("value,reason", [(-1.0, "non-negative"), (math.nan, "finite"),
                                           (-math.inf, "finite")])
 @pytest.mark.parametrize("kind", ["stack", "enhanced-stack"])
@@ -1095,7 +1209,7 @@ def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command,
     doc = json.loads(manifest.read_text())
     # slot 1, device 1: a 3x3 enhanced map against a 4x4 low-light map, or
     # 3x3 maps throughout where slot 0 had 4x4 ones
-    save_cam([np.zeros((3, 3))] * 2, str(tmp_path / "t" / "cams" / "small.npy"))
+    save_cam([np.zeros((2, 3, 3))], str(tmp_path / "t" / "cams" / "small.npy"))
     cams = doc["slots"][1]["cams"]
     cams["enhanced"][1] = [["cams/small.npy", 1]]
     if between_slots:
@@ -1109,7 +1223,7 @@ def test_cli_cam_shape_mismatch_names_slot_and_device(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "slot 1 device 1" in err and "(4, 4) vs (3, 3)" in err
+    assert "slot 1: device 1: CAM shapes differ: (4, 4) vs (3, 3)" in err
 
 
 def test_cli_undecodable_config_is_one_error_line(tmp_path, capsys):

@@ -95,7 +95,7 @@ def shipped_reachable_names():
 
 def test_every_reexported_name_runs_outside_the_tests():
     exported = reexported_names()
-    assert {"CamMap", "QualityState", "SystemModel", "evolve", "run", "load_trace"} <= exported
+    assert {"filter_cam", "QualityState", "SystemModel", "evolve", "run", "load_trace"} <= exported
     assert sorted(exported - shipped_reachable_names()) == []
 
 

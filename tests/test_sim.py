@@ -288,19 +288,17 @@ def cam_trace(shapes, horizon, feedback, seed, num_algorithms=4):
     slots = []
     for _ in range(horizon):
         lows = [rng.uniform(0.0, 1.0, shape) for shape in shapes]
-        enhanced = tuple(
-            tuple(
-                camq.CamMap(np.clip(low + 0.15 * alg + rng.normal(0.0, 0.05, low.shape),
-                                    0.0, 1.0))
+        cams = tuple(
+            np.stack([low] + [
+                np.clip(low + 0.15 * alg + rng.normal(0.0, 0.05, low.shape), 0.0, 1.0)
                 for alg in range(1, k + 1)
-            )
+            ])
             for low in lows
         )
         slots.append(SlotData(
             datasize_bits=np.full(m, 1e6),
             bandwidth_bps=np.full((m, 1), 1e7),
-            lowlight=tuple(camq.CamMap(low) for low in lows),
-            enhanced=enhanced,
+            cams=cams,
             accuracy=rng.uniform(0.0, 1.0, (m, k + 1)) if feedback else None,
         ))
     return Trace(m, 1, k, tuple(slots))
@@ -397,6 +395,7 @@ def count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
 def test_cam_slot_filters_each_map_once(monkeypatch, scheduler):
+    # each device's stack of K+1 maps is filtered in one filter_cam call
     m, k = 3, 2
     trace = cam_trace(((4, 4),) * m, 2, True, seed=5, num_algorithms=k)
     model = gpu_roster_model(m, k)
@@ -406,11 +405,11 @@ def test_cam_slot_filters_each_map_once(monkeypatch, scheduler):
     for t in range(trace.horizon):
         del filters[:], scores[:]
         run_slot(t, trace, state, model, scheduler)
-        assert len(filters) == m * (k + 1)
+        assert len(filters) == m
         assert len(scores) == 1
     del filters[:], scores[:]
     for _ in sim.replay(trace, QualityState(m, k), camq.DEFAULT_THRESHOLD):
-        assert len(filters) == m * (k + 1)
+        assert len(filters) == m
         assert len(scores) == 1
         del filters[:], scores[:]
 
@@ -533,10 +532,9 @@ def test_load_trace_arrays_are_not_copied_again(tmp_path, monkeypatch):
 
 def test_slot_data_payload_is_exclusive():
     q = np.zeros((1, 2))
-    low = (camq.CamMap(np.zeros((2, 2))),)
-    enh = ((camq.CamMap(np.zeros((2, 2))),),)
+    cams = (np.zeros((2, 2, 2)),)
     with pytest.raises(TraceError):
-        SlotData(np.ones(1), np.ones((1, 1)), quality=q, lowlight=low, enhanced=enh)
+        SlotData(np.ones(1), np.ones((1, 1)), quality=q, cams=cams)
     with pytest.raises(TraceError):
         SlotData(np.ones(1), np.ones((1, 1)))
 
@@ -553,12 +551,10 @@ def test_trace_shape_validation():
         Trace(2, 2, 1, (bad_acc,))
 
     def cam_slot(size):
-        cams = [camq.CamMap(np.zeros((size, size))) for _ in range(2)]
-        return SlotData(np.ones(1), np.ones((1, 1)),
-                        lowlight=(cams[0],), enhanced=((cams[1],),))
+        return SlotData(np.ones(1), np.ones((1, 1)), cams=(np.zeros((2, size, size)),))
     Trace(1, 1, 1, (cam_slot(4), cam_slot(4)))
     # a device's CAM shape may not change from one slot to the next
-    with pytest.raises(TraceError, match=r"slot 1 device 0: .*\(4, 4\) vs \(3, 3\)"):
+    with pytest.raises(TraceError, match=r"slot 1: device 0: .*\(4, 4\) vs \(3, 3\)"):
         Trace(1, 1, 1, (cam_slot(4), cam_slot(3)))
 
 
@@ -575,11 +571,7 @@ def test_synthetic_deterministic():
         np.testing.assert_array_equal(s1.bandwidth_bps, s2.bandwidth_bps)
         np.testing.assert_array_equal(s1.accuracy, s2.accuracy)
         for m in range(3):
-            np.testing.assert_array_equal(s1.lowlight[m].values, s2.lowlight[m].values)
-            for k in range(2):
-                np.testing.assert_array_equal(
-                    s1.enhanced[m][k].values, s2.enhanced[m][k].values
-                )
+            np.testing.assert_array_equal(s1.cams[m], s2.cams[m])
 
 
 def test_synthetic_zero_offsets_zero_noise():
@@ -588,12 +580,11 @@ def test_synthetic_zero_offsets_zero_noise():
     trace = generate_synthetic(spec)
     for slot in trace.slots:
         for m in range(2):
-            for k in range(2):
-                np.testing.assert_array_equal(
-                    slot.enhanced[m][k].values, slot.lowlight[m].values
-                )
+            low = slot.cams[m][0]
+            for enhanced in slot.cams[m][1:]:
+                np.testing.assert_array_equal(enhanced, low)
                 # numerator of every Q is then exactly zero
-                assert quality_numerator(slot.enhanced[m][k], slot.lowlight[m], 0.4) == 0.0
+                assert quality_numerator(enhanced, low, 0.4) == 0.0
 
 
 def test_synthetic_offset_ordering_statistic():
@@ -603,7 +594,7 @@ def test_synthetic_offset_ordering_statistic():
     diff = {1: [], 2: []}
     for slot in trace.slots:
         for k in (1, 2):
-            diff[k].append(quality_numerator(slot.enhanced[0][k - 1], slot.lowlight[0], 0.4))
+            diff[k].append(quality_numerator(slot.cams[0][k], slot.cams[0][0], 0.4))
     assert np.mean(diff[1]) > np.mean(diff[2])
 
 
