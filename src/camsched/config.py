@@ -263,7 +263,8 @@ def parse_config(text: str) -> RunConfig:
     else:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # the json module raises RecursionError for deeply nested JSON
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")

@@ -178,8 +178,7 @@ class _CamFiles:
     """The CAM stacks of one trace directory, each read and checked once.
 
     A manifest reference is a [file, index] pair, for map `index` of the
-    stack in `file`; what it names is a read-only view of that stack's
-    checked array. Stacks are kept by file name, so a file's path is joined
+    stack in `file`. Stacks are kept by file name, so a file's path is joined
     once.
     """
 
@@ -187,92 +186,75 @@ class _CamFiles:
         self.base = base
         self.stacks: dict[str, np.ndarray] = {}  # by file name
 
-    def stack(self, name: str) -> np.ndarray:
-        if name not in self.stacks:
-            self.stacks[name] = load_cam(os.path.join(self.base, name))
-        return self.stacks[name]
-
-    def map(self, ref) -> np.ndarray:
-        if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
-            # a bare file name, as the retired single-map layout wrote; named
-            # as a path, like the file of every other CAM error
-            shown = os.path.join(self.base, ref) if isinstance(ref, str) else ref
-            raise ValidationError(f"{shown!r} is not a [file, index] CAM reference")
-        name, index = ref
-        stack = self.stack(name)
-        # a JSON true is a Python bool, which is an int
-        if type(index) is not int or not 0 <= index < len(stack):
-            raise ValidationError(
-                f"{os.path.join(self.base, name)}: CAM index {index!r} is not an "
-                f"integer in 0..{len(stack) - 1}"
-            )
-        return stack[index]
-
-    def view(self, refs: list) -> np.ndarray | None:
-        """The maps `refs` names as one view of a stack, when they are
-        consecutive indices of one file, the layout save_trace writes; None
-        for any other list, valid or not."""
-        name, start = refs[0] if type(refs[0]) is list and len(refs[0]) == 2 else (None, 0)
-        # == takes True and 1.0 for 1, so the index types are checked as well
-        if (type(name) is not str or type(start) is not int or start < 0
-                or refs != [[name, start + j] for j in range(len(refs))]
-                or any(type(index) is not int for _, index in refs)):
-            return None
+    def refs(self, value, where: str) -> list[tuple[np.ndarray, int]]:
+        """The (stack, index) pair of each reference in a manifest list, in
+        order; a bad reference or a malformed file is a TraceError."""
+        if not isinstance(value, list):
+            raise TraceError(f"{where} must be a list of [file, index] CAM references")
+        pairs = []
+        # each reference is checked inline: a call per reference costs more
+        # than the check, and a CAM trace has M(K+1) references a slot
         try:
-            stack = self.stack(name)
-        except (ValueError, OSError):  # the reference-by-reference read reports it
-            return None
-        return stack[start:start + len(refs)] if start + len(refs) <= len(stack) else None
-
-
-def _load_cams(files: _CamFiles, value, where: str) -> tuple[np.ndarray, ...]:
-    """The maps a manifest list references; a bad reference or a malformed
-    file is a TraceError."""
-    if not isinstance(value, list):
-        raise TraceError(f"{where} must be a list of [file, index] CAM references")
-    try:
-        return tuple(files.map(ref) for ref in value)
-    # a bad reference, a malformed or missing file, a bad index, or a NUL
-    # byte in a file name
-    except (ValueError, OSError) as exc:
-        raise TraceError(f"{where}: {exc}") from exc
+            for ref in value:
+                if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
+                    # a bare file name, as the retired single-map layout wrote;
+                    # named as a path, like the file of every other CAM error
+                    shown = os.path.join(self.base, ref) if isinstance(ref, str) else ref
+                    raise ValidationError(f"{shown!r} is not a [file, index] CAM reference")
+                name, index = ref
+                stack = self.stacks.get(name)
+                if stack is None:
+                    stack = self.stacks[name] = load_cam(os.path.join(self.base, name))
+                # a JSON true is a Python bool, which is an int
+                if type(index) is not int or not 0 <= index < len(stack):
+                    raise ValidationError(
+                        f"{os.path.join(self.base, name)}: CAM index {index!r} is not an "
+                        f"integer in 0..{len(stack) - 1}"
+                    )
+                pairs.append((stack, index))
+        # a bad reference, a malformed or missing file, a bad index, or a NUL
+        # byte in a file name
+        except (ValueError, OSError) as exc:
+            raise TraceError(f"{where}: {exc}") from exc
+        return pairs
 
 
 def _slot_cams(files: _CamFiles, refs) -> tuple[np.ndarray, ...]:
     """Each device's (K+1, rows, cols) CAM stack for one slot's `cams` entry.
 
-    A device whose references are consecutive indices of one file gets a
-    view of that file's stack. Any other entry is read reference by
-    reference, the low-light list first, so that its first bad reference
-    gives the error; a device whose maps lie elsewhere gets them copied
-    into a stack of its own.
+    Every reference is checked once, the low-light list first and then each
+    device's enhanced list, so that the first bad reference gives the error.
+    A device whose K+1 references are consecutive indices of one file, the
+    layout save_trace writes, gets a view of that file's stack; a device
+    whose maps lie elsewhere gets them copied into a read-only stack.
     """
-    low_refs, enh_refs = ((refs.get("lowlight"), refs.get("enhanced")) if isinstance(refs, dict)
-                          else (None, None))
-    views: list[np.ndarray | None] = []
-    if (isinstance(low_refs, list) and isinstance(enh_refs, list)
-            and len(low_refs) == len(enh_refs)):
-        views = [files.view([low, *enh]) if isinstance(enh, list) else None
-                 for low, enh in zip(low_refs, enh_refs)]
-        if all(view is not None for view in views):
-            return tuple(views)
-    lows = _load_cams(files, _field(refs, "lowlight", "cams"), "cams lowlight")
+    lows = files.refs(_field(refs, "lowlight", "cams"), "cams lowlight")
     per_device = _field(refs, "enhanced", "cams")
     if not isinstance(per_device, list):
         raise TraceError("cams enhanced must be a list per device")
-    maps = [_load_cams(files, device_refs, f"cams enhanced[{m}]")
-            for m, device_refs in enumerate(per_device)]
-    if len(lows) != len(maps):
+    enhanced = [files.refs(device_refs, f"cams enhanced[{m}]")
+                for m, device_refs in enumerate(per_device)]
+    if len(lows) != len(enhanced):
         raise TraceError("CAM payload must cover every device")
-    # every list was read, so views has a place for each device
-    for m, (low, enh) in enumerate(zip(lows, maps)):
-        if views[m] is None:
-            for cam in enh:
-                if cam.shape != low.shape:
-                    raise TraceError(f"device {m}: CAM shapes differ: {low.shape} vs {cam.shape}")
-            views[m] = np.stack((low, *enh))
-            views[m].setflags(write=False)
-    return tuple(views)
+    cams = []
+    for m, ((stack, start), enh) in enumerate(zip(lows, enhanced)):
+        end = start + 1
+        for other, index in enh:
+            if other is not stack or index != end:
+                break
+            end += 1
+        else:
+            cams.append(stack[start:end])
+            continue
+        low = stack[start]
+        maps = [low, *(other[index] for other, index in enh)]
+        for cam in maps[1:]:
+            if cam.shape != low.shape:
+                raise TraceError(f"device {m}: CAM shapes differ: {low.shape} vs {cam.shape}")
+        copy = np.stack(maps)
+        copy.setflags(write=False)
+        cams.append(copy)
+    return tuple(cams)
 
 
 def _slot_data(files: _CamFiles, entry) -> SlotData:
@@ -297,17 +279,20 @@ def _slot_data(files: _CamFiles, entry) -> SlotData:
 def load_trace(path: str) -> Trace:
     """Read a trace manifest; CAM references resolve relative to the manifest.
 
-    Only the layout is read here, and each CAM file's values. SlotData and
-    Trace check every other value, and their errors come back naming the
-    manifest and the slot. A device-slot laid out as save_trace writes it
-    is a view of its device's stack.
+    Only the layout is read here, and each CAM file's values, each file
+    once. SlotData and Trace check every other value, and their errors come
+    back naming the manifest and the slot. A device-slot laid out as
+    save_trace writes it is a view of its device's stack, and any other
+    layout a read-only copy. A manifest nested too deeply for the json
+    module is a TraceError, like any other JSON that cannot be read.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
             raise TraceError(f"{path}: manifest is not ASCII text: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # the json module raises RecursionError for deeply nested JSON
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceError(f"{path}: not valid JSON: {exc}") from exc
     top = f"{path}: manifest"
     sizes = [_field(doc, key, top) for key in ("devices", "servers", "algorithms")]

@@ -100,6 +100,9 @@ class Trace:
         m, n, k = sizes = self.num_devices, self.num_servers, self.num_algorithms
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in sizes):
             raise TraceError(f"device, server and algorithm counts must be integers: {sizes}")
+        # numpy integers become ints, which save_trace can write as JSON
+        for name, v in zip(("num_devices", "num_servers", "num_algorithms"), sizes):
+            object.__setattr__(self, name, int(v))
         if m < 1 or n < 1 or k < 0:
             raise TraceError("trace needs at least one device and one server")
         shapes: dict[int, tuple[int, ...]] = {}  # each device's CAM stack shape

@@ -334,6 +334,25 @@ def test_trace_round_trip_cam_payload(tmp_path):
             np.testing.assert_allclose(s1.cams[m], s2.cams[m])
 
 
+def test_trace_with_numpy_integer_sizes_round_trips(tmp_path):
+    # numpy counts reach Trace from a spec, or from a caller's own arrays
+    spec = SynthSpec(num_devices=np.int64(2), num_servers=np.int32(1),
+                     num_algorithms=np.int64(1), horizon=2, cam_rows=3, cam_cols=3,
+                     offsets=(0.2,), seed=5)
+    quality = SlotData(np.full(2, 1e7), np.full((2, 1), 2e7), quality=np.zeros((2, 2)))
+    traces = [generate_synthetic(spec), Trace(*np.array([2, 1, 1]), (quality,))]
+    for i, trace in enumerate(traces):
+        sizes = (trace.num_devices, trace.num_servers, trace.num_algorithms)
+        assert [type(v) for v in sizes] == [int, int, int]
+        back = load_trace(save_trace(trace, str(tmp_path / f"t{i}")))
+        assert (back.num_devices, back.num_servers, back.num_algorithms) == sizes
+        for ours, theirs in zip(trace.slots, back.slots):
+            assert hexes(ours.bandwidth_bps) == hexes(theirs.bandwidth_bps)
+            assert (ours.cams is None) == (theirs.cams is None)
+            if ours.cams is not None:
+                assert [hexes(cams) for cams in theirs.cams] == [hexes(cams) for cams in ours.cams]
+
+
 def test_save_trace_writes_one_cam_stack_per_device(tmp_path):
     spec = SynthSpec(num_devices=3, num_servers=1, num_algorithms=2, horizon=3,
                      cam_rows=5, cam_cols=4, offsets=(0.3, 0.1), seed=21)
@@ -448,6 +467,39 @@ def test_cam_references_in_any_order_assess_as_the_saved_layout(tmp_path, monkey
         for trace in (saved, hand)
     ]
     assert qualities[0] == qualities[1]
+
+
+def test_a_malformed_stack_is_read_once_per_load(tmp_path, monkeypatch):
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    (tmp_path / "t" / STACK).write_bytes(npy_file(F8_STACK[:-3], bytes(512)))
+    reads = []
+    original = fileio.load_cam
+
+    def spy(path):
+        reads.append(path.rsplit("/", 1)[-1])
+        return original(path)
+
+    monkeypatch.setattr(fileio, "load_cam", spy)
+    with pytest.raises(TraceError, match=HEADER):
+        load_trace(str(tmp_path / "t" / "trace.json"))
+    assert reads == ["dev00.npy", "dev01.npy"]
+
+
+def test_first_bad_cam_reference_is_found_in_the_lowlight_list(tmp_path):
+    # slot 0 has a bad reference in cams enhanced[0], which comes first in
+    # the manifest, and one in cams lowlight[1]; the low-light list is read first
+    cfg = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    manifest = tmp_path / "t" / "trace.json"
+    doc = json.loads(manifest.read_text())
+    doc["slots"][0]["cams"]["enhanced"][0][0] = ["cams/dev00.npy", 9]
+    doc["slots"][0]["cams"]["lowlight"][1] = [STACK, 7]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(TraceError) as raised:
+        load_trace(str(manifest))
+    assert str(raised.value) == (f"{manifest}: slot 0: cams lowlight: {tmp_path / 't' / STACK}: "
+                                 "CAM index 7 is not an integer in 0..3")
 
 
 def test_load_trace_missing_file(tmp_path):
@@ -894,6 +946,9 @@ TRACE_MUTATIONS = {
         lambda doc: doc["slots"][0]["cams"]["lowlight"].__setitem__(0, 7),
     "manifest-trailing-0xff":
         lambda doc: Overwrite("trace.json", json.dumps(doc).encode() + b"\xff"),
+    # deeper than the interpreter's recursion limit, at which json raises RecursionError
+    "manifest-nested-deep":
+        lambda doc: Overwrite("trace.json", b"[" * 100_000 + b"]" * 100_000),
     "cam-leading-0xff":
         lambda doc: Overwrite(doc["slots"][0]["cams"]["lowlight"][0][0], b"\xff" + TEXT_MAP),
     "devices-infinite": lambda doc: doc.update(devices=math.inf),

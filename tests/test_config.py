@@ -214,6 +214,16 @@ def test_negative_generator_seed_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_deeply_nested_config_is_one_error_line(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit, at which json raises RecursionError
+    text = '{"synth": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ConfigError, match="config is not valid JSON: "):
+        parse_config(text)
+    code, out, err = show_config(tmp_path, capsys, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # ------------------------------------------------------------------ fuzz
 
 SUBSTITUTES = st.one_of(
