@@ -23,18 +23,6 @@ DEFAULT_DENOM_FLOOR = 1e-6  # static scenes must not divide by ~0
 DEFAULT_QUALITY_CAP = 10.0  # symmetric clamp on the final score
 
 
-def trusted(cls, **fields):
-    """An instance of SlotInput over arrays used as is.
-
-    It skips __post_init__'s checks and copy, so the caller must hand over
-    read-only float64 arrays that already hold the class's invariant.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def check_cams(values: np.ndarray, where: str = "") -> None:
     """Raise ValidationError, its message led by `where`, unless every CAM
     value is finite and non-negative.

@@ -90,9 +90,8 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "scheduler", None):
         config = dataclasses.replace(config, scheduler=args.scheduler)
     if getattr(args, "oracle_limit", None) is not None:
-        if args.oracle_limit < 1:
-            raise CamSchedError(f"--oracle-limit must be >= 1, got {args.oracle_limit}")
-        config = dataclasses.replace(config, oracle_limit=args.oracle_limit)
+        limit = RunConfig.key("oracle_limit").check(args.oracle_limit, "--oracle-limit")
+        config = dataclasses.replace(config, oracle_limit=limit)
     return config
 
 

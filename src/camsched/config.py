@@ -4,9 +4,10 @@ An empty document resolves to the default deployment: 10 devices, the
 four-server roster (one strong GPU box, one weak GPU box, two CPU-only
 boxes), four enhancement algorithms (two GPU-bound, two CPU-bound), quality
 window of 5, latency weight 0.5 and a 4 second deadline. Each key is declared
-once, in its section's table with its type, default and bounds; parsing, the
-unknown-key check and emit_config all read those tables. Numbers must be
-finite and bools are not numbers. Unknown keys are rejected by name;
+once, with its type, default and bounds: a top-level key on its RunConfig
+field, a section's key in that section's table. Parsing, the unknown-key
+check and emit_config all read those declarations. Numbers must be finite
+and bools are not numbers. Unknown keys are rejected by name;
 emit_config renders the fully resolved form canonically.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,9 +32,6 @@ from .sysmodel import (
     ModelConstants,
     SystemModel,
 )
-
-DEFAULT_DEVICES = 10
-DEFAULT_SCHEDULER = "ga"
 
 # roster: [gpu_capacity, cpu_capacity] per server (units/s)
 DEFAULT_SERVERS = (
@@ -85,8 +83,10 @@ class Key:
             default = self.default
         if self.name not in doc and default is not None:
             return default  # the defaults are valid by construction
-        val = doc.get(self.name)
-        what = f"{where} key {self.name!r}"
+        return self.check(doc.get(self.name), f"{where} key {self.name!r}", default)
+
+    def check(self, val, what: str, default=None):
+        """`val` validated as this key's value; its errors start with `what`."""
         if self.choices:
             if val not in self.choices:
                 raise ConfigError(
@@ -166,48 +166,50 @@ _SYNTH = (
     Key("accuracy_noise", float, _SPEC.accuracy_noise, low=0.0),
     Key("seed", int),
 )
-_TOP = (
-    Key("devices", int, DEFAULT_DEVICES, low=1, attr="num_devices"),
-    Key("seed", int, sched.DEFAULT_SEED),
-    Key("scheduler", str, DEFAULT_SCHEDULER, choices=SCHEDULER_CHOICES),
-    Key("oracle_limit", int, sched.DEFAULT_ORACLE_LIMIT, low=1),
-    Key("latency_weight", float, sysmodel.DEFAULT_LATENCY_WEIGHT, low=0.0),
-    Key("max_latency_s", float, sysmodel.DEFAULT_MAX_LATENCY_S, low=0.0, strict=True),
-    Key("overhead_latency_s", float, sysmodel.DEFAULT_OVERHEAD_S, low=0.0),
-    Key("window_depth", int, camq.DEFAULT_WINDOW_DEPTH, low=1),
-    Key("cam_threshold", float, camq.DEFAULT_THRESHOLD),
-    Key("denominator_floor", float, camq.DEFAULT_DENOM_FLOOR, low=0.0, strict=True),
-    Key("quality_cap", float, camq.DEFAULT_QUALITY_CAP, low=0.0, strict=True),
-    Key("default_accuracy", float, camq.DEFAULT_ACCURACY, 0.0, 1.0),
-    Key("servers", table=_SERVER),
-    Key("algorithms", table=_ALGORITHM),
-    Key("ga", table=_GA),
-    Key("synth", table=_SYNTH),
-    Key("trace_path", str),
-    Key("metrics_path", str),
-)
+
+
+def _key(*args, **kwargs):
+    """A RunConfig field declared by its config Key."""
+    return field(metadata={"key": Key(*args, **kwargs)})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    num_devices: int
-    seed: int
-    scheduler: str
-    oracle_limit: int
-    latency_weight: float
-    max_latency_s: float
-    overhead_latency_s: float
-    window_depth: int
-    cam_threshold: float
-    denominator_floor: float
-    quality_cap: float
-    default_accuracy: float
-    servers: tuple[EdgeServer, ...]
-    algorithms: tuple[EnhancementProfile, ...]
-    ga: GaConfig
-    synth: SynthSpec
-    trace_path: str | None
-    metrics_path: str | None
+    """The resolved run configuration. Each field carries the top-level key
+    that fills it; the field order is the order show-config prints."""
+
+    num_devices: int = _key("devices", int, _SPEC.num_devices, low=1)
+    seed: int = _key("seed", int, sched.DEFAULT_SEED)
+    scheduler: str = _key("scheduler", str, "ga", choices=SCHEDULER_CHOICES)
+    oracle_limit: int = _key("oracle_limit", int, sched.DEFAULT_ORACLE_LIMIT, low=1)
+    latency_weight: float = _key("latency_weight", float, sysmodel.DEFAULT_LATENCY_WEIGHT,
+                                 low=0.0)
+    max_latency_s: float = _key("max_latency_s", float, sysmodel.DEFAULT_MAX_LATENCY_S,
+                                low=0.0, strict=True)
+    overhead_latency_s: float = _key("overhead_latency_s", float,
+                                     sysmodel.DEFAULT_OVERHEAD_S, low=0.0)
+    window_depth: int = _key("window_depth", int, camq.DEFAULT_WINDOW_DEPTH, low=1)
+    cam_threshold: float = _key("cam_threshold", float, camq.DEFAULT_THRESHOLD)
+    denominator_floor: float = _key("denominator_floor", float, camq.DEFAULT_DENOM_FLOOR,
+                                    low=0.0, strict=True)
+    quality_cap: float = _key("quality_cap", float, camq.DEFAULT_QUALITY_CAP,
+                              low=0.0, strict=True)
+    default_accuracy: float = _key("default_accuracy", float, camq.DEFAULT_ACCURACY,
+                                   0.0, 1.0)
+    servers: tuple[EdgeServer, ...] = _key("servers", table=_SERVER)
+    algorithms: tuple[EnhancementProfile, ...] = _key("algorithms", table=_ALGORITHM)
+    ga: GaConfig = _key("ga", table=_GA)
+    synth: SynthSpec = _key("synth", table=_SYNTH)
+    trace_path: str | None = _key("trace_path", str)
+    metrics_path: str | None = _key("metrics_path", str)
+
+    @staticmethod
+    def key(name: str) -> Key:
+        """The key that fills field `name`."""
+        return next(key for key in _TOP if key.field == name)
+
+
+_TOP = tuple(replace(f.metadata["key"], attr=f.name) for f in fields(RunConfig))
 
 
 def _reject_unknown(doc: dict, table: tuple[Key, ...], where: str) -> None:
@@ -336,20 +338,16 @@ def emit_config(config: RunConfig) -> str:
     return json.dumps(_emit(_TOP, config), indent=2) + "\n"
 
 
-def build_constants(config: RunConfig) -> ModelConstants:
-    return ModelConstants(
-        num_devices=config.num_devices,
-        overhead_latency_s=config.overhead_latency_s,
-        latency_weight=config.latency_weight,
-        max_latency_s=config.max_latency_s,
-    )
-
-
 def build_model(config: RunConfig) -> SystemModel:
     return SystemModel(
         servers=config.servers,
         profiles=config.algorithms,
-        constants=build_constants(config),
+        constants=ModelConstants(
+            num_devices=config.num_devices,
+            overhead_latency_s=config.overhead_latency_s,
+            latency_weight=config.latency_weight,
+            max_latency_s=config.max_latency_s,
+        ),
     )
 
 

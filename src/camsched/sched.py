@@ -524,9 +524,15 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
     placed on the server with the most residual pool capacity that can hold
     it. A device whose request fits nowhere is rejected outright rather than
     downgraded, and a rejected device is not served at all this slot.
+
+    Admission rule: a request fits when `load + service <= capacity`, the
+    pool's load added device by device from 0.0 as check_feasibility adds it,
+    so a slot that rejects no device reports capacity_ok. Servers are tried by
+    residual `capacity - load`, largest first, ties to the smaller index.
     """
     check_dims(slot, model)
-    residual = model.capacity_matrix.copy()
+    capacity = model.capacity_matrix
+    load = np.zeros_like(capacity)
     service = model.service_matrix
     pools = model.pool_index
     servers_out: list[int] = []
@@ -535,16 +541,16 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
     for m in range(model.num_devices):
         k_star = int(np.argmax(slot.quality[m]))  # ties go to the smaller id
         if k_star == 0:
-            totals = residual.sum(axis=1)
+            totals = (capacity - load).sum(axis=1)
             servers_out.append(int(np.argmax(totals)))
             algorithms_out.append(0)
             continue
         pool = int(pools[k_star])
-        order = np.argsort(-residual[:, pool], kind="stable")
+        order = np.argsort(load[:, pool] - capacity[:, pool], kind="stable")
         chosen = -1
         for n in order:
             s = service[n, k_star]
-            if 0.0 < s <= residual[n, pool]:
+            if 0.0 < s and load[n, pool] + s <= capacity[n, pool]:
                 chosen = int(n)
                 break
         if chosen < 0:
@@ -552,7 +558,7 @@ def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:
             servers_out.append(0)
             algorithms_out.append(0)
         else:
-            residual[chosen, pool] -= service[chosen, k_star]
+            load[chosen, pool] += service[chosen, k_star]
             servers_out.append(chosen)
             algorithms_out.append(k_star)
     return BaselineResult(

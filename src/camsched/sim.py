@@ -189,8 +189,8 @@ def assess_slot(slot: SlotData, state: QualityState, threshold: float) -> SlotIn
         quality = camq.enhancement_quality(state, slot.cams, threshold)
         check_slot_values(slot.datasize_bits, slot.bandwidth_bps, quality)
         quality.setflags(write=False)
-    return camq.trusted(SlotInput, datasize_bits=slot.datasize_bits,
-                        bandwidth_bps=slot.bandwidth_bps, quality=quality)
+    return SlotInput.trusted(datasize_bits=slot.datasize_bits,
+                             bandwidth_bps=slot.bandwidth_bps, quality=quality)
 
 
 def commit_windows(

@@ -239,6 +239,18 @@ class SlotInput:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def trusted(cls, **fields) -> SlotInput:
+        """A SlotInput over arrays used as is.
+
+        It skips __post_init__'s checks and copy, so the caller must hand over
+        read-only float64 arrays that already hold the class's invariant.
+        """
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
     @property
     def num_devices(self) -> int:
         return self.datasize_bits.shape[0]

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from camsched import camq
 from camsched import sched as sched_module
 from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
@@ -236,8 +235,8 @@ def test_population_scorer_matches_the_per_genome_reference(ga):
     quality = slot.quality.copy()
     quality[:2, 2] = 1e308
     quality.setflags(write=False)
-    huge = camq.trusted(SlotInput, datasize_bits=slot.datasize_bits,
-                        bandwidth_bps=slot.bandwidth_bps, quality=quality)
+    huge = SlotInput.trusted(datasize_bits=slot.datasize_bits,
+                             bandwidth_bps=slot.bandwidth_bps, quality=quality)
     fits = {}
     for s in (slot, huge):
         ref = _RefSlotTables(s, model, ga)
@@ -1171,6 +1170,59 @@ def test_capacity_baseline_zero_capacity_rejects_enhancers():
     # device 0 wants k=1 but nothing can host it; device 1's argmax is k=0
     assert res.rejected == frozenset({0})
     assert res.decision.algorithms == (0, 0)
+
+
+def one_pool_slot(rates, capacity, best):
+    """A server with one CPU pool of `capacity`, a CPU algorithm per service
+    rate, and a slot in which device m prefers algorithm best[m] >= 1."""
+    servers = (EdgeServer(0.0, capacity),)
+    profiles = tuple(
+        EnhancementProfile(KIND_CPU, np.array([0.0]), np.array([r])) for r in rates
+    )
+    model = SystemModel(servers, profiles, ModelConstants(num_devices=len(best)))
+    quality = np.zeros((len(best), len(rates) + 1))
+    quality[np.arange(len(best)), best] = 0.9
+    slot = SlotInput(np.full(len(best), 1e6), np.full((len(best), 1), 1e7), quality)
+    return model, slot
+
+
+def test_capacity_baseline_admits_by_the_reports_load_sum():
+    # the six services add to 3.0000000000000004 device by device, over the
+    # pool's 3.0, while 3.0 minus the first five still leaves 0.6 for device 5
+    model, slot = one_pool_slot((0.3, 0.75, 0.6), 3.0, (1, 1, 2, 1, 2, 3))
+    res = baseline_capacity(slot, model)
+    assert res.rejected == frozenset({5})
+    assert res.decision.algorithms == (1, 1, 2, 1, 2, 0)
+    report = check_feasibility(res.decision, slot, model)
+    assert report.capacity_ok and report.feasible
+    assert report.loads[0, 1] == 0.3 + 0.3 + 0.75 + 0.3 + 0.75
+
+
+@st.composite
+def filled_pools(draw):
+    """One CPU pool of 1.0 or 3.0 and devices whose requests, in a drawn
+    order, fill it as far as they fit in exact decimal sums. The rates are not
+    powers of two, so their float sums round to either side of the capacity."""
+    rates = (0.1, 0.3, 0.6, 0.75)
+    capacity = draw(st.sampled_from((1.0, 3.0)))
+    room, best = round(capacity * 100), []
+    while fits := [k for k, r in enumerate(rates, 1) if round(r * 100) <= room]:
+        best.append(draw(st.sampled_from(fits)))
+        room -= round(rates[best[-1] - 1] * 100)
+    return one_pool_slot(rates, capacity, best)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(filled_pools())
+def test_capacity_baseline_rejects_exactly_what_the_report_calls_overloaded(case):
+    model, slot = case
+    res = baseline_capacity(slot, model)
+    if not res.rejected:
+        assert check_feasibility(res.decision, slot, model).capacity_ok
+    # and the converse: if placing every device fits the one pool, all are placed
+    everyone = Decision((0,) * model.num_devices, slot.quality.argmax(axis=1).tolist())
+    if check_feasibility(everyone, slot, model).capacity_ok:
+        assert not res.rejected
 
 
 def test_no_enhancement_baseline_picks_max_bandwidth():

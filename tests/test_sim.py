@@ -135,6 +135,26 @@ def test_rejected_device_accounting():
     assert not metrics.feasible
 
 
+def test_capacity_slot_is_infeasible_only_by_its_rejection():
+    # one CPU pool of 3.0 and services 0.3, 0.75 and 0.6: placing all six
+    # devices would load it with 3.0000000000000004, so device 5 is rejected
+    servers = (EdgeServer(0.0, 3.0),)
+    profiles = tuple(
+        EnhancementProfile(sysmodel.KIND_CPU, np.array([0.0]), np.array([r]))
+        for r in (0.3, 0.75, 0.6)
+    )
+    model = SystemModel(servers, profiles, ModelConstants(num_devices=6))
+    q = np.zeros((6, 4))
+    q[np.arange(6), (1, 1, 2, 1, 2, 3)] = 0.9
+    data = SlotData(np.full(6, 1e6), np.full((6, 1), 1e7), quality=q)
+    metrics = run_slot(0, Trace(6, 1, 3, (data,)), QualityState(6, 3), model,
+                       scheduler="capacity")
+    assert metrics.rejected == frozenset({5})
+    assert not metrics.feasible and metrics.total_utility == -math.inf
+    slot = SlotInput(data.datasize_bits, data.bandwidth_bps, data.quality)
+    assert sysmodel.check_feasibility(metrics.decision, slot, model).feasible
+
+
 def test_unknown_scheduler_rejected():
     model = tiny_model()
     trace = quality_trace(model, 1)
