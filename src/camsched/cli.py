@@ -23,13 +23,30 @@ from . import fileio, sched, sim
 from .config import RunConfig, build_model, build_quality_state, emit_config, parse_config_file
 from .errors import CamSchedError
 from .fileio import emit_metrics
+from .keys import key_of
 from .sim import generate_synthetic
 from .sysmodel import check_dims
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# the flags that several commands share, each declared once with its help
+_SHARED_FLAGS = {
+    "--trace": dict(required=True, help="trace manifest"),
+    "--slot": dict(type=int, default=0, help="slot index (default 0)"),
+    "--scheduler": dict(choices=sim.SCHEDULER_CHOICES,
+                        help="override the configured scheduler"),
+    "--oracle-limit": dict(type=int, help="override the configured oracle enumeration cap"),
+    "--out": dict(help="write the JSON records here instead of stdout"),
+}
+
+
+def _add_command(sub, name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+    """Subcommand `name` with --config, --seed and the `shared` flags."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", help="JSON run configuration file")
     parser.add_argument("--seed", type=int, help="override the configured seed")
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,41 +56,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a whole trace and emit metrics")
-    _add_common(p)
+    p = _add_command(sub, "simulate", "run a whole trace and emit metrics",
+                     "--scheduler", "--oracle-limit")
     p.add_argument("--trace", help="trace manifest (defaults to config trace_path)")
     p.add_argument("--out", help="metrics file (defaults to config metrics_path)")
-    p.add_argument(
-        "--scheduler", choices=sim.SCHEDULER_CHOICES, help="override the scheduler"
-    )
-    p.add_argument("--oracle-limit", type=int, help="enumeration cap for --scheduler oracle")
-
-    p = sub.add_parser("schedule", help="schedule a single slot")
-    _add_common(p)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--slot", type=int, default=0, help="slot index (default 0)")
-    p.add_argument("--scheduler", choices=sim.SCHEDULER_CHOICES)
-    p.add_argument("--oracle-limit", type=int)
-    p.add_argument("--out", help="write the decision record here instead of stdout")
-
-    p = sub.add_parser("oracle", help="exhaustively solve a single slot")
-    _add_common(p)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--slot", type=int, default=0)
-    p.add_argument("--oracle-limit", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("gen-trace", help="generate a synthetic CAM trace")
-    _add_common(p)
+    _add_command(sub, "schedule", "schedule a single slot",
+                 "--trace", "--slot", "--scheduler", "--oracle-limit", "--out")
+    _add_command(sub, "oracle", "exhaustively solve a single slot",
+                 "--trace", "--slot", "--oracle-limit", "--out")
+    p = _add_command(sub, "gen-trace", "generate a synthetic CAM trace")
     p.add_argument("--out", required=True, help="output trace directory")
-
-    p = sub.add_parser("assess", help="emit per-slot quality matrices for a trace")
-    _add_common(p)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out", help="write records here instead of stdout")
-
-    p = sub.add_parser("show-config", help="print the resolved configuration")
-    _add_common(p)
+    _add_command(sub, "assess", "emit per-slot quality matrices for a trace",
+                 "--trace", "--out")
+    _add_command(sub, "show-config", "print the resolved configuration")
     return parser
 
 
@@ -90,7 +85,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "scheduler", None):
         config = dataclasses.replace(config, scheduler=args.scheduler)
     if getattr(args, "oracle_limit", None) is not None:
-        limit = RunConfig.key("oracle_limit").check(args.oracle_limit, "--oracle-limit")
+        limit = key_of(RunConfig, "oracle_limit").check(args.oracle_limit, "--oracle-limit")
         config = dataclasses.replace(config, oracle_limit=limit)
     return config
 
@@ -235,11 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CamSchedError as exc:
+    except (CamSchedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy refuses an array larger than the machine can map at once
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,24 +4,27 @@ An empty document resolves to the default deployment: 10 devices, the
 four-server roster (one strong GPU box, one weak GPU box, two CPU-only
 boxes), four enhancement algorithms (two GPU-bound, two CPU-bound), quality
 window of 5, latency weight 0.5 and a 4 second deadline. Each key is declared
-once, with its type, default and bounds: a top-level key on its RunConfig
-field, a section's key in that section's table. Parsing, the unknown-key
-check and emit_config all read those declarations. Numbers must be finite
-and bools are not numbers. Unknown keys are rejected by name;
-emit_config renders the fully resolved form canonically.
+once, with its type, default and bounds, on the dataclass field it fills: a
+top-level key on its RunConfig field (the three latency keys on
+ModelConstants' fields, which RunConfig reuses), a servers, ga or synth key
+on its EdgeServer, GaConfig or SynthSpec field, which the class checks
+itself. Only the algorithm section's per-server lists are declared here, in
+_ALGORITHM. Parsing, the unknown-key check and emit_config all read those
+declarations. Numbers must be finite and bools are not numbers. Unknown keys
+are rejected by name; emit_config renders the fully resolved form canonically.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import camq, sched, sysmodel
+from . import camq, sched
 from .camq import QualityState
 from .errors import ConfigError, ValidationError
+from .keys import Key, _number, _numbers, key_of, keys_of
 from .sched import GaConfig
 from .sim import SCHEDULER_CHOICES, SynthSpec
 from .sysmodel import (
@@ -53,118 +56,11 @@ DEFAULT_ALGORITHMS = (
 )
 
 
-@dataclass(frozen=True)
-class Key:
-    """One config key: its JSON name, type, default and bounds.
-
-    A list key holds as many finite numbers as its default. A key with a
-    `table` is a section, an object (or a list of objects) whose keys that
-    table declares. `attr` names the field the key fills when it differs
-    from the name.
-    """
-
-    name: str
-    kind: type = float          # int, float, str or list
-    default: object = None
-    low: float | None = None
-    high: float | None = None
-    strict: bool = False        # whether `low` itself is out of bounds
-    choices: tuple[str, ...] = ()
-    table: tuple[Key, ...] = ()
-    attr: str = ""
-
-    @property
-    def field(self) -> str:
-        return self.attr or self.name
-
-    def read(self, doc: dict, where: str, default=None):
-        """The validated value of this key in `doc`, or its default."""
-        if default is None:
-            default = self.default
-        if self.name not in doc and default is not None:
-            return default  # the defaults are valid by construction
-        return self.check(doc.get(self.name), f"{where} key {self.name!r}", default)
-
-    def check(self, val, what: str, default=None):
-        """`val` validated as this key's value; its errors start with `what`."""
-        if self.choices:
-            if val not in self.choices:
-                raise ConfigError(
-                    f"{what} must be one of {'|'.join(self.choices)}, got {val!r}"
-                )
-        elif self.kind is str:
-            # open() raises a bare ValueError on a NUL byte in a path
-            if val is not None and (not isinstance(val, str) or "\0" in val):
-                raise ConfigError(f"{what} must be a string path without NUL bytes")
-        elif self.kind is list:
-            if val is None and default is None:
-                return None  # absent or null: the built class's default applies
-            val = _numbers(val, what, default and len(default))
-        else:
-            val = _number(val, what, self.kind, self.low, self.high, self.strict)
-        return val
-
-
-def _number(val, what: str, kind: type = float, low=None, high=None, strict=False):
-    """A finite number of `kind` (never a bool) inside the bounds."""
-    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}")
-    if kind is float:
-        try:
-            val = float(val)
-        except OverflowError:
-            val = math.inf
-        if not math.isfinite(val):
-            raise ConfigError(f"{what} must be finite, got {val}")
-    if low is not None and (val <= low if strict else val < low):
-        raise ConfigError(f"{what} must be {'>' if strict else '>='} {low}, got {val}")
-    if high is not None and val > high:
-        raise ConfigError(f"{what} must be <= {high}, got {val}")
-    return val
-
-
-def _numbers(val, what: str, size: int | None) -> tuple[float, ...]:
-    if not isinstance(val, (list, tuple)) or size not in (None, len(val)):
-        raise ConfigError(f"{what} must list {size or 'some'} numbers")
-    return tuple(_number(v, what) for v in val)
-
-
-_SPEC = SynthSpec()
-_SERVER = (
-    Key("gpu_capacity", float, 0.0, low=0.0),
-    Key("cpu_capacity", float, 0.0, low=0.0),
-)
 # demand and service are per-server lists, or a scalar broadcast over the roster
 _ALGORITHM = (
     Key("kind", str, choices=(KIND_GPU, KIND_CPU)),
     Key("demand_per_bit", list),
     Key("service_rate", list),
-)
-# a seed absent from the ga or synth section takes the top-level seed
-_GA = (
-    Key("population_size", int, sched.DEFAULT_POPULATION, low=1),
-    Key("generations", int, sched.DEFAULT_GENERATIONS, low=1),
-    Key("crossover_prob", float, sched.DEFAULT_CROSSOVER_PROB, 0.0, 1.0),
-    Key("mutation_prob", float, sched.DEFAULT_MUTATION_PROB, 0.0, 1.0),
-    Key("penalty_capacity", float, sched.DEFAULT_PENALTY, low=0.0),
-    Key("penalty_latency", float, sched.DEFAULT_PENALTY, low=0.0),
-    Key("seed", int, attr="rng_seed"),
-)
-# absent offsets take SynthSpec's default for the configured algorithm count
-_SYNTH = (
-    Key("horizon", int, _SPEC.horizon, low=0),
-    Key("cam_rows", int, _SPEC.cam_rows, low=1),
-    Key("cam_cols", int, _SPEC.cam_cols, low=1),
-    Key("smoothness", float, _SPEC.smoothness),
-    Key("drift", float, _SPEC.drift, low=0.0),
-    Key("offsets", list),
-    Key("cam_noise", float, _SPEC.cam_noise, low=0.0),
-    Key("datasize_bits", list, _SPEC.datasize_bits),
-    Key("bandwidth_bps", list, _SPEC.bandwidth_bps),
-    Key("accuracy_floor", float, _SPEC.accuracy_floor, 0.0, 1.0),
-    Key("accuracy_gain", float, _SPEC.accuracy_gain),
-    Key("accuracy_noise", float, _SPEC.accuracy_noise, low=0.0),
-    Key("seed", int),
 )
 
 
@@ -173,21 +69,23 @@ def _key(*args, **kwargs):
     return field(metadata={"key": Key(*args, **kwargs)})
 
 
+def _model_key(name: str):
+    """A RunConfig field declared by the key of ModelConstants' field `name`."""
+    return field(metadata={"key": key_of(ModelConstants, name)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The resolved run configuration. Each field carries the top-level key
     that fills it; the field order is the order show-config prints."""
 
-    num_devices: int = _key("devices", int, _SPEC.num_devices, low=1)
+    num_devices: int = _key("devices", int, SynthSpec.num_devices, low=1)
     seed: int = _key("seed", int, sched.DEFAULT_SEED)
     scheduler: str = _key("scheduler", str, "ga", choices=SCHEDULER_CHOICES)
     oracle_limit: int = _key("oracle_limit", int, sched.DEFAULT_ORACLE_LIMIT, low=1)
-    latency_weight: float = _key("latency_weight", float, sysmodel.DEFAULT_LATENCY_WEIGHT,
-                                 low=0.0)
-    max_latency_s: float = _key("max_latency_s", float, sysmodel.DEFAULT_MAX_LATENCY_S,
-                                low=0.0, strict=True)
-    overhead_latency_s: float = _key("overhead_latency_s", float,
-                                     sysmodel.DEFAULT_OVERHEAD_S, low=0.0)
+    latency_weight: float = _model_key("latency_weight")
+    max_latency_s: float = _model_key("max_latency_s")
+    overhead_latency_s: float = _model_key("overhead_latency_s")
     window_depth: int = _key("window_depth", int, camq.DEFAULT_WINDOW_DEPTH, low=1)
     cam_threshold: float = _key("cam_threshold", float, camq.DEFAULT_THRESHOLD)
     denominator_floor: float = _key("denominator_floor", float, camq.DEFAULT_DENOM_FLOOR,
@@ -196,20 +94,15 @@ class RunConfig:
                               low=0.0, strict=True)
     default_accuracy: float = _key("default_accuracy", float, camq.DEFAULT_ACCURACY,
                                    0.0, 1.0)
-    servers: tuple[EdgeServer, ...] = _key("servers", table=_SERVER)
+    servers: tuple[EdgeServer, ...] = _key("servers", table=keys_of(EdgeServer))
     algorithms: tuple[EnhancementProfile, ...] = _key("algorithms", table=_ALGORITHM)
-    ga: GaConfig = _key("ga", table=_GA)
-    synth: SynthSpec = _key("synth", table=_SYNTH)
+    ga: GaConfig = _key("ga", table=keys_of(GaConfig))
+    synth: SynthSpec = _key("synth", table=keys_of(SynthSpec))
     trace_path: str | None = _key("trace_path", str)
     metrics_path: str | None = _key("metrics_path", str)
 
-    @staticmethod
-    def key(name: str) -> Key:
-        """The key that fills field `name`."""
-        return next(key for key in _TOP if key.field == name)
 
-
-_TOP = tuple(replace(f.metadata["key"], attr=f.name) for f in fields(RunConfig))
+_TOP = keys_of(RunConfig)
 
 
 def _reject_unknown(doc: dict, table: tuple[Key, ...], where: str) -> None:
@@ -218,14 +111,15 @@ def _reject_unknown(doc: dict, table: tuple[Key, ...], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
-def _build(cls, where: str, doc, table: tuple[Key, ...], defaults=None, **fixed):
-    """`cls` from one config object whose keys `table` declares."""
+def _build(cls, where: str, doc, defaults=None, **fixed):
+    """`cls` from one config object whose keys are `cls`'s keyed fields; `cls`
+    checks the values, and an absent key takes `defaults` or the field's default."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
+    table = keys_of(cls)
     _reject_unknown(doc, table, where)
-    values = {
-        key.field: key.read(doc, where, (defaults or {}).get(key.name)) for key in table
-    }
+    values = dict(defaults or {})
+    values.update((key.field, doc[key.name]) for key in table if key.name in doc)
     try:
         return cls(**values, **fixed)
     except ValidationError as exc:
@@ -279,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config key 'servers' must be a non-empty list")
     servers = tuple(
-        _build(EdgeServer, f"server {i}", entry, _SERVER) for i, entry in enumerate(entries)
+        _build(EdgeServer, f"server {i}", entry) for i, entry in enumerate(entries)
     )
     entries = doc.get("algorithms")
     if entries is None:
@@ -294,10 +188,9 @@ def parse_config(text: str) -> RunConfig:
     algorithms = tuple(_parse_algorithm(i, e, servers) for i, e in enumerate(entries))
 
     seed = top["seed"]
-    ga = _build(GaConfig, "ga", doc.get("ga", {}), _GA, {"seed": seed})
+    ga = _build(GaConfig, "ga", doc.get("ga", {}), {"rng_seed": seed})
     synth = _build(
-        SynthSpec, "synth", doc.get("synth", {}), _SYNTH,
-        {"seed": seed},
+        SynthSpec, "synth", doc.get("synth", {}), {"seed": seed},
         num_devices=top["num_devices"],
         num_servers=len(servers),
         num_algorithms=len(algorithms),

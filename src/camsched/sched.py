@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SearchSpaceError, ValidationError
+from .keys import check_keyed, keyed
 from .sysmodel import (
     Decision,
     FeasibilityReport,
@@ -40,11 +41,6 @@ from .sysmodel import (
     latency_table,
 )
 
-DEFAULT_POPULATION = 50
-DEFAULT_GENERATIONS = 100
-DEFAULT_CROSSOVER_PROB = 0.8
-DEFAULT_MUTATION_PROB = 0.1
-DEFAULT_PENALTY = 100.0
 DEFAULT_ORACLE_LIMIT = 10_000_000
 DEFAULT_SEED = 1
 
@@ -55,26 +51,19 @@ _ORACLE_CHUNK = 8192    # decisions scored per vectorised batch
 
 @dataclass(frozen=True)
 class GaConfig:
-    population_size: int = DEFAULT_POPULATION
-    generations: int = DEFAULT_GENERATIONS
-    crossover_prob: float = DEFAULT_CROSSOVER_PROB
-    mutation_prob: float = DEFAULT_MUTATION_PROB
-    penalty_capacity: float = DEFAULT_PENALTY
-    penalty_latency: float = DEFAULT_PENALTY
-    rng_seed: int = DEFAULT_SEED
+    """The penalty GA's parameters; each field is the `ga` config key it names."""
+
+    population_size: int = keyed("population_size", int, 50, low=1)
+    generations: int = keyed("generations", int, 100, low=1)
+    crossover_prob: float = keyed("crossover_prob", float, 0.8, low=0.0, high=1.0)
+    mutation_prob: float = keyed("mutation_prob", float, 0.1, low=0.0, high=1.0)
+    penalty_capacity: float = keyed("penalty_capacity", float, 100.0, low=0.0)
+    penalty_latency: float = keyed("penalty_latency", float, 100.0, low=0.0)
+    # a seed absent from the ga section takes the top-level seed
+    rng_seed: int = keyed("seed", int, DEFAULT_SEED)
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ValidationError("population size must be at least 1")
-        if self.generations < 1:
-            raise ValidationError("generation count must be at least 1")
-        for name in ("crossover_prob", "mutation_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
-        for p in (self.penalty_capacity, self.penalty_latency):
-            if not 0 <= p < math.inf:
-                raise ValidationError("penalty coefficients must be finite and non-negative")
+        check_keyed(self)
 
 
 @dataclass(frozen=True)

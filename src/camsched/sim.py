@@ -23,6 +23,7 @@ import numpy as np
 from . import camq, sched, sysmodel
 from .camq import QualityState
 from .errors import TraceError, ValidationError
+from .keys import check_keyed, keyed
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
 # this module's attribute, so the name stays bound
@@ -362,51 +363,43 @@ class SynthSpec:
     lifts activations by offsets[k-1] plus small noise. Accuracy feedback
     rises with the offset, so better enhancement also means better analytics.
     Without offsets, the K of them run evenly from 0.30 down to 0.08,
-    rounded to 6 places.
+    rounded to 6 places. Each field after the three counts is the synth
+    config key it names.
     """
 
     num_devices: int = 10
     num_servers: int = 4
     num_algorithms: int = 4
-    horizon: int = 30
-    cam_rows: int = 16
-    cam_cols: int = 16
-    smoothness: float = 0.25            # coarse-grid fraction; lower is smoother
-    drift: float = 0.05                 # per-slot scene movement, coarse-grid sigma
-    offsets: tuple[float, ...] | None = None
-    cam_noise: float = 0.02
-    datasize_bits: tuple[float, float] = (15e6, 25e6)
-    bandwidth_bps: tuple[float, float] = (20e6, 20e6)
-    accuracy_floor: float = 0.6
-    accuracy_gain: float = 0.8
-    accuracy_noise: float = 0.05
-    seed: int = 1
+    horizon: int = keyed("horizon", int, 30, low=0)
+    cam_rows: int = keyed("cam_rows", int, 16, low=1)
+    cam_cols: int = keyed("cam_cols", int, 16, low=1)
+    # coarse-grid fraction; lower is smoother
+    smoothness: float = keyed("smoothness", float, 0.25, low=0.0, strict=True, high=1.0)
+    # per-slot scene movement, coarse-grid sigma
+    drift: float = keyed("drift", float, 0.05, low=0.0)
+    offsets: tuple[float, ...] | None = keyed("offsets", list)
+    cam_noise: float = keyed("cam_noise", float, 0.02, low=0.0)
+    datasize_bits: tuple[float, float] = keyed("datasize_bits", list, (15e6, 25e6))
+    bandwidth_bps: tuple[float, float] = keyed("bandwidth_bps", list, (20e6, 20e6))
+    accuracy_floor: float = keyed("accuracy_floor", float, 0.6, low=0.0, high=1.0)
+    accuracy_gain: float = keyed("accuracy_gain", float, 0.8)
+    accuracy_noise: float = keyed("accuracy_noise", float, 0.05, low=0.0)
+    # a seed absent from the synth section takes the top-level seed
+    seed: int = keyed("seed", int, 1, low=0)
 
     def __post_init__(self):
         if min(self.num_devices, self.num_servers, self.num_algorithms) < 1:
             raise ValidationError("device, server and algorithm counts must be >= 1")
-        if self.horizon < 0:
-            raise ValidationError("horizon must be non-negative")
-        if self.cam_rows < 1 or self.cam_cols < 1:
-            raise ValidationError("CAM shape must be at least 1x1")
-        if not 0.0 < self.smoothness <= 1.0:
-            raise ValidationError("smoothness must lie in (0, 1]")
+        check_keyed(self)
         if self.offsets is None:
             offsets = np.linspace(0.30, 0.08, self.num_algorithms).round(6)
             object.__setattr__(self, "offsets", tuple(offsets.tolist()))
         if len(self.offsets) != self.num_algorithms:
             raise ValidationError("need one brightness offset per algorithm")
-        for name in ("drift", "cam_noise", "accuracy_noise"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
         for name in ("datasize_bits", "bandwidth_bps"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ValidationError(f"{name} range must satisfy 0 <= lo <= hi")
-        if not 0.0 <= self.accuracy_floor <= 1.0:
-            raise ValidationError("accuracy floor must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValidationError(f"generator seed must be non-negative, got {self.seed}")
 
 
 def _upsample(coarse: np.ndarray, out: np.ndarray) -> None:

@@ -18,27 +18,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UnknownDeviceError, ValidationError
+from .keys import check_keyed, keyed
 
 KIND_GPU = "gpu"
 KIND_CPU = "cpu"
 GPU_POOL = 0  # row index into (N, 2) capacity/load matrices
 CPU_POOL = 1
 
-DEFAULT_OVERHEAD_S = 0.05  # fixed per-slot scheduling/queueing overhead
-DEFAULT_LATENCY_WEIGHT = 0.5
-DEFAULT_MAX_LATENCY_S = 4.0
-
 
 @dataclass(frozen=True)
 class EdgeServer:
-    """One edge server with two independent capacity pools (either may be 0)."""
+    """One edge server with two independent capacity pools (either may be 0).
+    Each field is the server config key it names."""
 
-    gpu_capacity: float  # compute units per second, e.g. FLOPS
-    cpu_capacity: float  # compute units per second, e.g. cycles/s
+    gpu_capacity: float = keyed("gpu_capacity", float, 0.0, low=0.0)  # units/s, e.g. FLOPS
+    cpu_capacity: float = keyed("cpu_capacity", float, 0.0, low=0.0)  # units/s, e.g. cycles/s
 
     def __post_init__(self):
-        if not (0 <= self.gpu_capacity < math.inf and 0 <= self.cpu_capacity < math.inf):
-            raise ValidationError("server capacities must be finite and non-negative")
+        check_keyed(self)
         if self.gpu_capacity == 0 and self.cpu_capacity == 0:
             raise ValidationError("server needs at least one nonzero capacity pool")
 
@@ -77,27 +74,36 @@ class EnhancementProfile:
 
 @dataclass(frozen=True)
 class ModelConstants:
+    """The run's device count and latency constants; each latency field is the
+    top-level config key it names."""
+
     num_devices: int
-    overhead_latency_s: float = DEFAULT_OVERHEAD_S
-    latency_weight: float = DEFAULT_LATENCY_WEIGHT    # utility lost per second
-    max_latency_s: float = DEFAULT_MAX_LATENCY_S      # per-device deadline
+    # fixed per-slot scheduling/queueing overhead
+    overhead_latency_s: float = keyed("overhead_latency_s", float, 0.05, low=0.0)
+    # utility lost per second
+    latency_weight: float = keyed("latency_weight", float, 0.5, low=0.0)
+    # per-device deadline
+    max_latency_s: float = keyed("max_latency_s", float, 4.0, low=0.0, strict=True)
 
     def __post_init__(self):
         if self.num_devices < 1:
             raise ValidationError("need at least one device")
-        if self.overhead_latency_s < 0:
-            raise ValidationError("overhead latency must be non-negative")
-        if self.latency_weight < 0:
-            raise ValidationError("latency weight must be non-negative")
-        if self.max_latency_s <= 0:
-            raise ValidationError("latency deadline must be positive")
         # every device inside the deadline loses at most weight * deadline, so
-        # a finite bound keeps a feasible slot's utility total finite
-        if not math.isfinite(self.num_devices * self.latency_weight * self.max_latency_s):
+        # a finite bound keeps a feasible slot's utility total finite. An
+        # infinite weight or deadline overflows it too, so this runs before the
+        # key checks; a value that is not a number is left to them
+        try:
+            finite = math.isfinite(self.num_devices * self.latency_weight * self.max_latency_s)
+        except OverflowError:
+            finite = False
+        except TypeError:
+            finite = True
+        if not finite:
             raise ValidationError(
                 f"latency weight {self.latency_weight} times the {self.max_latency_s} s "
                 f"deadline over {self.num_devices} devices overflows"
             )
+        check_keyed(self)
 
 
 @dataclass(frozen=True)

@@ -840,6 +840,41 @@ def test_cli_bad_override_is_one_error_line(tmp_path, capsys, args):
     assert ("seed" if "--seed" in args else "--oracle-limit") in err
 
 
+def test_every_cli_flag_has_help():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.choices and a.dest == "command").choices
+    assert set(commands) == {"simulate", "schedule", "oracle", "gen-trace", "assess",
+                             "show-config"}
+    missing = [
+        f"{name} {action.option_strings[0]}"
+        for name, command in commands.items()
+        for action in command._actions
+        if action.option_strings != ["-h", "--help"] and not action.help
+    ]
+    assert missing == []
+
+
+# sizes numpy refuses at once: each array would be petabytes, past any
+# address space, so nothing is ever allocated
+@pytest.mark.parametrize("command,key", [
+    ("gen-trace", "devices"), ("assess", "window_depth"), ("simulate", "window_depth"),
+])
+def test_an_allocation_numpy_refuses_is_one_error_line(tmp_path, capsys, command, key):
+    small = make_small_cfg(tmp_path)
+    assert run_cli(["gen-trace", "--config", str(small), "--out", str(tmp_path / "t")]) == 0
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(dict(json.loads(small.read_text()), **{key: 10**15})))
+    target = ["--out", str(tmp_path / "out")]
+    if command != "gen-trace":
+        target += ["--trace", str(tmp_path / "t" / "trace.json")]
+    capsys.readouterr()
+    code = run_cli([command, "--config", str(cfg)] + target)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 class Overwrite(NamedTuple):
     """A mutation that replaces one file of the trace directory with raw bytes."""
 

@@ -586,6 +586,13 @@ def test_evolve_deterministic():
     assert hist1 == hist2
 
 
+def test_evolve_takes_a_numpy_integer_seed():
+    # random.Random refuses a numpy integer; GaConfig stores it as an int
+    model, slot = small_instance(8)
+    assert evolve(slot, model, GaConfig(rng_seed=np.int64(123))) == evolve(
+        slot, model, GaConfig(rng_seed=123))
+
+
 def test_evolve_seed_changes_search_path():
     model, slot = small_instance(9)
     _, hist1 = evolve(slot, model, GaConfig(rng_seed=1, generations=30))
