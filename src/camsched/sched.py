@@ -11,10 +11,10 @@ exact oracle enumerates every admissible decision for small instances, or
 solves the slot device by device when no pool can overfill, and two
 baselines bound it from below: capacity-driven greedy and no enhancement.
 A decision's utility is sysmodel.check_feasibility's total; the GA scorer
-and the oracle add utilities device by device just as it does. evolve and
-brute_force take the slot's latency_table from a caller that has built it
-(the simulator builds one per slot and scores the answer from it too), and
-build their own when given none.
+and the oracle add utilities device by device just as it does, and each
+returns its answer with the report check_feasibility would give it. evolve
+and brute_force take the slot's latency_table from a caller that has built
+it (the simulator builds one per slot), and build their own when given none.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .sysmodel import (
     FeasibilityReport,
     SlotInput,
     SystemModel,
+    _finish_report,
     _utility_from_latency,
     check_dims,
     check_feasibility,
@@ -88,10 +89,15 @@ class Individual:
 
 @dataclass(frozen=True)
 class OracleResult:
-    decision: Decision | None   # None when no feasible decision exists
+    """brute_force's answer: the optimum, its check_feasibility report and
+    that report's total; all three None when no feasible decision exists."""
+
+    decision: Decision | None
     objective: float | None
     enumerated: int
     feasible_count: int
+    # left out of ==, as Individual's report is
+    report: FeasibilityReport | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -365,7 +371,7 @@ def evolve(
             fits = fitness(pop).tolist()
 
     best_idx = fits.index(max(fits))
-    decision = model.decode(pop[:, best_idx])
+    decision = model.decode(pop[:, best_idx].tolist())
     report = check_feasibility(decision, slot, model, lat)
     return Individual(decision, fits[best_idx], report), history
 
@@ -376,7 +382,8 @@ def brute_force(
     limit: int = DEFAULT_ORACLE_LIMIT,
     lat: np.ndarray | None = None,
 ) -> OracleResult:
-    """Return the best feasible decision over every admissible one.
+    """Return the best feasible decision over every admissible one, with its
+    report.
 
     Exact but exponential: the space holds (N * (K+1))**M decisions and the
     call refuses to start past `limit`; `enumerated` reports that full space.
@@ -390,7 +397,8 @@ def brute_force(
     enumerating (_separable_optimum). Ties on the objective go to the
     lexicographically smallest gene vector, the first optimum in enumeration
     order. `lat` is the slot's latency_table when the caller has built it;
-    without it the table is built here.
+    without it the table is built here. Both paths finish the answer's
+    report from the rows they hold, and `objective` is its total.
     """
     check_dims(slot, model)
     if limit < 1:
@@ -407,11 +415,12 @@ def brute_force(
         lat = latency_table(slot, model)
     util = _utility_from_latency(lat, slot.quality[:, None, :], model)
     util = util.reshape(m_devices, num_codes)
-    admissible = lat.reshape(m_devices, num_codes) <= model.constants.max_latency_s
+    lat = lat.reshape(m_devices, num_codes)
+    admissible = lat <= model.constants.max_latency_s
     admissible &= model.fits_alone
-    if not admissible.any(axis=1).all():
+    kept = [row.nonzero()[0].tolist() for row in admissible]
+    if not all(kept):
         return OracleResult(None, None, total, 0)
-    kept = [row.nonzero()[0] for row in admissible]
 
     # the largest load any decision puts on each pool, 0.0 plus device after
     # device as below; loads are non-negative and every device keeps a code,
@@ -421,7 +430,7 @@ def brute_force(
     caps = model.capacity_matrix.reshape(-1)
     live = peak > caps
     if not live.any():
-        return _separable_optimum(util, kept, total, model)
+        return _separable_optimum(util, lat, admissible, kept, total, model)
     caps = caps[live]
     code_load = code_load[:, live]
 
@@ -469,12 +478,17 @@ def brute_force(
 
     if best_codes is None:
         return OracleResult(None, None, total, feasible_count)
-    # best_val sums device by device from 0.0, so it is objective() exactly
-    return OracleResult(model.decode(best_codes), best_val, total, feasible_count)
+    # best_val sums device by device from 0.0, as the report's total does
+    return _oracle_answer(best_codes, util, lat, total, feasible_count, model)
 
 
 def _separable_optimum(
-    util: np.ndarray, kept: list[np.ndarray], total: int, model: SystemModel
+    util: np.ndarray,
+    lat: np.ndarray,
+    admissible: np.ndarray,
+    kept: list[list[int]],
+    total: int,
+    model: SystemModel,
 ) -> OracleResult:
     """brute_force's answer when no capacity check can fail.
 
@@ -486,7 +500,9 @@ def _separable_optimum(
     It adds Python floats, IEEE doubles as numpy's are. max may keep a -0.0
     where numpy's gives 0.0, but every sum starts from 0.0, so none sees it.
     """
-    rows = [util[m, codes].tolist() for m, codes in enumerate(kept)]
+    # every device's admissible utilities, device after device, in one read
+    flat = iter(util[admissible].tolist())
+    rows = [list(itertools.islice(flat, len(codes))) for codes in kept]
     best = [max(row) for row in rows]
     target = 0.0
     for b in best:
@@ -494,16 +510,38 @@ def _separable_optimum(
     prefix = 0.0
     chosen = []
     for m, row in enumerate(rows):
+        rest = best[m + 1:]
         for i, u in enumerate(row):
             reach = prefix + u
-            for b in best[m + 1:]:
+            for b in rest:
                 reach += b
             if reach == target:
                 break
         chosen.append(kept[m][i])
         prefix += u
     feasible_count = math.prod(len(codes) for codes in kept)
-    return OracleResult(model.decode(chosen), target, total, feasible_count)
+    # the walk ends on a sum equal to target, so the report's total is target
+    return _oracle_answer(chosen, util, lat, total, feasible_count, model)
+
+
+def _oracle_answer(
+    codes: list[int],
+    util: np.ndarray,
+    lat: np.ndarray,
+    total: int,
+    feasible_count: int,
+    model: SystemModel,
+) -> OracleResult:
+    """The OracleResult of the optimum `codes`, one per device, with the
+    report check_feasibility would give it, finished from the (M, codes)
+    utility and latency rows brute_force holds."""
+    rows, cols = np.arange(len(codes)), np.array(codes)
+    # pool loads added device by device from 0.0, as server_loads adds them
+    loads = _row_sum(model.code_load_matrix[cols]).reshape(model.num_servers, 2)
+    report = _finish_report(loads, lat[rows, cols], util[rows, cols], model)
+    return OracleResult(
+        model.decode(codes), report.total_utility, total, feasible_count, report
+    )
 
 
 def baseline_capacity(slot: SlotInput, model: SystemModel) -> BaselineResult:

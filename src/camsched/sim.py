@@ -242,8 +242,10 @@ def run_slot(
     The one slot pipeline: assess, schedule, account, commit. Assessment
     happens before scheduling, so the scheduler only ever sees this slot's
     quality matrix; window commits happen last. The slot's latency table is
-    built once, and the scheduler and the check_feasibility that scores its
-    answer both read it.
+    built once, and the scheduler and the one score of its answer both read
+    it: evolve and brute_force return their answer's report, and
+    check_feasibility scores the baselines' answers and the oracle's raw
+    fallback.
     """
     if scheduler not in SCHEDULER_CHOICES:
         raise ValidationError(f"unknown scheduler {scheduler!r}")
@@ -255,7 +257,7 @@ def run_slot(
     lat = sysmodel.latency_table(slot, model)
 
     rejected: frozenset[int] = frozenset()
-    report = None  # the GA's answer arrives already scored
+    report = None  # the GA's and the oracle's answers arrive already scored
     started = time.perf_counter()
     if scheduler == "ga":
         best, _history = sched.evolve(slot, model, ga_config, lat)
@@ -266,7 +268,7 @@ def run_slot(
             # nothing feasible anywhere: fall back to shipping raw chunks
             decision = sched.baseline_no_enhancement(slot, model)
         else:
-            decision = result.decision
+            decision, report = result.decision, result.report
     elif scheduler == "capacity":
         outcome = sched.baseline_capacity(slot, model)
         decision = outcome.decision

@@ -4,9 +4,11 @@ A slot decision assigns every device exactly one (server, algorithm) pair;
 algorithm 0 ships the raw chunk. Latency is transmission plus enhancement plus
 a fixed scheduling overhead, and utility trades assessed quality against
 latency. latency_table prices every gene of a slot at once, over masks the
-model caches; a simulated slot builds it once for its scheduler and the
-check_feasibility that scores every decision once: per-server capacity
-pools, the per-device deadline, and the utility summed device by device.
+model caches; a simulated slot builds it once for its scheduler and for the
+one score of its answer: per-server capacity pools, the per-device deadline,
+and the utility summed device by device. _finish_report is the one place
+a report is assembled: check_feasibility finishes there, and so does the
+oracle, from the rows it already holds.
 """
 
 from __future__ import annotations
@@ -200,12 +202,16 @@ class SystemModel:
 
     @cached_property
     def enhancement_divisor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N, K+1) runnable mask, and the service rate where runnable, else 1.0."""
+        """(N, K+1) service rate where runnable, else 1.0, and the additive
+        mask: +inf where server n cannot run k, 0.0 where it can and in
+        column 0, since algorithm 0 runs nothing."""
         runnable = self.service_matrix > 0.0
         divisor = np.where(runnable, self.service_matrix, 1.0)
-        runnable.setflags(write=False)
+        runnable[:, 0] = True
+        unrunnable = np.where(runnable, 0.0, np.inf)
         divisor.setflags(write=False)
-        return runnable, divisor
+        unrunnable.setflags(write=False)
+        return divisor, unrunnable
 
     @cached_property
     def fits_alone(self) -> np.ndarray:
@@ -216,8 +222,8 @@ class SystemModel:
 
     def decode(self, codes) -> Decision:
         """The decision whose genes are the given codes, one per device."""
-        servers, algorithms = np.divmod(np.asarray(codes), self.num_algorithms + 1)
-        return Decision(servers.tolist(), algorithms.tolist())
+        ka = self.num_algorithms + 1
+        return Decision([c // ka for c in codes], [c % ka for c in codes])
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,9 @@ def check_slot_values(
 def check_dims(item, model: SystemModel) -> None:
     """Raise unless a slot or a trace has the model's device, server and
     algorithm counts."""
+    if ((item.num_devices, item.num_servers, item.num_algorithms)
+            == (model.num_devices, model.num_servers, model.num_algorithms)):
+        return
     for what in ("device", "server", "algorithm"):
         have, want = getattr(item, f"num_{what}s"), getattr(model, f"num_{what}s")
         if have != want:
@@ -420,6 +429,15 @@ def check_feasibility(
     utilities = _utility_from_latency(
         latencies, slot.quality[rows, decision.algorithms], model
     )
+    return _finish_report(loads, latencies, utilities, model)
+
+
+def _finish_report(
+    loads: np.ndarray, latencies: np.ndarray, utilities: np.ndarray, model: SystemModel
+) -> FeasibilityReport:
+    """The one place a FeasibilityReport is assembled: a decision's (N, 2)
+    pool loads and its (M,) latencies and utilities, with the verdicts and
+    the total read off them. check_feasibility and the oracle finish here."""
     # strictly device after device from 0.0, as the GA scorer and the oracle add
     total = 0.0
     for u in utilities.tolist():
@@ -451,17 +469,17 @@ def latency_table(slot: SlotInput, model: SystemModel) -> np.ndarray:
     link.
     """
     check_dims(slot, model)
-    d, b = slot.datasize_bits, slot.bandwidth_bps
-    linked = b > 0.0
-    runnable, divisor = model.enhancement_divisor   # (N, K+1)
-    # (demand * d) / service in that order; inf marks servers that cannot run
-    # k, and an overflow leaves the inf that the float range rounds it to
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        trans = d[:, None] / np.where(linked, b, 1.0)
-        enh = model.demand_matrix * d[:, None, None] / divisor
-        trans = np.where(d[:, None] == 0.0, 0.0, np.where(linked, trans, np.inf))
-        enh = np.where(runnable, enh, np.inf)
-        enh[:, :, 0] = 0.0  # algorithm 0 never runs anything
+    d = slot.datasize_bits[:, None]
+    divisor, unrunnable = model.enhancement_divisor   # (N, K+1)
+    # an empty chunk takes no time, even on a dead link; otherwise d / b is
+    # the dead link's inf once + 0.0 has made a -0.0 bandwidth 0.0. Then
+    # (demand * d) / service in that order, and the mask makes an unrunnable
+    # entry inf. An overflow leaves the inf the float range rounds it to
+    with np.errstate(divide="ignore", over="ignore"):
+        b = slot.bandwidth_bps + 0.0
+        trans = np.divide(d, b, out=np.zeros(b.shape), where=d != 0.0)
+        enh = model.demand_matrix * d[:, :, None] / divisor
+        enh += unrunnable
         lat = (trans[:, :, None] + model.constants.overhead_latency_s) + enh
     lat.setflags(write=False)
     return lat

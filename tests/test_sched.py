@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from camsched import sched as sched_module
+from camsched.config import build_model, parse_config
 from camsched.errors import SearchSpaceError, ValidationError
 from camsched.sched import (
     BaselineResult,
@@ -45,6 +47,7 @@ from camsched.sysmodel import (
 from conftest import (
     make_model,
     make_slot,
+    oracle_gap_instance,
     paper_scale_instance,
     random_decision,
     small_instance,
@@ -60,6 +63,7 @@ from refimpl import (
     ref_server_loads,
     ref_utility,
 )
+from test_acceptance import dominance_model
 
 
 def free_enhancer_model(num_devices=1, overhead=0.0):
@@ -1006,16 +1010,25 @@ def test_brute_force_matches_exhaustive_reference(case):
     assert res.enumerated == num_codes**model.num_devices
     if case == "no-admissible":
         assert res.decision is None and res.feasible_count == 0
+        assert res.report is None
+    else:
+        assert_report_is_check_feasibility(res, slot, model)
     if case == "at-capacity":
         assert server_loads(res.decision, model)[0, 0] == 0.6
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_oracle_case_skips_enumeration_exactly_when_every_pool_is_slack(case, monkeypatch):
+def count_separable(monkeypatch):
+    """Record each call of brute_force's separable walk."""
     calls = []
     closed_form = sched_module._separable_optimum
     monkeypatch.setattr(sched_module, "_separable_optimum",
                         lambda *args: calls.append(args) or closed_form(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_case_skips_enumeration_exactly_when_every_pool_is_slack(case, monkeypatch):
+    calls = count_separable(monkeypatch)
     model, slot = ORACLE_CASES[case]()
     brute_force(slot, model)
     assert bool(calls) == (case in SLACK_CASES)
@@ -1072,8 +1085,11 @@ def test_brute_force_matches_exhaustive_reference_on_random_instances(instance):
     res = brute_force(slot, model)
     assert res.decision == decision
     assert (res.objective is None) == (objective_value is None)
-    if objective_value is not None:
+    if objective_value is None:
+        assert res.report is None
+    else:
         assert res.objective.hex() == objective_value.hex()
+        assert_report_is_check_feasibility(res, slot, model)
     assert res.feasible_count == count
 
 
@@ -1090,16 +1106,22 @@ def same_bits(got, want):
 @given(oracle_instances(), st.data())
 def test_a_shared_latency_table_changes_no_answer(instance, data):
     # the simulator builds one table a slot and hands it to the scheduler and
-    # the scorer; each of them builds the same table when given none
+    # the scorer; each of them builds the same table when given none. The
+    # oracle's report is compared field by field, like the others
     model, slot = instance
     lat = latency_table(slot, model)
     decision = Decision(
         [data.draw(st.integers(0, model.num_servers - 1)) for _ in range(model.num_devices)],
         [data.draw(st.integers(0, model.num_algorithms)) for _ in range(model.num_devices)],
     )
+    shared_oracle, own_oracle = brute_force(slot, model, lat=lat), brute_force(slot, model)
     pairs = [(check_feasibility(decision, slot, model, lat),
               check_feasibility(decision, slot, model)),
-             (brute_force(slot, model, lat=lat), brute_force(slot, model))]
+             (shared_oracle, own_oracle)]
+    if own_oracle.report is None:
+        assert shared_oracle.report is None
+    else:
+        pairs.append((shared_oracle.report, own_oracle.report))
 
     ga = GaConfig(population_size=data.draw(st.integers(1, 8)),
                   generations=data.draw(st.integers(1, 4)),
@@ -1111,9 +1133,87 @@ def test_a_shared_latency_table_changes_no_answer(instance, data):
     assert [f.hex() for f in shared_history] == [f.hex() for f in own_history]
     pairs.append((shared.report, own.report))
     for got, want in pairs:
-        for field in dataclasses.fields(want):
+        # a report left out of == is a pair of its own
+        for field in filter(lambda f: f.compare, dataclasses.fields(want)):
             assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
     assert not lat.flags.writeable
+
+
+def assert_report_is_check_feasibility(result, slot, model):
+    """The oracle's report is check_feasibility's for its decision, to the
+    last bit, and its objective is that report's total."""
+    want = check_feasibility(result.decision, slot, model)
+    got = result.report
+    assert result.objective.hex() == got.total_utility.hex() == want.total_utility.hex()
+    for name in ("loads", "latencies", "utilities"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert ((got.feasible, got.capacity_ok, got.latency_ok)
+            == (want.feasible, want.capacity_ok, want.latency_ok) == (True, True, True))
+
+
+def default_roster_slot(m_devices, rng, slices=None):
+    """The default roster at M devices, and one slot drawn like the
+    benchmark's quality trace. With `slices`, each pool that can run an
+    algorithm holds that many of its services, drawn from the sequence."""
+    model = build_model(parse_config(json.dumps({"devices": m_devices})))
+    if slices is not None:
+        servers = []
+        for n in range(model.num_servers):
+            caps = [0.0, 0.0]
+            for k in range(1, model.num_algorithms + 1):
+                pool = int(model.pool_index[k])
+                if model.service_matrix[n, k] > 0.0:
+                    caps[pool] = float(rng.choice(slices)) * model.service_matrix[n, k]
+            servers.append(EdgeServer(*caps))
+        model = SystemModel(tuple(servers), model.profiles, model.constants)
+    offsets = np.array([0.3, 0.226667, 0.153333, 0.08])
+    quality = np.zeros((m_devices, model.num_algorithms + 1))
+    quality[:, 1:] = (rng.uniform(1.0, 3.0, (m_devices, 1)) * offsets / offsets.max()
+                      * rng.uniform(0.9, 1.1, (m_devices, model.num_algorithms)))
+    slot = SlotInput(rng.uniform(15e6, 25e6, m_devices),
+                     rng.uniform(15e6, 25e6, (m_devices, model.num_servers)), quality)
+    return model, slot
+
+
+def test_oracle_report_is_check_feasibility_on_separable_slots(monkeypatch):
+    # oracle-m4's setting: at M = 4 a default pool holds every device, so
+    # each slot takes the separable walk
+    separable = count_separable(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        model, slot = default_roster_slot(4, rng)
+        assert_report_is_check_feasibility(brute_force(slot, model), slot, model)
+    assert len(separable) == 30
+
+
+def contended_slots():
+    """Slots where brute_force enumerates: the GA gap instances, the
+    dominance model's, and default-roster slots at M = 5-6 whose pools hold
+    one to three services."""
+    for seed in range(20):
+        yield "gap", oracle_gap_instance(seed)
+    rng = np.random.default_rng(80)
+    model = dominance_model()
+    for _ in range(10):
+        quality = np.abs(rng.normal(0.8, 0.5, (5, 4))) + 0.3
+        quality[:, 0] = 0.0
+        yield "dominance", (model, SlotInput(rng.uniform(0.8e6, 2e6, 5),
+                                             rng.uniform(4e6, 2e7, (5, 3)), quality))
+    rng = np.random.default_rng(56)
+    for m_devices in (5, 5, 6):
+        yield "slices", default_roster_slot(m_devices, rng, slices=(1, 2, 3))
+
+
+def test_oracle_report_is_check_feasibility_where_it_enumerates(monkeypatch):
+    separable = count_separable(monkeypatch)
+    enumerated = Counter()
+    for kind, (model, slot) in contended_slots():
+        before = len(separable)
+        num_codes = model.num_servers * (model.num_algorithms + 1)
+        res = brute_force(slot, model, limit=num_codes**model.num_devices)
+        assert_report_is_check_feasibility(res, slot, model)
+        enumerated[kind] += len(separable) == before
+    assert enumerated == Counter(gap=20, dominance=10, slices=3)
 
 
 # ---------------------------------------------------------------- baselines

@@ -444,14 +444,31 @@ def test_quality_slot_filters_nothing(monkeypatch):
     assert filters == []
 
 
+def dead_device_trace(model, num_slots=2, seed=4):
+    """quality_trace with device 0's links all dead: no decision is feasible,
+    so the oracle falls back to shipping raw."""
+    trace = quality_trace(model, num_slots, seed)
+    slots = []
+    for s in trace.slots:
+        b = s.bandwidth_bps.copy()
+        b[0] = 0.0
+        slots.append(SlotData(datasize_bits=s.datasize_bits, bandwidth_bps=b, quality=s.quality))
+    return Trace(trace.num_devices, trace.num_servers, trace.num_algorithms, tuple(slots))
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULER_CHOICES)
 def test_slot_scores_its_decision_once(monkeypatch, scheduler):
-    # one latency table a slot, read by the scheduler and by the one
-    # check_feasibility that scores its answer
+    # one latency table a slot, read by the scheduler and by the scoring of
+    # its answer, and one report assembled: by evolve and brute_force for
+    # their answers, by check_feasibility for the baselines' and for the
+    # oracle's raw fallback, which the dead-device trace forces
     model = tiny_model()
-    trace = quality_trace(model, num_slots=2, seed=4)
     calls = []
     original = sysmodel.check_feasibility
+    oracles = []
+    brute_force_fn = sched.brute_force
+    monkeypatch.setattr(sched, "brute_force",
+                        lambda *args: oracles.append(brute_force_fn(*args)) or oracles[-1])
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -459,20 +476,28 @@ def test_slot_scores_its_decision_once(monkeypatch, scheduler):
             return fn(*args, **kwargs)
         return counted
 
-    for name, modules in (("check_feasibility", (sysmodel, sched, sim)),
+    for name, modules in (("_finish_report", (sysmodel, sched)),
                           ("latency_table", (sysmodel, sched))):
         wrapper = counting(name, getattr(sysmodel, name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapper)
-    state = QualityState(2, 1)
-    for t in range(trace.horizon):
-        del calls[:]
-        metrics = run_slot(t, trace, state, model, scheduler)
-        assert sorted(calls) == ["check_feasibility", "latency_table"]
-        slot = SlotInput(trace.slots[t].datasize_bits, trace.slots[t].bandwidth_bps,
-                         trace.slots[t].quality)
-        if not metrics.rejected:
-            assert metrics.total_utility == original(metrics.decision, slot, model).total_utility
+    for dead in (False, True):
+        trace = (dead_device_trace if dead else quality_trace)(model, num_slots=2, seed=4)
+        state = QualityState(2, 1)
+        del oracles[:]
+        for t in range(trace.horizon):
+            del calls[:]
+            metrics = run_slot(t, trace, state, model, scheduler)
+            assert sorted(calls) == ["_finish_report", "latency_table"]
+            slot = SlotInput(trace.slots[t].datasize_bits, trace.slots[t].bandwidth_bps,
+                             trace.slots[t].quality)
+            want = original(metrics.decision, slot, model)
+            if not metrics.rejected:
+                assert metrics.total_utility.hex() == want.total_utility.hex()
+                assert metrics.feasible == want.feasible
+            assert not (dead and metrics.feasible)
+        if scheduler == "oracle":
+            assert [o.report is None for o in oracles] == [dead] * trace.horizon
 
 
 def test_run_slot_checks_only_the_values_trace_has_not(monkeypatch):

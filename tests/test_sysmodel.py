@@ -85,6 +85,16 @@ def test_transmission_dead_link():
     assert one_link(1.0, 0.0)[0][0] == math.inf
 
 
+@pytest.mark.parametrize("datasize, bandwidth, want", [
+    (1.0, -0.0, math.inf), (-0.0, 1e7, 0.0), (-0.0, -0.0, 0.0), (0.0, -0.0, 0.0),
+])
+def test_transmission_over_a_negative_zero(datasize, bandwidth, want):
+    # -0.0 passes the non-negative check: a -0.0 bandwidth is a dead link,
+    # and an empty chunk takes 0.0 s, never -0.0 or NaN
+    got = one_link(datasize, bandwidth)[0][0]
+    assert got == want and math.copysign(1.0, got) == 1.0
+
+
 def test_enhancement_worked_example():
     lat, _ = one_link(1e6, 1e7, phi=100.0, s=1e9)
     assert lat[1] - lat[0] == pytest.approx(0.1, rel=1e-9)

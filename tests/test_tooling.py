@@ -63,7 +63,9 @@ def test_tracer_counts_one_cam_stack_write_and_read_per_device(tmp_path, monkeyp
 
 @pytest.mark.parametrize("scheduler", sim.SCHEDULER_CHOICES)
 def test_tracer_counts_one_latency_table_and_one_score_per_slot(monkeypatch, scheduler):
-    # a table built through a name the tracer does not wrap would count 0 here
+    # a table built through a name the tracer does not wrap would count 0
+    # here. The oracle's answer arrives with its report, so on these slots,
+    # which all have a feasible decision, it runs no check_feasibility
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
@@ -82,5 +84,7 @@ def test_tracer_counts_one_latency_table_and_one_score_per_slot(monkeypatch, sch
         tracer.uninstall()
     assert tracer.calls["sim.run_slot"] == trace.horizon
     assert tracer.calls["sysmodel.latency_table"] == trace.horizon
-    assert tracer.calls["sysmodel.check_feasibility"] == trace.horizon
+    scored = 0 if scheduler == "oracle" else trace.horizon
+    assert tracer.calls["sysmodel.check_feasibility"] == scored
+    assert tracer.calls["sched.brute_force"] == (trace.horizon if scheduler == "oracle" else 0)
     assert all(getattr(module, attr) is fn for (module, attr), fn in originals.items())
