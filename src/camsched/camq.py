@@ -15,12 +15,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatchError, UnknownDeviceError, ValidationError
+from .keys import DEVICES, Key, checked
 
 DEFAULT_THRESHOLD = 0.4     # filter keeps activations strictly above this
-DEFAULT_WINDOW_DEPTH = 5    # chunks of history per (device, algorithm)
-DEFAULT_ACCURACY = 1.0      # accuracy weight before any feedback arrives
-DEFAULT_DENOM_FLOOR = 1e-6  # static scenes must not divide by ~0
-DEFAULT_QUALITY_CAP = 10.0  # symmetric clamp on the final score
+
+# the quality-window settings, top-level config keys that QualityState checks
+# its own through (`attr` names its parameter where the two differ):
+# chunks of history per (device, algorithm)
+WINDOW_DEPTH = Key("window_depth", int, 5, low=1)
+# accuracy weight before any feedback arrives
+DEFAULT_ACCURACY = Key("default_accuracy", float, 1.0, low=0.0, high=1.0)
+# static scenes must not divide by ~0
+DENOMINATOR_FLOOR = Key("denominator_floor", float, 1e-6, low=0.0, strict=True,
+                        attr="denom_floor")
+# symmetric clamp on the final score
+QUALITY_CAP = Key("quality_cap", float, 10.0, low=0.0, strict=True)
 
 
 def check_cams(values: np.ndarray, where: str = "") -> None:
@@ -114,29 +123,19 @@ class QualityState:
         self,
         num_devices: int,
         num_algorithms: int,
-        window_depth: int = DEFAULT_WINDOW_DEPTH,
-        default_accuracy: float = DEFAULT_ACCURACY,
-        denom_floor: float = DEFAULT_DENOM_FLOOR,
-        quality_cap: float = DEFAULT_QUALITY_CAP,
+        window_depth: int = WINDOW_DEPTH.default,
+        default_accuracy: float = DEFAULT_ACCURACY.default,
+        denom_floor: float = DENOMINATOR_FLOOR.default,
+        quality_cap: float = QUALITY_CAP.default,
     ):
-        if num_devices < 1:
-            raise ValidationError("need at least one device")
+        self.num_devices = checked(DEVICES, num_devices)
         if num_algorithms < 0:
             raise ValidationError("algorithm count must be non-negative")
-        if window_depth < 1:
-            raise ValidationError("window depth must be at least 1")
-        if not 0.0 <= default_accuracy <= 1.0:
-            raise ValidationError("default accuracy must lie in [0, 1]")
-        if denom_floor <= 0.0:
-            raise ValidationError("denominator floor must be positive")
-        if quality_cap <= 0.0:
-            raise ValidationError("quality cap must be positive")
-        self.num_devices = int(num_devices)
         self.num_algorithms = int(num_algorithms)
-        self.window_depth = int(window_depth)
-        self.default_accuracy = float(default_accuracy)
-        self.denom_floor = float(denom_floor)
-        self.quality_cap = float(quality_cap)
+        self.window_depth = checked(WINDOW_DEPTH, window_depth)
+        self.default_accuracy = checked(DEFAULT_ACCURACY, default_accuracy)
+        self.denom_floor = checked(DENOMINATOR_FLOOR, denom_floor)
+        self.quality_cap = checked(QUALITY_CAP, quality_cap)
         self._windows: tuple[_Windows, ...] | None = None  # per CAM shape
         self._head = 0
         self._fill = 0

@@ -4,27 +4,28 @@ An empty document resolves to the default deployment: 10 devices, the
 four-server roster (one strong GPU box, one weak GPU box, two CPU-only
 boxes), four enhancement algorithms (two GPU-bound, two CPU-bound), quality
 window of 5, latency weight 0.5 and a 4 second deadline. Each key is declared
-once, with its type, default and bounds, on the dataclass field it fills: a
-top-level key on its RunConfig field (the three latency keys on
-ModelConstants' fields, which RunConfig reuses), a servers, ga or synth key
-on its EdgeServer, GaConfig or SynthSpec field, which the class checks
-itself. Only the algorithm section's per-server lists are declared here, in
-_ALGORITHM. Parsing, the unknown-key check and emit_config all read those
-declarations. Numbers must be finite and bools are not numbers. Unknown keys
-are rejected by name; emit_config renders the fully resolved form canonically.
+once, with its type, default and bounds. A servers, algorithms, ga or synth
+key is declared on its EdgeServer, EnhancementProfile, GaConfig or SynthSpec
+field, which the class checks itself. A top-level key is declared on its
+RunConfig field, or where other code checks a value through it, and the
+RunConfig field reuses it: `devices` is keys.DEVICES, the three latency keys
+are on ModelConstants' fields and the four quality-window keys are in camq.
+The algorithm section reader adds only what the roster supplies: the length
+of its lists, and the broadcast of a scalar over it. Parsing, the unknown-key
+check and emit_config all read those declarations. Numbers must be finite
+and bools are not numbers. Unknown keys are rejected by name; emit_config
+renders the fully resolved form canonically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from . import camq, sched
 from .camq import QualityState
 from .errors import ConfigError, ValidationError
-from .keys import Key, _number, _numbers, key_of, keys_of
+from .keys import DEVICES, Key, key_of, keys_of
 from .sched import GaConfig
 from .sim import SCHEDULER_CHOICES, SynthSpec
 from .sysmodel import (
@@ -55,13 +56,7 @@ DEFAULT_ALGORITHMS = (
     {"kind": KIND_CPU, "demand_per_bit": [40.0] * 4, "service_rate": _CPU_QUARTER},
 )
 
-
-# demand and service are per-server lists, or a scalar broadcast over the roster
-_ALGORITHM = (
-    Key("kind", str, choices=(KIND_GPU, KIND_CPU)),
-    Key("demand_per_bit", list),
-    Key("service_rate", list),
-)
+_ALGORITHM = keys_of(EnhancementProfile)
 
 
 def _key(*args, **kwargs):
@@ -69,9 +64,9 @@ def _key(*args, **kwargs):
     return field(metadata={"key": Key(*args, **kwargs)})
 
 
-def _model_key(name: str):
-    """A RunConfig field declared by the key of ModelConstants' field `name`."""
-    return field(metadata={"key": key_of(ModelConstants, name)})
+def _shared(key: Key):
+    """A RunConfig field declared by a key that other code checks through."""
+    return field(metadata={"key": key})
 
 
 @dataclass(frozen=True)
@@ -79,21 +74,18 @@ class RunConfig:
     """The resolved run configuration. Each field carries the top-level key
     that fills it; the field order is the order show-config prints."""
 
-    num_devices: int = _key("devices", int, SynthSpec.num_devices, low=1)
+    num_devices: int = _shared(DEVICES)
     seed: int = _key("seed", int, sched.DEFAULT_SEED)
     scheduler: str = _key("scheduler", str, "ga", choices=SCHEDULER_CHOICES)
     oracle_limit: int = _key("oracle_limit", int, sched.DEFAULT_ORACLE_LIMIT, low=1)
-    latency_weight: float = _model_key("latency_weight")
-    max_latency_s: float = _model_key("max_latency_s")
-    overhead_latency_s: float = _model_key("overhead_latency_s")
-    window_depth: int = _key("window_depth", int, camq.DEFAULT_WINDOW_DEPTH, low=1)
+    latency_weight: float = _shared(key_of(ModelConstants, "latency_weight"))
+    max_latency_s: float = _shared(key_of(ModelConstants, "max_latency_s"))
+    overhead_latency_s: float = _shared(key_of(ModelConstants, "overhead_latency_s"))
+    window_depth: int = _shared(camq.WINDOW_DEPTH)
     cam_threshold: float = _key("cam_threshold", float, camq.DEFAULT_THRESHOLD)
-    denominator_floor: float = _key("denominator_floor", float, camq.DEFAULT_DENOM_FLOOR,
-                                    low=0.0, strict=True)
-    quality_cap: float = _key("quality_cap", float, camq.DEFAULT_QUALITY_CAP,
-                              low=0.0, strict=True)
-    default_accuracy: float = _key("default_accuracy", float, camq.DEFAULT_ACCURACY,
-                                   0.0, 1.0)
+    denominator_floor: float = _shared(camq.DENOMINATOR_FLOOR)
+    quality_cap: float = _shared(camq.QUALITY_CAP)
+    default_accuracy: float = _shared(camq.DEFAULT_ACCURACY)
     servers: tuple[EdgeServer, ...] = _key("servers", table=keys_of(EdgeServer))
     algorithms: tuple[EnhancementProfile, ...] = _key("algorithms", table=_ALGORITHM)
     ga: GaConfig = _key("ga", table=keys_of(GaConfig))
@@ -127,28 +119,29 @@ def _build(cls, where: str, doc, defaults=None, **fixed):
 
 
 def _parse_algorithm(i: int, entry, servers: tuple[EdgeServer, ...]) -> EnhancementProfile:
+    """Algorithm entry `i`, whose per-server values are lists of the roster's
+    length or scalars broadcast over it; EnhancementProfile checks them."""
     where = f"algorithm {i + 1}"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(entry, _ALGORITHM, where)
-    kind = _ALGORITHM[0].read(entry, where)
-    rates = {}
-    for key in _ALGORITHM[1:]:
-        val, what = entry.get(key.name), f"{where} key {key.name!r}"
-        rates[key.name] = np.array(
-            _numbers(val, what, len(servers))
-            if isinstance(val, list)
-            else [_number(val, what)] * len(servers)
-        )
-    if not isinstance(entry["service_rate"], list):
-        # a broadcast rate cannot grant a server a pool it does not have
-        for n, server in enumerate(servers):
-            if (server.gpu_capacity if kind == KIND_GPU else server.cpu_capacity) == 0.0:
-                rates["service_rate"][n] = 0.0
+    values = {key.field: entry.get(key.name) for key in _ALGORITHM}
+    for name in ("demand_per_bit", "service_rate"):
+        if not isinstance(values[name], list):
+            values[name] = [values[name]] * len(servers)
+        elif len(values[name]) != len(servers):
+            raise ConfigError(f"{where} key {name!r} must list {len(servers)} numbers")
     try:
-        return EnhancementProfile(kind=kind, **rates)
+        profile = EnhancementProfile(**values)
+        if not isinstance(entry.get("service_rate"), list):
+            # a broadcast rate cannot grant a server a pool it does not have
+            profile = replace(profile, service_rate=tuple(
+                rate if (server.gpu_capacity, server.cpu_capacity)[profile.pool] else 0.0
+                for rate, server in zip(profile.service_rate, servers)
+            ))
     except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where} {exc}") from exc
+    return profile
 
 
 def parse_config(text: str) -> RunConfig:

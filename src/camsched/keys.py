@@ -3,14 +3,16 @@
 A dataclass field declared with `keyed` carries its Key in the field's
 metadata and takes the key's default. The class checks such a field through
 its key (check_keyed), and the config reads a section's keys off the fields
-of the class the section fills (keys_of), so each bound is declared once.
+of the class the section fills (keys_of), so each bound is declared once. A
+class that is not a config section checks a value through a key of its own
+module (checked), as QualityState does the quality-window keys.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,10 +23,10 @@ from .errors import ConfigError, ValidationError
 class Key:
     """One config key: its JSON name, type, default and bounds.
 
-    A list key holds as many finite numbers as its default. A key with a
-    `table` is a section, an object (or a list of objects) whose keys that
-    table declares. `attr` names the field the key fills when it differs
-    from the name.
+    A list key holds finite numbers inside the bounds, as many as its
+    default when it has one. A key with a `table` is a section, an object (or
+    a list of objects) whose keys that table declares. `attr` names the field
+    the key fills when it differs from the name.
     """
 
     name: str
@@ -41,15 +43,13 @@ class Key:
     def field(self) -> str:
         return self.attr or self.name
 
-    def read(self, doc: dict, where: str, default=None):
+    def read(self, doc: dict, where: str):
         """The validated value of this key in `doc`, or its default."""
-        if default is None:
-            default = self.default
-        if self.name not in doc and default is not None:
-            return default  # the defaults are valid by construction
-        return self.check(doc.get(self.name), f"{where} key {self.name!r}", default)
+        if self.name not in doc and self.default is not None:
+            return self.default  # the defaults are valid by construction
+        return self.check(doc.get(self.name), f"{where} key {self.name!r}")
 
-    def check(self, val, what: str, default=None):
+    def check(self, val, what: str):
         """`val` validated as this key's value; its errors start with `what`."""
         if self.choices:
             if val not in self.choices:
@@ -61,9 +61,7 @@ class Key:
             if val is not None and (not isinstance(val, str) or "\0" in val):
                 raise ConfigError(f"{what} must be a string path without NUL bytes")
         elif self.kind is list:
-            if val is None and default is None:
-                return None  # absent or null: the built class's default applies
-            val = _numbers(val, what, default and len(default))
+            val = _numbers(val, what, self.default and len(self.default), self.low)
         else:
             val = _number(val, what, self.kind, self.low, self.high, self.strict)
         return val
@@ -95,15 +93,24 @@ def _number(val, what: str, kind: type = float, low=None, high=None, strict=Fals
     return val
 
 
-def _numbers(val, what: str, size: int | None) -> tuple[float, ...]:
-    if not isinstance(val, (list, tuple)) or size not in (None, len(val)):
+def _numbers(val, what: str, size: int | None, low=None) -> tuple[float, ...]:
+    # a 1-D numpy array counts too, as callers building a class may pass one
+    if (not isinstance(val, (list, tuple, np.ndarray)) or getattr(val, "ndim", 1) != 1
+            or size not in (None, len(val))):
         raise ConfigError(f"{what} must list {size or 'some'} numbers")
-    return tuple(_number(v, what) for v in val)
+    return tuple(_number(v, what, low=low) for v in val)
 
 
-def keyed(name: str, kind: type = float, default=None, **bounds):
-    """A dataclass field declared by its config Key; it defaults to the key's default."""
-    return field(default=default, metadata={"key": Key(name, kind, default, **bounds)})
+# the device count: a top-level config key, which the model constants, the
+# trace generator and the quality state each check their count through
+DEVICES = Key("devices", int, 10, low=1, attr="num_devices")
+
+
+def keyed(name: str, kind: type = float, default=MISSING, **bounds):
+    """A dataclass field declared by its config Key; it defaults to the key's
+    default, and is a required field when the key is declared without one."""
+    key = Key(name, kind, None if default is MISSING else default, **bounds)
+    return field(default=default, metadata={"key": key})
 
 
 @functools.cache
@@ -119,15 +126,19 @@ def key_of(cls, name: str) -> Key:
     return next(key for key in keys_of(cls) if key.field == name)
 
 
+def checked(key: Key, val):
+    """`val` validated as `key`'s value; a ValidationError names the key."""
+    try:
+        return key.check(val, f"key {key.name!r}")
+    except ConfigError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def check_keyed(obj) -> None:
     """Check each keyed field of frozen dataclass `obj` through its key and
     store the checked value. A field still holding its key's default object
-    is valid by construction."""
+    is valid by construction; None is checked, so a required field rejects it."""
     for key in keys_of(type(obj)):
         val = getattr(obj, key.field)
-        if val is not key.default:
-            try:
-                val = key.check(val, f"key {key.name!r}", key.default)
-            except ConfigError as exc:
-                raise ValidationError(str(exc)) from exc
-            object.__setattr__(obj, key.field, val)
+        if val is None or val is not key.default:
+            object.__setattr__(obj, key.field, checked(key, val))

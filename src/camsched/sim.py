@@ -23,7 +23,7 @@ import numpy as np
 from . import camq, sched, sysmodel
 from .camq import QualityState
 from .errors import TraceError, ValidationError
-from .keys import check_keyed, keyed
+from .keys import DEVICES, check_keyed, checked, keyed
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
 # this module's attribute, so the name stays bound
@@ -365,11 +365,12 @@ class SynthSpec:
     lifts activations by offsets[k-1] plus small noise. Accuracy feedback
     rises with the offset, so better enhancement also means better analytics.
     Without offsets, the K of them run evenly from 0.30 down to 0.08,
-    rounded to 6 places. Each field after the three counts is the synth
-    config key it names.
+    rounded to 6 places. The device count is checked through the top-level
+    `devices` key, and each field after the three counts is the synth config
+    key it names.
     """
 
-    num_devices: int = 10
+    num_devices: int = DEVICES.default
     num_servers: int = 4
     num_algorithms: int = 4
     horizon: int = keyed("horizon", int, 30, low=0)
@@ -379,7 +380,7 @@ class SynthSpec:
     smoothness: float = keyed("smoothness", float, 0.25, low=0.0, strict=True, high=1.0)
     # per-slot scene movement, coarse-grid sigma
     drift: float = keyed("drift", float, 0.05, low=0.0)
-    offsets: tuple[float, ...] | None = keyed("offsets", list)
+    offsets: tuple[float, ...] | None = keyed("offsets", list, None)
     cam_noise: float = keyed("cam_noise", float, 0.02, low=0.0)
     datasize_bits: tuple[float, float] = keyed("datasize_bits", list, (15e6, 25e6))
     bandwidth_bps: tuple[float, float] = keyed("bandwidth_bps", list, (20e6, 20e6))
@@ -390,12 +391,13 @@ class SynthSpec:
     seed: int = keyed("seed", int, 1, low=0)
 
     def __post_init__(self):
-        if min(self.num_devices, self.num_servers, self.num_algorithms) < 1:
-            raise ValidationError("device, server and algorithm counts must be >= 1")
-        check_keyed(self)
+        object.__setattr__(self, "num_devices", checked(DEVICES, self.num_devices))
+        if min(self.num_servers, self.num_algorithms) < 1:
+            raise ValidationError("server and algorithm counts must be >= 1")
         if self.offsets is None:
             offsets = np.linspace(0.30, 0.08, self.num_algorithms).round(6)
             object.__setattr__(self, "offsets", tuple(offsets.tolist()))
+        check_keyed(self)
         if len(self.offsets) != self.num_algorithms:
             raise ValidationError("need one brightness offset per algorithm")
         for name in ("datasize_bits", "bandwidth_bps"):

@@ -14,13 +14,13 @@ oracle, from the rows it already holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import UnknownDeviceError, ValidationError
-from .keys import check_keyed, keyed
+from .keys import DEVICES, check_keyed, keyed
 
 KIND_GPU = "gpu"
 KIND_CPU = "cpu"
@@ -42,9 +42,10 @@ class EdgeServer:
             raise ValidationError("server needs at least one nonzero capacity pool")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EnhancementProfile:
-    """Per-server cost profile of one enhancement algorithm.
+    """Per-server cost profile of one enhancement algorithm; each field is the
+    algorithm config key it names.
 
     demand_per_bit[n] is its compute demand on server n (units per input bit);
     service_rate[n] is the slice of server n reserved to run it, 0 meaning the
@@ -52,22 +53,14 @@ class EnhancementProfile:
     algorithm k; algorithm 0 is the implicit no-enhancement choice.
     """
 
-    kind: str                          # "gpu" or "cpu": which pool it draws from
-    demand_per_bit: np.ndarray         # shape (N,)
-    service_rate: np.ndarray           # shape (N,)
+    # which pool it draws from
+    kind: str = keyed("kind", str, choices=(KIND_GPU, KIND_CPU))
+    # one value per server: the model checks both lengths against its roster
+    demand_per_bit: tuple[float, ...] = keyed("demand_per_bit", list, low=0.0)
+    service_rate: tuple[float, ...] = keyed("service_rate", list, low=0.0)
 
     def __post_init__(self):
-        if self.kind not in (KIND_GPU, KIND_CPU):
-            raise ValidationError(f"unknown algorithm kind {self.kind!r}")
-        for name in ("demand_per_bit", "service_rate"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} must be a 1-D per-server array")
-            if not np.isfinite(arr).all() or (arr < 0).any():
-                raise ValidationError(f"{name} must be finite and non-negative")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        check_keyed(self)
 
     @property
     def pool(self) -> int:
@@ -76,10 +69,10 @@ class EnhancementProfile:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """The run's device count and latency constants; each latency field is the
-    top-level config key it names."""
+    """The run's device count and latency constants; each field is declared
+    by the top-level config key that fills it."""
 
-    num_devices: int
+    num_devices: int = field(metadata={"key": DEVICES})
     # fixed per-slot scheduling/queueing overhead
     overhead_latency_s: float = keyed("overhead_latency_s", float, 0.05, low=0.0)
     # utility lost per second
@@ -88,8 +81,6 @@ class ModelConstants:
     max_latency_s: float = keyed("max_latency_s", float, 4.0, low=0.0, strict=True)
 
     def __post_init__(self):
-        if self.num_devices < 1:
-            raise ValidationError("need at least one device")
         # every device inside the deadline loses at most weight * deadline, so
         # a finite bound keeps a feasible slot's utility total finite. An
         # infinite weight or deadline overflows it too, so this runs before the
@@ -122,9 +113,9 @@ class SystemModel:
         if not self.servers:
             raise ValidationError("need at least one server")
         for k, prof in enumerate(self.profiles, start=1):
-            if len(prof.demand_per_bit) != len(self.servers):
+            if not len(prof.demand_per_bit) == len(prof.service_rate) == len(self.servers):
                 raise ValidationError(
-                    f"algorithm {k}: per-server arrays must have length {len(self.servers)}"
+                    f"algorithm {k}: per-server lists must have length {len(self.servers)}"
                 )
 
     @property

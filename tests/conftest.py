@@ -7,6 +7,7 @@ not just the happy path.
 
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -66,11 +67,11 @@ def quality_numerator(enhanced, lowlight, threshold=0.0):
 
     A fresh state has an empty window and no accuracy feedback, so the
     variation is the denominator floor, here 1.0, and the accuracy weight
-    is 1.0; an infinite cap clamps nothing. The score is then the numerator
+    is 1.0; the largest finite cap clamps no finite score. The score is then the numerator
     bit for bit. A filter at 0.0 keeps every cell of a non-negative map, so
     at that threshold the numerator is the raw CAM difference.
     """
-    state = QualityState(1, 1, denom_floor=1.0, quality_cap=math.inf)
+    state = QualityState(1, 1, denom_floor=1.0, quality_cap=sys.float_info.max)
     return one_device_quality(state, enhanced, lowlight, threshold)
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -468,8 +469,9 @@ def test_criterion_6_quality_properties(capsys):
             v += 1
     counts["filter monotonicity"] = v
 
-    # uncapped scores against a zero low-light map: the numerator is the
-    # filtered current map's sum, so the score shows the floored variation
+    # scores against a zero low-light map under the largest finite cap, which
+    # clamps none of them: the numerator is the filtered current map's sum, so
+    # the score shows the floored variation
     v = 0
     floor = 1e-6
     zeros = np.zeros((3, 3))
@@ -483,7 +485,7 @@ def test_criterion_6_quality_properties(capsys):
                 for _ in range(int(rng.integers(0, 4)))
             ]
         state = QualityState(num_devices=1, num_algorithms=1, denom_floor=floor,
-                             quality_cap=math.inf)
+                             quality_cap=sys.float_info.max)
         store_window(state, history, 0.4)
         got = one_device_quality(state, cur, zeros)
         num = quality_numerator(cur, zeros, 0.4)

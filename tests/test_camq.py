@@ -1,6 +1,7 @@
 """Quality-assessment tests: CAM differences, filtering, windows, Q scores."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ def variation_score(current, history, floor=1e-6, threshold=0.4):
     """Uncapped score of the map `current` against a zero low-light map, over
     a window that stores the maps `history`, each filtered at `threshold`:
     the sum of the filtered current map over the floored variation."""
-    state = QualityState(1, 1, denom_floor=floor, quality_cap=math.inf)
+    # the largest finite cap clamps none of these scores
+    state = QualityState(1, 1, denom_floor=floor, quality_cap=sys.float_info.max)
     store_window(state, history, threshold)
     lowlight = np.zeros(current.shape)
     return one_device_quality(state, current, lowlight, threshold)

@@ -1,5 +1,7 @@
 """The classes a config section builds check each keyed field through its
-key: direct construction rejects what the config rejects, naming the key."""
+key, and the model constants, the trace generator and the quality state check
+their device count and quality-window settings through the keys the config
+reads: direct construction rejects what the config rejects, naming the key."""
 
 import math
 import re
@@ -7,20 +9,35 @@ import re
 import numpy as np
 import pytest
 
+from camsched import camq
+from camsched.camq import QualityState
 from camsched.errors import ValidationError
-from camsched.keys import keys_of
+from camsched.keys import DEVICES, keys_of
 from camsched.sched import GaConfig
 from camsched.sim import SynthSpec
-from camsched.sysmodel import EdgeServer, ModelConstants
+from camsched.sysmodel import EdgeServer, EnhancementProfile, ModelConstants
 
 from test_config import SCALAR_KEYS
 
-# each class with the prefix of its keys in SCALAR_KEYS
-CLASSES = ((GaConfig, "ga."), (SynthSpec, "synth."), (EdgeServer, ""), (ModelConstants, ""))
+# each class with the prefix of its keys in SCALAR_KEYS and the keys it checks
+# its values through: its keyed fields, and the devices and quality-window
+# keys where it takes those values as plain parameters
+CLASSES = (
+    (GaConfig, "ga.", keys_of(GaConfig)),
+    (SynthSpec, "synth.", keys_of(SynthSpec) + (DEVICES,)),
+    (EdgeServer, "", keys_of(EdgeServer)),
+    (ModelConstants, "", keys_of(ModelConstants)),
+    (EnhancementProfile, "", keys_of(EnhancementProfile)),
+    (QualityState, "", (DEVICES, camq.WINDOW_DEPTH, camq.DEFAULT_ACCURACY,
+                        camq.DENOMINATOR_FLOOR, camq.QUALITY_CAP)),
+)
 
 # the fields each class needs besides the one under test
 BASE = {ModelConstants: {"num_devices": 1},
-        EdgeServer: {"gpu_capacity": 1.0, "cpu_capacity": 1.0}}
+        EdgeServer: {"gpu_capacity": 1.0, "cpu_capacity": 1.0},
+        EnhancementProfile: {"kind": "gpu", "demand_per_bit": [1.0, 1.0],
+                             "service_rate": [1.0, 1.0]},
+        QualityState: {"num_devices": 1, "num_algorithms": 1}}
 
 
 def build(cls, field, value):
@@ -30,14 +47,22 @@ def build(cls, field, value):
 
 # values the config rejects for keys that SCALAR_KEYS does not list, and the
 # values each class accepted before it checked through its keys
+# None: a required field is checked, not skipped as a key's absent default
+PER_SERVER = [[True, 1.0], ["1e5", "2"], [-1.0, 1.0], None]
 EXTRA = {
     SynthSpec: {"offsets": [(0.3, "x", 0.2, 0.1), (0.3, math.nan, 0.2, 0.1)],
                 "datasize_bits": [(1.0, math.inf), "ab", (1.0,)],
                 "bandwidth_bps": [[1.0, 2.0, 3.0], (True, 2.0)],
-                "drift": [math.inf], "accuracy_gain": [math.nan], "horizon": [2.5]},
+                "drift": [math.inf], "accuracy_gain": [math.nan], "horizon": [2.5],
+                "devices": [2.5, True, 0]},
     GaConfig: {"population_size": [True]},
     EdgeServer: {"gpu_capacity": [True]},
-    ModelConstants: {"overhead_latency_s": [math.inf]},
+    ModelConstants: {"overhead_latency_s": [math.inf], "devices": [True]},
+    EnhancementProfile: {"kind": [None], "demand_per_bit": PER_SERVER,
+                         "service_rate": PER_SERVER},
+    QualityState: {"devices": [2.5, True], "window_depth": [2.5, True],
+                   "denominator_floor": [math.nan], "quality_cap": [math.inf],
+                   "default_accuracy": [True]},
 }
 
 
@@ -51,16 +76,16 @@ def rejected_values(cls, prefix, key):
 
 CASES = [
     pytest.param(cls, key, value, id=f"{cls.__name__}.{key.field}={value!r}")
-    for cls, prefix in CLASSES
-    for key in keys_of(cls)
+    for cls, prefix, keys in CLASSES
+    for key in keys
     for value in rejected_values(cls, prefix, key)
 ]
 
 
 def test_every_keyed_field_has_a_rejected_value():
     covered = {(cls, key.field) for cls, key, _ in (case.values for case in CASES)}
-    keyed = {(cls, key.field) for cls, _ in CLASSES for key in keys_of(cls)}
-    assert len(keyed) == 7 + 13 + 2 + 3
+    keyed = {(cls, key.field) for cls, _, keys in CLASSES for key in keys}
+    assert len(keyed) == 7 + 14 + 2 + 4 + 3 + 5
     assert covered == keyed
 
 
@@ -72,8 +97,8 @@ def test_a_class_rejects_what_its_key_rejects(cls, key, value):
 
 SCALARS = [
     pytest.param(cls, key, id=f"{cls.__name__}.{key.field}")
-    for cls, _ in CLASSES
-    for key in keys_of(cls)
+    for cls, _, keys in CLASSES
+    for key in keys
     if key.kind in (int, float)
 ]
 
@@ -88,3 +113,12 @@ def test_a_class_takes_numpy_scalars(cls, key):
         assert type(value) is key.kind
         assert value == pytest.approx(key.default, rel=1e-6)
 
+
+
+def test_a_profile_stores_a_1d_numpy_array_as_a_tuple_of_floats():
+    prof = EnhancementProfile("cpu", np.array([1, 2]), np.array([0.5, 0.25], np.float32))
+    assert prof.demand_per_bit == (1.0, 2.0) and prof.service_rate == (0.5, 0.25)
+    assert all(type(v) is float for v in prof.demand_per_bit + prof.service_rate)
+    for value in (np.ones((2, 1)), np.float64(1.0)):
+        with pytest.raises(ValidationError, match="'demand_per_bit' must list some numbers"):
+            EnhancementProfile("cpu", value, [1.0, 1.0])

@@ -421,6 +421,17 @@ def test_profile_validation():
         EnhancementProfile(KIND_GPU, np.array([-1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("rates", [[5.0], [5.0, 5.0, 5.0]])
+def test_model_checks_both_per_server_lists_against_the_roster(rates):
+    # one rate on a two-server roster would broadcast a GPU rate to server 1,
+    # which has no GPU pool; three would fail inside numpy at first use
+    servers = (EdgeServer(gpu_capacity=8.0, cpu_capacity=1.0), EdgeServer(cpu_capacity=1.0))
+    profiles = (EnhancementProfile(KIND_GPU, [1e-7, 1e-7], [5.0, 0.0]),
+                EnhancementProfile(KIND_GPU, [1e-7, 1e-7], rates))
+    with pytest.raises(ValidationError, match="^algorithm 2: per-server lists must have length 2$"):
+        SystemModel(servers, profiles, ModelConstants(num_devices=1))
+
+
 def test_constants_validation():
     with pytest.raises(ValidationError):
         ModelConstants(num_devices=0)
