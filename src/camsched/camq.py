@@ -10,12 +10,13 @@ activations churn from chunk to chunk scores low even if the gain is large.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatchError, UnknownDeviceError, ValidationError
-from .keys import DEVICES, Key, checked
+from .keys import DEVICES, NUM_ALGORITHMS, Key, checked
 
 DEFAULT_THRESHOLD = 0.4     # filter keeps activations strictly above this
 
@@ -30,6 +31,8 @@ DENOMINATOR_FLOOR = Key("denominator_floor", float, 1e-6, low=0.0, strict=True,
                         attr="denom_floor")
 # symmetric clamp on the final score
 QUALITY_CAP = Key("quality_cap", float, 10.0, low=0.0, strict=True)
+# a state may track no algorithm at all, where a roster needs one
+_NUM_ALGORITHMS = replace(NUM_ALGORITHMS, low=0)
 
 
 def check_cams(values: np.ndarray, where: str = "") -> None:
@@ -129,9 +132,7 @@ class QualityState:
         quality_cap: float = QUALITY_CAP.default,
     ):
         self.num_devices = checked(DEVICES, num_devices)
-        if num_algorithms < 0:
-            raise ValidationError("algorithm count must be non-negative")
-        self.num_algorithms = int(num_algorithms)
+        self.num_algorithms = checked(_NUM_ALGORITHMS, num_algorithms)
         self.window_depth = checked(WINDOW_DEPTH, window_depth)
         self.default_accuracy = checked(DEFAULT_ACCURACY, default_accuracy)
         self.denom_floor = checked(DENOMINATOR_FLOOR, denom_floor)

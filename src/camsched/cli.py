@@ -16,13 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import sys
 
 from . import fileio, sched, sim
 from .config import RunConfig, build_model, build_quality_state, emit_config, parse_config_file
 from .errors import CamSchedError
-from .fileio import emit_metrics
 from .keys import key_of
 from .sim import generate_synthetic
 from .sysmodel import check_dims
@@ -114,16 +112,6 @@ def _replay_to(trace: sim.Trace, config: RunConfig, index: int):
     return state, stream
 
 
-def _write_records(records, out: str | None) -> None:
-    """Compact JSON lines to `out`, or to stdout when no path is given."""
-    text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     trace_path = args.trace or config.trace_path
@@ -143,7 +131,7 @@ def _cmd_simulate(args) -> int:
         threshold=config.cam_threshold,
         oracle_limit=config.oracle_limit,
     )
-    emit_metrics(metrics, out_path, summary)
+    fileio.emit_metrics(metrics, out_path, summary)
     mean_ms = (summary.mean_scheduler_seconds or 0.0) * 1e3
     print(
         f"simulated {summary.slots} slots with scheduler={config.scheduler}: "
@@ -164,7 +152,7 @@ def _cmd_schedule(args) -> int:
         config.cam_threshold, config.oracle_limit,
     )
     record = dict(fileio.metrics_record(metrics), scheduler=config.scheduler)
-    _write_records([record], args.out)
+    fileio.write_records([record], args.out)
     return 0
 
 
@@ -173,15 +161,7 @@ def _cmd_oracle(args) -> int:
     trace, model = _load_trace(args.trace, config)
     _, stream = _replay_to(trace, config, args.slot)
     result = sched.brute_force(next(stream), model, config.oracle_limit)
-    found = result.decision is not None
-    record = {
-        "slot": args.slot,
-        "enumerated": result.enumerated,
-        "feasible_count": result.feasible_count,
-        "decisions": [list(g) for g in result.decision.genes()] if found else None,
-        "total_utility": fileio.round9(result.objective) if found else None,
-    }
-    _write_records([record], args.out)
+    fileio.write_records([fileio.oracle_record(args.slot, result)], args.out)
     return 0
 
 
@@ -199,14 +179,8 @@ def _cmd_assess(args) -> int:
     config = _load_config(args)
     trace, _ = _load_trace(args.trace, config)
     replay = sim.replay(trace, build_quality_state(config), config.cam_threshold)
-    _write_records(
-        (
-            {"slot": t,
-             "quality": [[fileio.round9(v) for v in row] for row in slot.quality.tolist()]}
-            for t, slot in enumerate(replay)
-        ),
-        args.out,
-    )
+    records = (fileio.assess_record(t, slot) for t, slot in enumerate(replay))
+    fileio.write_records(records, args.out)
     return 0
 
 

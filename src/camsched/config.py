@@ -130,7 +130,7 @@ def _parse_algorithm(i: int, entry, servers: tuple[EdgeServer, ...]) -> Enhancem
         if not isinstance(values[name], list):
             values[name] = [values[name]] * len(servers)
         elif len(values[name]) != len(servers):
-            raise ConfigError(f"{where} key {name!r} must list {len(servers)} numbers")
+            raise ConfigError(f"{where}: key {name!r} must list {len(servers)} numbers")
     try:
         profile = EnhancementProfile(**values)
         if not isinstance(entry.get("service_rate"), list):
@@ -140,7 +140,7 @@ def _parse_algorithm(i: int, entry, servers: tuple[EdgeServer, ...]) -> Enhancem
                 for rate, server in zip(profile.service_rate, servers)
             ))
     except ValidationError as exc:
-        raise ConfigError(f"{where} {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     return profile
 
 
@@ -176,8 +176,8 @@ def parse_config(text: str) -> RunConfig:
                 "have the default length"
             )
         entries = list(DEFAULT_ALGORITHMS)
-    if not isinstance(entries, list):
-        raise ConfigError("config key 'algorithms' must be a list")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("config key 'algorithms' must be a non-empty list")
     algorithms = tuple(_parse_algorithm(i, e, servers) for i, e in enumerate(entries))
 
     seed = top["seed"]

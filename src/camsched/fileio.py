@@ -1,12 +1,13 @@
-"""On-disk formats: CAM stacks, trace manifests, metrics streams.
+"""On-disk formats: CAM stacks, trace manifests and output records.
 
 Every writer is deterministic. A trace directory holds a `trace.json`
 manifest and, for a CAM trace, one `.npy` stack per device, `cams/devMM.npy`,
 which keeps every float64 bit; the manifest names each map as a
 [file, index] pair. save_cam and load_cam are the one writer and the one
-reader of a stack. Manifests and metrics have a fixed key order and floats
-rounded to 9 significant digits, with one JSON record per line for metrics.
-Infinite latencies and utilities are emitted as the JSON extensions
+reader of a stack. The metrics, oracle and assess records are built here,
+and write_records is their one writer, one compact JSON record a line.
+Manifests and records have a fixed key order and floats rounded to 9
+significant digits. Infinite values are written as the JSON extensions
 Infinity / -Infinity, which the stdlib json module reads back unchanged.
 """
 
@@ -16,14 +17,16 @@ import io
 import json
 import math
 import os
+import sys
 import tokenize
 import warnings
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .camq import check_cams
 from .errors import TraceError, ValidationError
+from .sched import OracleResult
 from .sim import RunSummary, SlotData, SlotMetrics, Trace
 
 
@@ -32,6 +35,11 @@ def round9(x: float) -> float:
     if math.isinf(x) or math.isnan(x):
         return x
     return float(f"{x:.9g}")
+
+
+def _rows9(matrix: np.ndarray) -> list[list[float]]:
+    """A 2-D array as nested lists of round9 values."""
+    return [[round9(v) for v in row] for row in matrix.tolist()]
 
 
 def load_cam(path: str) -> np.ndarray:
@@ -114,12 +122,10 @@ def _slot_to_manifest(slot: SlotData, first: int) -> dict:
     each device's stack, in the order of the slot's own stacks."""
     entry: dict = {
         "datasize_bits": [round9(v) for v in slot.datasize_bits.tolist()],
-        "bandwidth_bps": [
-            [round9(v) for v in row] for row in slot.bandwidth_bps.tolist()
-        ],
+        "bandwidth_bps": _rows9(slot.bandwidth_bps),
     }
     if slot.quality is not None:
-        entry["quality"] = [[round9(v) for v in row] for row in slot.quality.tolist()]
+        entry["quality"] = _rows9(slot.quality)
     else:
         entry["cams"] = {
             "lowlight": [[_stack_name(m), first] for m in range(len(slot.cams))],
@@ -129,9 +135,7 @@ def _slot_to_manifest(slot: SlotData, first: int) -> dict:
             ],
         }
     if slot.accuracy is not None:
-        entry["accuracy"] = [
-            [round9(v) for v in row] for row in slot.accuracy.tolist()
-        ]
+        entry["accuracy"] = _rows9(slot.accuracy)
     return entry
 
 
@@ -312,11 +316,29 @@ def load_trace(path: str) -> Trace:
         raise TraceError(f"{path}: {exc}") from exc
 
 
+# json.dumps with separators builds a new encoder for every call
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_records(records: Iterable[dict], path: str | None) -> None:
+    """Compact JSON lines, one record a line, to `path`, or to stdout when
+    `path` is None. The whole text is built before the file is opened, so a
+    record that fails to build writes nothing."""
+    lines = [_ENCODE(record) for record in records]
+    lines.append("")  # the last line's newline; no records write no bytes
+    text = "\n".join(lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
 def metrics_record(metrics: SlotMetrics) -> dict:
     """One slot's record in the metrics stream."""
     return {
         "slot": metrics.slot,
-        "decisions": [list(gene) for gene in metrics.decision.genes()],
+        "decisions": metrics.decision.genes(),
         "rejected": sorted(metrics.rejected),
         "quality": [round9(v) for v in metrics.qualities],
         "latency_s": [round9(v) for v in metrics.latencies],
@@ -340,19 +362,27 @@ def _summary_record(summary: RunSummary) -> dict:
     }
 
 
-def format_metrics(
-    metrics: Sequence[SlotMetrics], summary: RunSummary
-) -> str:
-    """Render the metrics stream: one JSON record per slot, then one summary.
+def emit_metrics(metrics: Sequence[SlotMetrics], path: str, summary: RunSummary) -> None:
+    """Write the metrics stream: one record per slot, then the summary.
 
     Scheduler wall-times are deliberately not part of the stream so reruns of
     the same seed produce identical bytes; they are reported on stdout instead.
     """
-    lines = [json.dumps(metrics_record(m), separators=(",", ":")) for m in metrics]
-    lines.append(json.dumps(_summary_record(summary), separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    write_records([*map(metrics_record, metrics), _summary_record(summary)], path)
 
 
-def emit_metrics(metrics: Sequence[SlotMetrics], path: str, summary: RunSummary) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_metrics(metrics, summary))
+def oracle_record(slot: int, result: OracleResult) -> dict:
+    """The `oracle` command's record of one slot's exhaustive solve."""
+    found = result.decision is not None
+    return {
+        "slot": slot,
+        "enumerated": result.enumerated,
+        "feasible_count": result.feasible_count,
+        "decisions": result.decision.genes() if found else None,
+        "total_utility": round9(result.objective) if found else None,
+    }
+
+
+def assess_record(slot: int, data: SlotData) -> dict:
+    """The `assess` command's record of one slot's quality matrix."""
+    return {"slot": slot, "quality": _rows9(data.quality)}

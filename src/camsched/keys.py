@@ -104,6 +104,11 @@ def _numbers(val, what: str, size: int | None, low=None) -> tuple[float, ...]:
 # the device count: a top-level config key, which the model constants, the
 # trace generator and the quality state each check their count through
 DEVICES = Key("devices", int, 10, low=1, attr="num_devices")
+# the roster counts, which the config takes from its servers and algorithms
+# lists; the trace generator checks both through these, the quality state
+# its algorithm count
+NUM_SERVERS = Key("num_servers", int, 4, low=1)
+NUM_ALGORITHMS = Key("num_algorithms", int, 4, low=1)
 
 
 def keyed(name: str, kind: type = float, default=MISSING, **bounds):

@@ -23,7 +23,7 @@ import numpy as np
 from . import camq, sched, sysmodel
 from .camq import QualityState
 from .errors import TraceError, ValidationError
-from .keys import DEVICES, check_keyed, checked, keyed
+from .keys import DEVICES, NUM_ALGORITHMS, NUM_SERVERS, check_keyed, checked, keyed
 from .sched import GaConfig
 # device_latency is not called here, but perfbench/tracing.py wraps it through
 # this module's attribute, so the name stays bound
@@ -365,14 +365,14 @@ class SynthSpec:
     lifts activations by offsets[k-1] plus small noise. Accuracy feedback
     rises with the offset, so better enhancement also means better analytics.
     Without offsets, the K of them run evenly from 0.30 down to 0.08,
-    rounded to 6 places. The device count is checked through the top-level
-    `devices` key, and each field after the three counts is the synth config
-    key it names.
+    rounded to 6 places. The three counts are checked through keys.DEVICES,
+    NUM_SERVERS and NUM_ALGORITHMS, and each field after them is the synth
+    config key it names.
     """
 
     num_devices: int = DEVICES.default
-    num_servers: int = 4
-    num_algorithms: int = 4
+    num_servers: int = NUM_SERVERS.default
+    num_algorithms: int = NUM_ALGORITHMS.default
     horizon: int = keyed("horizon", int, 30, low=0)
     cam_rows: int = keyed("cam_rows", int, 16, low=1)
     cam_cols: int = keyed("cam_cols", int, 16, low=1)
@@ -391,9 +391,8 @@ class SynthSpec:
     seed: int = keyed("seed", int, 1, low=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "num_devices", checked(DEVICES, self.num_devices))
-        if min(self.num_servers, self.num_algorithms) < 1:
-            raise ValidationError("server and algorithm counts must be >= 1")
+        for key in (DEVICES, NUM_SERVERS, NUM_ALGORITHMS):
+            object.__setattr__(self, key.field, checked(key, getattr(self, key.field)))
         if self.offsets is None:
             offsets = np.linspace(0.30, 0.08, self.num_algorithms).round(6)
             object.__setattr__(self, "offsets", tuple(offsets.tolist()))

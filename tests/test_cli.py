@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,7 @@ from camsched.config import (
 )
 from camsched.errors import CamSchedError, ConfigError, TraceError, ValidationError
 from camsched.fileio import (
-    format_metrics,
+    emit_metrics,
     load_cam,
     load_trace,
     round9,
@@ -122,6 +123,31 @@ def test_custom_roster_requires_algorithms():
     doc = '{"servers": [{"gpu_capacity": 1e9, "cpu_capacity": 1e9}]}'
     with pytest.raises(ConfigError, match="algorithms"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("key", ["servers", "algorithms"])
+def test_an_empty_roster_list_names_its_own_key(key):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' must be a non-empty list$"):
+        parse_config(json.dumps({key: []}))
+
+
+ONE_SERVER = [{"gpu_capacity": 8.0, "cpu_capacity": 8.0}]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"servers": [{"gpu_capacity": -1.0, "cpu_capacity": 8.0}]},
+     "server 0: key 'gpu_capacity' must be >= 0.0, got -1.0"),
+    ({"servers": ONE_SERVER,
+      "algorithms": [{"kind": "tpu", "demand_per_bit": 1.0, "service_rate": 1.0}]},
+     "algorithm 1: key 'kind' must be one of gpu|cpu, got 'tpu'"),
+    ({"servers": ONE_SERVER,
+      "algorithms": [{"kind": "gpu", "demand_per_bit": [1.0, 2.0], "service_rate": 1.0}]},
+     "algorithm 1: key 'demand_per_bit' must list 1 numbers"),
+], ids=["server", "algorithm", "algorithm-list-length"])
+def test_a_section_entry_error_names_the_entry_then_the_key(doc, message):
+    # servers count from 0, algorithms from 1: algorithm 0 is raw shipping
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(json.dumps(doc))
 
 
 def test_custom_roster_with_scalar_service():
@@ -254,7 +280,7 @@ def test_cam_format_comes_from_content_not_name(tmp_path):
 
 # ------------------------------------------------------------------- metrics
 
-def test_metrics_record_schema_exact():
+def test_metrics_record_schema_exact(tmp_path):
     spec = SynthSpec(num_devices=2, num_servers=2, num_algorithms=1,
                      horizon=2, offsets=(0.25,), seed=3)
     trace = generate_synthetic(spec)
@@ -262,8 +288,9 @@ def test_metrics_record_schema_exact():
     model = build_model(cfg)
     metrics, summary = run(trace, model, scheduler="capacity",
                            state=build_quality_state(cfg))
-    text = format_metrics(metrics, summary)
-    lines = text.strip().split("\n")
+    path = tmp_path / "m.jsonl"
+    emit_metrics(metrics, str(path), summary)
+    lines = path.read_text().strip().split("\n")
     assert len(lines) == 3  # two slots + summary
     for line in lines[:-1]:
         record = json.loads(line)
@@ -1342,6 +1369,22 @@ def test_cli_assess_emits_quality_lines(tmp_path, capsys):
         q = np.array(record["quality"])
         assert q.shape == (2, 2)
         assert (q[:, 0] == 0).all()
+
+
+@pytest.mark.parametrize("command", [["schedule", "--slot", "1"], ["oracle", "--slot", "1"],
+                                     ["assess"]], ids=["schedule", "oracle", "assess"])
+def test_cli_prints_the_bytes_it_writes_with_out(tmp_path, capsys, command):
+    cfg = small_default_config(tmp_path)
+    trace_dir = tmp_path / "t"
+    assert run_cli(["gen-trace", "--config", str(cfg), "--out", str(trace_dir)]) == 0
+    capsys.readouterr()
+    args = command + ["--config", str(cfg), "--trace", str(trace_dir / "trace.json")]
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "records.jsonl"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed.encode("ascii")
 
 
 def test_cli_show_config_round_trips(tmp_path, capsys):

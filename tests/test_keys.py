@@ -122,3 +122,26 @@ def test_a_profile_stores_a_1d_numpy_array_as_a_tuple_of_floats():
     for value in (np.ones((2, 1)), np.float64(1.0)):
         with pytest.raises(ValidationError, match="'demand_per_bit' must list some numbers"):
             EnhancementProfile("cpu", value, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: QualityState(2, 2.5), "'num_algorithms' must be an integer"),
+    (lambda: QualityState(2, True), "'num_algorithms' must be an integer"),
+    (lambda: QualityState(2, -1), "'num_algorithms' must be >= 0, got -1"),
+    (lambda: SynthSpec(num_servers=2.5), "'num_servers' must be an integer"),
+    (lambda: SynthSpec(num_algorithms=True), "'num_algorithms' must be an integer"),
+    (lambda: SynthSpec(num_servers=0), "'num_servers' must be >= 1, got 0"),
+    (lambda: SynthSpec(num_algorithms=0), "'num_algorithms' must be >= 1, got 0"),
+], ids=["state-algorithms-2.5", "state-algorithms-True", "state-algorithms-negative",
+        "synth-servers-2.5", "synth-algorithms-True", "synth-servers-0", "synth-algorithms-0"])
+def test_a_roster_count_is_checked_through_its_key(build, message):
+    # a state may track no algorithm, where the generator needs one
+    with pytest.raises(ValidationError, match=f"^key {re.escape(message)}$"):
+        build()
+
+
+def test_a_roster_count_takes_numpy_integers():
+    state = QualityState(np.int64(2), np.int32(0))
+    spec = SynthSpec(num_servers=np.int32(2), num_algorithms=np.int64(1))
+    assert type(state.num_algorithms) is type(spec.num_servers) is type(spec.num_algorithms) is int
+    assert (state.num_algorithms, spec.num_servers, spec.num_algorithms) == (0, 2, 1)
